@@ -15,13 +15,28 @@ columns are born and pruned per row under the usual Indian buffet prior.
 P stays exact because Z entries are 0/1 floats and its rank-one edits stay on
 the integer lattice; P^{-1} is maintained by Sherman-Morrison within a sweep
 and rebuilt from a Cholesky factor once per iteration.
+
+A row step takes the row out of P and lam once. The noise variance sigma_d^2
+is shared by an attribute's columns, so the row's collapsed log-likelihood is
+
+    -1/2 sum_d [S_d log(s + sigma_d^2) + Q_d / (s + sigma_d^2)]
+
+with s the weight-uncertainty variance z^T P_{-n}^{-1} z and Q_d the squared
+residual of attribute d. The Z-row scan keeps s, Q and per-attribute products
+of the residual with the weight means, so each candidate flip is scored in
+scalar arithmetic. The birth step reads the scan's final (s, Q): it scores its
+candidate counts only when its uniform lies above a lower bound on the
+probability of no birth, which holds on nearly every row.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -140,6 +155,10 @@ class LatentState:
             if s.kind is AttributeKind.CATEGORICAL:
                 free[self.offsets[d + 1] - 1] = False
         self.free_cols = free
+        # S x D indicator of each pseudo-observation column's attribute, so a
+        # product with it sums a row's columns per attribute
+        self.col_group = (self.col_dim[:, None] == np.arange(len(self.specs))).astype(float)
+        self.widths = [float(w) for w in widths]
         if self.Y.shape != (self.Z.shape[0], self.offsets[-1]):
             raise ValueError("Y shape does not match Z rows and spec widths")
         if self.B.shape != (self.Z.shape[1], self.offsets[-1]):
@@ -177,11 +196,6 @@ class LatentState:
         self.col_sums = self.Z.sum(axis=0)
         self.P_inv = _chol_inverse(self.P)
 
-    def refresh_P_inv(self, chol: np.ndarray | None = None):
-        L = np.linalg.cholesky(self.P) if chol is None else chol
-        E = solve_triangular(L, np.eye(self.K), lower=True)
-        self.P_inv = E.T @ E
-
     def copy(self) -> "LatentState":
         return LatentState(
             specs=self.specs,
@@ -211,8 +225,10 @@ class ChainResult:
     saved: list[LatentState]
 
 
-def _chol_inverse(P: np.ndarray) -> np.ndarray:
-    L = np.linalg.cholesky(P)
+def _chol_inverse(P: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
+    """P^{-1} from the lower Cholesky factor L of P (factorized here if not given)."""
+    if L is None:
+        L = np.linalg.cholesky(P)
     E = solve_triangular(L, np.eye(P.shape[0]), lower=True)
     return E.T @ E
 
@@ -313,83 +329,187 @@ def _sigmoid(t: float) -> float:
     return e / (1.0 + e)
 
 
-def _downdate_inverse(P_inv: np.ndarray, z: np.ndarray, P_noN: np.ndarray) -> np.ndarray:
+def _downdate_inverse(P_inv: np.ndarray, z: np.ndarray, P: np.ndarray) -> np.ndarray:
     """(P - z z^T)^{-1} from P^{-1} by Sherman-Morrison, with an exact
     fallback if the update is ill-conditioned."""
     g = P_inv @ z
     denom = 1.0 - float(z @ g)
     if denom <= 1e-12:
-        return _chol_inverse(P_noN)
-    return P_inv + np.outer(g, g) / denom
+        return _chol_inverse(P - z[:, None] * z)
+    return P_inv + g[:, None] * g / denom
+
+
+def _collapse_row(state: LatentState, n: int):
+    """Take row n out of the natural parameters.
+
+    Returns (lam_noN, A, M) with A = (P - z z^T)^{-1} and M = A lam_noN, the
+    posterior mean of the weights given every other row.
+    """
+    z = state.Z[n]
+    lam_noN = state.lam - z[:, None] * state.Y[n]
+    A = _downdate_inverse(state.P_inv, z, state.P)
+    return lam_noN, A, A @ lam_noN
+
+
+def _row_stats(state: LatentState, n: int) -> tuple[float, list[float]]:
+    """Collapsed statistics (s, Q) of row n as it stands: s = z A z and
+    Q[d] = ||y_d - u_d||^2, the squared residual of attribute d under the
+    predictive mean u = z M."""
+    z = state.Z[n]
+    _, A, M = _collapse_row(state, n)
+    r = state.Y[n] - z @ M
+    return float(z @ A @ z), ((r * r) @ state.col_group).tolist()
+
+
+def _row_loglik(s: float, Q, sigma2, widths) -> float:
+    """Collapsed log-likelihood of a row, up to a constant, from its
+    statistics: each of attribute d's S_d columns has predictive variance
+    s + sigma_d^2 and the attribute's squared residuals sum to Q[d]."""
+    v0 = max(s, 0.0)
+    total = 0.0
+    for q, sg, w in zip(Q, sigma2, widths):
+        v = v0 + sg
+        total += w * math.log(v) + q / v
+    return -0.5 * total
 
 
 def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     """Resample every non-bias entry of row n of Z with weights collapsed out.
 
     Feature columns used by no other row are forced off; fresh features enter
-    through birth_features. Commits updated natural parameters for the row.
+    through birth_features. Commits updated natural parameters for the row and
+    returns the final row statistics (s, Q) of _row_stats, or None when there
+    is no feature column to scan.
+
+    The row is taken out of P and lam once. Flipping feature k moves the
+    predictive mean u by +-M_k and s by 2 (+-h_k) + A_kk, with h = A z, so
+    each attribute's squared residual follows from Q, r.M_k and ||M_k||^2
+    summed over the attribute's columns (r = y - u): a candidate is scored
+    with D scalar operations, and only an accepted flip touches arrays.
     """
     nb = state.n_bias
     K = state.K
     N = state.N
     if K == nb:
-        return
-    z = state.Z[n].copy()
+        return None
+    z0 = state.Z[n]
     y = state.Y[n]
+    lam_noN, A, M = _collapse_row(state, n)
+    m = state.col_sums - z0
+    m_l = m.tolist()
+    z_l = z0.tolist()
 
-    P_noN = state.P - np.outer(z, z)
-    lam_noN = state.lam - np.outer(z, y)
-    A = _downdate_inverse(state.P_inv, z, P_noN)
-    M = A @ lam_noN
-    h = A @ z
-    s = float(z @ h)
-    u = z @ M
-    m = state.col_sums - z
-    col_var = state.sigma2[state.col_dim]
+    h = A @ z0
+    s = float(z0 @ h)
+    G = state.col_group
+    r = y - z0 @ M
+    # a product with W sums r-weighted columns per attribute
+    W = r[:, None] * G
+    RM = M @ W
+    Q = (r @ W).tolist()
+    # C[k, j] = M_k.M_j per attribute: an accepted flip of k moves RM by C[k]
+    C = ((M[:, None, :] * M).reshape(K * K, -1) @ G).reshape(K, K, -1)
+    MM = C.reshape(K * K, -1)[:: K + 1].tolist()
+    RM_l = RM.tolist()
+    sig = state.sigma2.tolist()
+    widths = state.widths
+    A_diag = A.diagonal().tolist()
+    h_l = h.tolist()
+    ll = _row_loglik(s, Q, sig, widths)
 
-    resid = y - u
-    v = max(s, 0.0) + col_var
-    ll = -0.5 * float(np.sum(np.log(v) + resid * resid / v))
-
+    n_live = sum(1 for k in range(nb, K) if m_l[k] != 0.0)
+    uniforms = iter(rng.gen.random(n_live).tolist())
+    log = math.log
+    changed = False
     for k in range(nb, K):
-        if m[k] == 0.0:
-            if z[k] == 1.0:
-                u = u - M[k]
-                s = s - 2.0 * h[k] + A[k, k]
-                h = h - A[:, k]
-                z[k] = 0.0
-                resid = y - u
-                v = max(s, 0.0) + col_var
-                ll = -0.5 * float(np.sum(np.log(v) + resid * resid / v))
+        on = z_l[k] == 1.0
+        live = m_l[k] != 0.0
+        if not (live or on):
             continue
-        sgn = 1.0 - 2.0 * z[k]
-        u_alt = u + sgn * M[k]
-        s_alt = s + 2.0 * sgn * h[k] + A[k, k]
-        resid_alt = y - u_alt
-        v_alt = max(s_alt, 0.0) + col_var
-        ll_alt = -0.5 * float(np.sum(np.log(v_alt) + resid_alt * resid_alt / v_alt))
+        two_sgn = -2.0 if on else 2.0
+        s_alt = s + two_sgn * h_l[k] + A_diag[k]
+        v0 = max(s_alt, 0.0)
+        total = 0.0
+        for q, rm, mm, sg, w in zip(Q, RM_l[k], MM[k], sig, widths):
+            v = v0 + sg
+            total += w * log(v) + (q - two_sgn * rm + mm) / v
+        ll_alt = -0.5 * total
+        if live:
+            prior = log(m_l[k]) - log(N - m_l[k])
+            logit_on = prior + (ll - ll_alt if on else ll_alt - ll)
+            if (next(uniforms) < _sigmoid(logit_on)) == on:
+                continue
+        # accept (or force off) the flip
+        Q = [q - two_sgn * rm + mm for q, rm, mm in zip(Q, RM_l[k], MM[k])]
+        s, ll = s_alt, ll_alt
+        z_l[k] = 0.0 if on else 1.0
+        if on:
+            h -= A[k]
+            RM += C[k]
+        else:
+            h += A[k]
+            RM -= C[k]
+        h_l = h.tolist()
+        RM_l = RM.tolist()
+        changed = True
 
-        prior = math.log(m[k]) - math.log(N - m[k])
-        logit_on = prior + (ll_alt - ll if z[k] == 0.0 else ll - ll_alt)
-        turn_on = rng.gen.random() < _sigmoid(logit_on)
-        if turn_on != (z[k] == 1.0):
-            z[k] = 1.0 - z[k]
-            u, s, ll = u_alt, s_alt, ll_alt
-            h = h + sgn * A[:, k]
-
-    state.Z[n] = z
-    state.P = P_noN + np.outer(z, z)
-    state.lam = lam_noN + np.outer(z, y)
-    state.col_sums = m + z
-    state.P_inv = A - np.outer(h, h) / (1.0 + s)
+    z = z0
+    if changed:
+        z = np.array(z_l)
+        state.P = (state.P - z0[:, None] * z0) + z[:, None] * z
+        state.Z[n] = z
+        state.col_sums = m + z
+        state.P_inv = A - h[:, None] * h / (1.0 + s)
+    # lam takes the round trip even when z is unchanged: the weight draw
+    # reads it, and outputs are kept identical to the full update
+    state.lam = lam_noN + z[:, None] * y
+    return s, Q
 
 
-def birth_features(rng: RngState, state: LatentState, data: DataMatrix, n: int):
+def _inverse_cdf_index(p, u: float) -> int:
+    """The index Generator.choice(len(p), p=p) draws from the uniform u: the
+    number of normalized cumulative probabilities at or below u."""
+    cdf = list(accumulate(p))
+    total = cdf[-1]
+    return bisect_right([c / total for c in cdf], u)
+
+
+@lru_cache(maxsize=16)
+def _birth_ladder(alpha: float, N: int, kmax: int) -> tuple[tuple[float, ...], float]:
+    """Log prior weights k log(alpha/N) - log k! of k = 0..kmax births, and
+    the log of the summed prior weight of k >= 1."""
+    log_rate = math.log(alpha / N)
+    ladder = tuple(k * log_rate - math.lgamma(k + 1) for k in range(kmax + 1))
+    top = max(ladder[1:])
+    return ladder, top + math.log(sum(math.exp(x - top) for x in ladder[1:]))
+
+
+def _birth_gain_bound(s: float, Q, sigma2, widths) -> float:
+    """An upper bound on ll_k - ll_0 over every birth count k >= 1.
+
+    Births add variance: per attribute the gain is
+    (c (1 - 1/x) - S_d log x) / 2 with x = v_k / v_0 >= 1 and c = Q_d / v_0,
+    which peaks at x = c / S_d when c > S_d and is never positive otherwise.
+    """
+    v0 = max(s, 0.0)
+    total = 0.0
+    for q, sg, w in zip(Q, sigma2, widths):
+        c = q / (v0 + sg)
+        if c > w:
+            total += c - w - w * math.log(c / w)
+    return 0.5 * total
+
+
+def birth_features(rng: RngState, state: LatentState, data: DataMatrix, n: int, row=None):
     """Draw how many fresh feature columns row n turns on.
 
     The count follows a truncated Poisson(alpha/N) reweighted by the row's
     marginal likelihood, where each prospective feature contributes prior
     weight variance sigma_B^2 on top of the collapsed predictive variance.
+    `row` is the row's (s, Q) as sample_z_row returns it; when None it is
+    computed here. The count is read off one uniform by inverse CDF. When the
+    uniform falls below a lower bound on the mass of no birth, the count is 0
+    and the candidates are not scored.
     """
     hp = state.hp
     if hp.alpha == 0.0:
@@ -399,31 +519,24 @@ def birth_features(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     if kmax <= 0:
         return
 
-    rate = hp.alpha / N
-    lw = np.empty(kmax + 1)
-    if hp.birth_prior_only:
+    ladder, log_rest = _birth_ladder(hp.alpha, N, kmax)
+    u = rng.gen.random()
+    lw = list(ladder)
+    if not hp.birth_prior_only:
+        s, Q = _row_stats(state, n) if row is None else row
+        s = max(s, 0.0)
+        sig = state.sigma2.tolist()
+        # p_0 >= 1 / (1 + exp(gain bound) * prior weight of k >= 1); the
+        # margin keeps rounding in the full scoring from reversing the call
+        bound = _birth_gain_bound(s, Q, sig, state.widths) + log_rest
+        if bound < 700.0 and u < (1.0 - 1e-9) / (1.0 + math.exp(bound)):
+            return
         for k in range(kmax + 1):
-            lw[k] = k * math.log(rate) - gammaln(k + 1)
-    else:
-        z = state.Z[n]
-        y = state.Y[n]
-        P_noN = state.P - np.outer(z, z)
-        lam_noN = state.lam - np.outer(z, y)
-        A = _downdate_inverse(state.P_inv, z, P_noN)
-        M = A @ lam_noN
-        s = max(float(z @ A @ z), 0.0)
-        u = z @ M
-        col_var = state.sigma2[state.col_dim]
-        resid2 = (y - u) ** 2
-        for k in range(kmax + 1):
-            v = s + k * hp.sigma_B2 + col_var
-            row_ll = -0.5 * float(np.sum(np.log(v) + resid2 / v))
-            lw[k] = k * math.log(rate) - gammaln(k + 1) + row_ll
-
-    lw -= lw.max()
-    p = np.exp(lw)
-    p /= p.sum()
-    k_new = int(rng.gen.choice(kmax + 1, p=p))
+            lw[k] += _row_loglik(s + k * hp.sigma_B2, Q, sig, state.widths)
+    top = max(lw)
+    w = [math.exp(x - top) for x in lw]
+    total = sum(w)
+    k_new = _inverse_cdf_index([x / total for x in w], u)
     if k_new == 0:
         return
 
@@ -594,12 +707,12 @@ def run_iteration(rng: RngState, state: LatentState, data: DataMatrix, pinned=fr
     for n in range(state.N):
         if n in pinned:
             continue
-        sample_z_row(rng, state, data, n)
-        birth_features(rng, state, data, n)
+        row = sample_z_row(rng, state, data, n)
+        birth_features(rng, state, data, n, row)
     prune_features(state)
 
     L = np.linalg.cholesky(state.P)
-    state.refresh_P_inv(chol=L)
+    state.P_inv = _chol_inverse(state.P, L)
     for d in range(len(state.specs)):
         sample_weights(rng, state, d, chol=L)
         _sample_pseudo_obs_rows(rng, state, data, d)

@@ -13,9 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import invgamma, kstest
 
+import glfm.engine
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix
 from glfm.engine import (
     Hyperparams,
+    _birth_gain_bound,
+    _inverse_cdf_index,
+    _row_loglik,
+    _row_stats,
     birth_features,
     collapsed_flip_logodds,
     collapsed_update_diagnostic,
@@ -160,12 +165,19 @@ def test_natural_params_stay_exact_across_sweeps():
     np.testing.assert_allclose(ident, np.eye(state.K), atol=1e-8)
 
 
-def test_z_row_replay_matches_from_scratch_logodds():
-    # replay the exact random stream against the O(K^3) reference route
+@pytest.mark.parametrize(
+    "sigma2", [None, (0.3, 3.0)], ids=["shared-sigma2", "per-attribute-sigma2"]
+)
+def test_z_row_replay_matches_from_scratch_logodds(sigma2):
+    # replay the exact random stream against the O(K^3) reference route; the
+    # second case gives every attribute its own noise variance, spread over
+    # (0.3, 3), so each attribute's columns form their own variance group
     data = small_mixed_data(15, seed=21)
     hp = Hyperparams(alpha=2.0, K_max=9, K_init=4, bias=True, iterations=0, burn_in=0)
     init_rng = RngState(8)
     state = init_state(data, hp, init_rng)
+    if sigma2 is not None:
+        state.sigma2 = np.geomspace(*sigma2, num=len(state.specs))
     warm = RngState(97)
     for _ in range(3):
         run_iteration(warm, state, data)
@@ -210,6 +222,39 @@ def test_forced_zero_when_feature_unused_elsewhere():
     sample_z_row(rng, state, data, 0)
     assert state.Z[0, 1] == 0.0
     assert_natural_params_exact(state)
+
+
+def test_z_row_exact_inverse_fallback(monkeypatch):
+    # with sigma_B^2 = 1e13 a feature held by row 0 alone leaves P - z z^T
+    # with a 1e-13 pivot: 1 - z^T P^{-1} z falls below the Sherman-Morrison
+    # cutoff and the downdate takes the exact Cholesky route
+    data = small_mixed_data(12, seed=46)
+    hp = Hyperparams(alpha=0.0, sigma_B2=1e13, K_init=2, bias=True,
+                     iterations=0, burn_in=0)
+    state = init_state(data, hp, RngState(47))
+    state.Z[:, 1] = np.arange(state.N) % 2
+    state.Z[:, 2] = 0.0
+    state.Z[0, 2] = 1.0
+    state.recompute_natural()
+
+    calls = []
+    exact = glfm.engine._chol_inverse
+
+    def counted(P, L=None):
+        calls.append(P.shape)
+        return exact(P, L)
+
+    monkeypatch.setattr(glfm.engine, "_chol_inverse", counted)
+    s, Q = sample_z_row(RngState(48), state, data, 0)
+    assert len(calls) == 1
+    assert state.Z[0, 2] == 0.0  # used by no other row: forced off
+    assert_natural_params_exact(state)
+    # the scan's final statistics are those of the committed row, up to the
+    # cancellation of A's 1e13 entries (A_kk ~ 1e13 against 2 h_k ~ 2e13),
+    # which leaves them an absolute accuracy of about 1e13 * 1e-16
+    s_ref, Q_ref = _row_stats(state, 0)
+    assert s == pytest.approx(s_ref, abs=1e-2)
+    np.testing.assert_allclose(Q, Q_ref, rtol=0, atol=1e-2)
 
 
 def test_weight_posterior_moments():
@@ -368,6 +413,102 @@ def test_birth_adds_columns_for_row():
             break
     assert grew
     assert_natural_params_exact(state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).filter(lambda w: sum(w) > 0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_birth_count_draw_matches_generator_choice(weights, seed):
+    p = np.array(weights) / sum(weights)
+    rng = RngState(seed)
+    twin = RngState(0)
+    twin.set_state(rng.get_state())
+    expected = int(twin.gen.choice(len(p), p=p))
+    assert _inverse_cdf_index(p.tolist(), rng.gen.random()) == expected
+    # choice spends exactly the one uniform the inverse CDF reads
+    assert rng.get_state() == twin.get_state()
+
+
+def test_birth_count_draw_ties_go_right():
+    # a uniform equal to a cumulative probability selects the next index,
+    # as searchsorted(side="right") inside Generator.choice does
+    assert _inverse_cdf_index([0.5, 0.5], 0.5) == 1
+    assert _inverse_cdf_index([0.25, 0.25, 0.5], 0.0) == 0
+    assert _inverse_cdf_index([0.0, 1.0], 0.0) == 1
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10000))
+def test_birth_from_scan_statistics_matches_fresh_statistics(seed):
+    data, _ = generate(10, missing_rate=0.2, seed=seed)
+    hp = Hyperparams(alpha=20.0, sigma_B2=0.2, K_max=30, K_init=2, bias=True,
+                     sample_variance=True, iterations=0, burn_in=0)
+    rng = RngState(seed + 1)
+    state = init_state(data, hp, rng)
+    run_iteration(rng, state, data)
+    births = 0
+    for n in range(state.N):
+        row = sample_z_row(rng, state, data, n)
+        s_ref, Q_ref = _row_stats(state, n)
+        assert row[0] == pytest.approx(s_ref, rel=1e-9, abs=1e-12)
+        np.testing.assert_allclose(row[1], Q_ref, rtol=1e-9, atol=1e-12)
+
+        fresh = state.copy()
+        fresh_rng = RngState(0)
+        fresh_rng.set_state(rng.get_state())
+        K_before = state.K
+        birth_features(rng, state, data, n, row)
+        birth_features(fresh_rng, fresh, data, n)
+        np.testing.assert_array_equal(state.Z, fresh.Z)
+        assert rng.get_state() == fresh_rng.get_state()
+        births += state.K > K_before
+    assert_natural_params_exact(state)
+    assert births > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    s=st.floats(-1.0, 5.0),
+    attrs=st.lists(
+        st.tuples(st.floats(0.0, 60.0), st.floats(0.05, 10.0), st.integers(1, 5)),
+        min_size=1, max_size=8,
+    ),
+    sigma_B2=st.floats(1e-3, 10.0),
+)
+def test_birth_gain_bound_dominates_every_birth_count(s, attrs, sigma_B2):
+    Q, sig, widths = (list(col) for col in zip(*attrs))
+    widths = [float(w) for w in widths]
+    s0 = max(s, 0.0)
+    ll = [_row_loglik(s0 + k * sigma_B2, Q, sig, widths) for k in range(4)]
+    bound = _birth_gain_bound(s, Q, sig, widths)
+    assert bound >= 0.0
+    for k in range(1, 4):
+        assert ll[k] - ll[0] <= bound + 1e-9 * (1.0 + abs(ll[0]))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 50.0])
+def test_birth_shortcut_matches_full_scoring(monkeypatch, alpha):
+    # with the no-birth shortcut disabled every row scores all its candidate
+    # counts; the chain must not notice the difference
+    data = small_mixed_data(40, seed=49)
+    hp = Hyperparams(alpha=alpha, K_max=20, K_init=2, bias=True,
+                     sample_variance=True, iterations=0, burn_in=0)
+    rng = RngState(50)
+    state = init_state(data, hp, rng)
+    full = state.copy()
+    full_rng = RngState(0)
+    full_rng.set_state(rng.get_state())
+    for _ in range(4):
+        run_iteration(rng, state, data)
+    monkeypatch.setattr(glfm.engine, "_birth_gain_bound", lambda *args: math.inf)
+    for _ in range(4):
+        run_iteration(full_rng, full, data)
+    np.testing.assert_array_equal(state.Z, full.Z)
+    np.testing.assert_array_equal(state.B, full.B)
+    assert rng.get_state() == full_rng.get_state()
+    assert state.K > hp.K_init + 1
 
 
 def test_birth_disabled_at_zero_alpha():
