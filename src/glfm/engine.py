@@ -52,7 +52,6 @@ __all__ = [
     "LatentState",
     "birth_features",
     "collapsed_flip_logodds",
-    "collapsed_update_diagnostic",
     "complete_data_log_joint",
     "init_state",
     "prune_features",
@@ -373,6 +372,16 @@ def _row_loglik(s: float, Q, sigma2, widths) -> float:
     return -0.5 * total
 
 
+def _scan_stats(A: np.ndarray, M: np.ndarray, G: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """Row-scan statistics of row pattern z: h = A z, s = z h, and per
+    attribute r.M_k (RM) and the squared residual Q of r = y - z M."""
+    h = A @ z
+    r = y - z @ M
+    # a product with W sums r-weighted columns per attribute
+    W = r[:, None] * G
+    return h, float(z @ h), M @ W, (r @ W).tolist()
+
+
 def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     """Resample every non-bias entry of row n of Z with weights collapsed out.
 
@@ -399,14 +408,8 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     m_l = m.tolist()
     z_l = z0.tolist()
 
-    h = A @ z0
-    s = float(z0 @ h)
     G = state.col_group
-    r = y - z0 @ M
-    # a product with W sums r-weighted columns per attribute
-    W = r[:, None] * G
-    RM = M @ W
-    Q = (r @ W).tolist()
+    h, s, RM, Q = _scan_stats(A, M, G, y, z0)
     # C[k, j] = M_k.M_j per attribute: an accepted flip of k moves RM by C[k]
     C = ((M[:, None, :] * M).reshape(K * K, -1) @ G).reshape(K, K, -1)
     MM = C.reshape(K * K, -1)[:: K + 1].tolist()
@@ -423,8 +426,16 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     changed = False
     for k in range(nb, K):
         on = z_l[k] == 1.0
-        live = m_l[k] != 0.0
-        if not (live or on):
+        if m_l[k] == 0.0:
+            if on:
+                # forced off: A_kk = sigma_B^2 here, and the update below
+                # would cancel terms of that size, so recompute instead
+                z_l[k] = 0.0
+                h, s, RM, Q = _scan_stats(A, M, G, y, np.array(z_l))
+                ll = _row_loglik(s, Q, sig, widths)
+                h_l = h.tolist()
+                RM_l = RM.tolist()
+                changed = True
             continue
         two_sgn = -2.0 if on else 2.0
         s_alt = s + two_sgn * h_l[k] + A_diag[k]
@@ -434,12 +445,11 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
             v = v0 + sg
             total += w * log(v) + (q - two_sgn * rm + mm) / v
         ll_alt = -0.5 * total
-        if live:
-            prior = log(m_l[k]) - log(N - m_l[k])
-            logit_on = prior + (ll - ll_alt if on else ll_alt - ll)
-            if (next(uniforms) < _sigmoid(logit_on)) == on:
-                continue
-        # accept (or force off) the flip
+        prior = log(m_l[k]) - log(N - m_l[k])
+        logit_on = prior + (ll - ll_alt if on else ll_alt - ll)
+        if (next(uniforms) < _sigmoid(logit_on)) == on:
+            continue
+        # accept the flip
         Q = [q - two_sgn * rm + mm for q, rm, mm in zip(Q, RM_l[k], MM[k])]
         s, ll = s_alt, ll_alt
         z_l[k] = 0.0 if on else 1.0
@@ -816,14 +826,9 @@ def complete_data_log_joint(state: LatentState) -> float:
     return total
 
 
-def collapsed_flip_logodds(state: LatentState, n: int, k: int, corrected: bool = True) -> float:
+def collapsed_flip_logodds(state: LatentState, n: int, k: int) -> float:
     """log p(z_nk = 1 | rest) - log p(z_nk = 0 | rest), weights collapsed out,
-    computed from scratch with an exact inverse.
-
-    corrected=False evaluates the historically printed form of the predictive,
-    which drops P^{-1} from both the mean and the variance; it is kept solely
-    for side-by-side diagnostics.
-    """
+    computed from scratch with an exact inverse."""
     if k < state.n_bias or k >= state.K:
         raise ValueError(f"feature index {k} out of range")
     z = state.Z[n].copy()
@@ -841,39 +846,16 @@ def collapsed_flip_logodds(state: LatentState, n: int, k: int, corrected: bool =
     z1 = z.copy()
     z1[k] = 1.0
 
-    if corrected:
-        A = _chol_inverse(P_noN)
-        M = A @ lam_noN
-        col_var = state.sigma2[state.col_dim]
+    A = _chol_inverse(P_noN)
+    M = A @ lam_noN
+    col_var = state.sigma2[state.col_dim]
 
-        def loglik(zz):
-            u = zz @ M
-            v = max(float(zz @ A @ zz), 0.0) + col_var
-            return -0.5 * float(np.sum(np.log(v) + (y - u) ** 2 / v))
-
-    else:
-        sig = state.hp.sigma_y2
-
-        def loglik(zz):
-            u = zz @ lam_noN
-            v = float(zz @ P_noN @ zz) + sig
-            return -0.5 * float(np.sum(np.log(v) + (y - u) ** 2 / v))
+    def loglik(zz):
+        u = zz @ M
+        v = max(float(zz @ A @ zz), 0.0) + col_var
+        return -0.5 * float(np.sum(np.log(v) + (y - u) ** 2 / v))
 
     return prior + loglik(z1) - loglik(z0)
-
-
-def collapsed_update_diagnostic(state: LatentState, n: int) -> list[dict]:
-    """Corrected vs printed collapsed log-odds for every feature of row n."""
-    out = []
-    for k in range(state.n_bias, state.K):
-        out.append(
-            {
-                "k": k,
-                "corrected": collapsed_flip_logodds(state, n, k, corrected=True),
-                "printed": collapsed_flip_logodds(state, n, k, corrected=False),
-            }
-        )
-    return out
 
 
 def hyperparams_to_dict(hp: Hyperparams) -> dict:

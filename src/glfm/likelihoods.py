@@ -24,7 +24,6 @@ from glfm.data import AttributeKind
 
 __all__ = [
     "TransformParams",
-    "check_theta",
     "count_support_limit",
     "log_phi_interval",
     "log_prob_count",
@@ -41,6 +40,9 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# rows per prob_categorical block: its (nodes, rows, values, R - 1) temporary
+# stays a few MB however many rows are scored
+_QUAD_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -53,16 +55,6 @@ class TransformParams:
     def __post_init__(self):
         if not self.w > 0:
             raise ValueError(f"transform scale w must be > 0, got {self.w}")
-
-
-def check_theta(theta) -> np.ndarray:
-    """Validate an ordinal threshold vector: theta_1 = 0, strictly increasing."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.size == 0 or theta[0] != 0.0:
-        raise ValueError("theta_1 must be fixed at 0")
-    if np.any(np.diff(theta) <= 0):
-        raise ValueError("thresholds must be strictly increasing")
-    return theta
 
 
 def softplus(t):
@@ -135,7 +127,7 @@ def loglik_continuous(x, m, total_var, params, kind: AttributeKind):
     """Log density of a Real/PositiveReal observation x at linear predictor m.
 
     log N(f^{-1}(x) | m, total_var) + log |d f^{-1}/dx| with total_var the sum
-    of pseudo-observation and observation-noise variances.
+    of pseudo-observation and observation-noise variances. x and m broadcast.
     """
     if total_var <= 0:
         raise ValueError("total_var must be > 0")
@@ -183,26 +175,47 @@ def _gh_nodes(n):
     return _GH_CACHE[n]
 
 
-def prob_categorical(r: int, z, B, sigma_y: float, n_nodes: int = 32) -> float:
+def prob_categorical(r, z, B, sigma_y: float, n_nodes: int = 32):
     """Probability that the argmax of the R_d pseudo-observations is category r.
 
     With y_j ~ N(z b_j, sigma_y^2) independent, P(y_r is the max) equals
     E over u ~ N(0, sigma_y^2) of prod_{j != r} Phi((u + z(b_r - b_j))/sigma_y),
     computed by Gauss-Hermite quadrature. The last weight column is expected
     to be zero (identifiability).
+
+    Batched over rows: with z an (n, K) matrix of feature rows and r an
+    (n, J) array, or a length-J sequence shared by every row, entry [i, j] is
+    the probability of category r[i, j] for row i. A scalar r and a vector z
+    give a float. Rows are processed in blocks of _QUAD_BLOCK_ROWS.
     """
     B = np.asarray(B, dtype=float)
     R = B.shape[1]
-    if not 1 <= r <= R:
-        raise ValueError(f"category index {r} out of range 1..{R}")
+    r = np.asarray(r, dtype=np.intp)
+    if np.any((r < 1) | (r > R)):
+        raise ValueError(f"category index out of range 1..{R}")
     if not sigma_y > 0:
         raise ValueError("sigma_y must be > 0")
     m = np.asarray(z, dtype=float) @ B
-    diffs = m[r - 1] - np.delete(m, r - 1)
+    scalar = r.ndim == 0 and m.ndim == 1
+    m = np.atleast_2d(m)
+    r = np.atleast_2d(r)
+    r = np.broadcast_to(r, (m.shape[0], r.shape[1]))
+    # others[q] lists the categories other than q, in increasing order
+    others = np.array([[j for j in range(R) if j != q] for q in range(R)], dtype=np.intp)
     nodes, weights = _gh_nodes(n_nodes)
-    u = math.sqrt(2.0) * sigma_y * nodes
-    vals = np.prod(ndtr((u[:, None] + diffs[None, :]) / sigma_y), axis=1)
-    return float(weights @ vals / math.sqrt(math.pi))
+    u = (math.sqrt(2.0) * sigma_y * nodes)[:, None, None, None]
+    w = weights[:, None, None] / math.sqrt(math.pi)
+    out = np.empty(r.shape)
+    for lo in range(0, m.shape[0], _QUAD_BLOCK_ROWS):
+        mb = m[lo : lo + _QUAD_BLOCK_ROWS]
+        rb = r[lo : lo + _QUAD_BLOCK_ROWS] - 1
+        own = np.take_along_axis(mb, rb, axis=1)
+        rest = mb[np.arange(mb.shape[0])[:, None, None], others[rb]]
+        # (nodes, rows, values) products over the R - 1 rival categories; the
+        # node sum runs elementwise, so equal inputs give equal probabilities
+        vals = np.prod(ndtr((u + (own[..., None] - rest)) / sigma_y), axis=-1)
+        out[lo : lo + _QUAD_BLOCK_ROWS] = (w * vals).sum(axis=0)
+    return float(out[0, 0]) if scalar else out
 
 
 def prob_ordinal(r: int, m: float, theta, sigma_y: float) -> float:
@@ -210,14 +223,15 @@ def prob_ordinal(r: int, m: float, theta, sigma_y: float) -> float:
     return math.exp(log_prob_ordinal(r, m, theta, sigma_y))
 
 
-def log_prob_ordinal(r: int, m: float, theta, sigma_y: float) -> float:
+def log_prob_ordinal(r, m, theta, sigma_y: float):
+    """log of prob_ordinal; level r and linear predictor m broadcast."""
     theta = np.asarray(theta, dtype=float)
     R = theta.size + 1
-    if not 1 <= r <= R:
-        raise ValueError(f"ordinal index {r} out of range 1..{R}")
-    lo = -np.inf if r == 1 else (theta[r - 2] - m) / sigma_y
-    hi = np.inf if r == R else (theta[r - 1] - m) / sigma_y
-    return log_phi_interval(lo, hi)
+    r = np.asarray(r, dtype=np.intp)
+    if np.any((r < 1) | (r > R)):
+        raise ValueError(f"ordinal index out of range 1..{R}")
+    edges = np.concatenate(([-np.inf], theta, [np.inf]))
+    return log_phi_interval((edges[r - 1] - m) / sigma_y, (edges[r] - m) / sigma_y)
 
 
 def prob_count(x: int, m: float, params, sigma_y: float) -> float:
@@ -225,8 +239,10 @@ def prob_count(x: int, m: float, params, sigma_y: float) -> float:
     return math.exp(log_prob_count(x, m, params, sigma_y))
 
 
-def log_prob_count(x: int, m: float, params, sigma_y: float) -> float:
-    if x < 0:
+def log_prob_count(x, m, params, sigma_y: float):
+    """log of prob_count; count x and linear predictor m broadcast."""
+    x = np.asarray(x)
+    if np.any(x < 0):
         raise ValueError("count observations are >= 0")
     lo = map_inverse(x, params, AttributeKind.COUNT)
     hi = map_inverse(x + 1, params, AttributeKind.COUNT)

@@ -1,5 +1,14 @@
 """Model-backed tasks: fill in missing cells, score held-out cells, and
-summarize the feature patterns a fitted state assigns to rows."""
+summarize the feature patterns a fitted state assigns to rows.
+
+All three prediction tasks read one batched predictive, `_log_predictive`:
+log p(x | z) of one attribute under one state, for a block of feature rows
+and encoded values at once. Each task makes one array pass per attribute.
+Imputation takes the mapped mean or the argmax of the predictive mass,
+held-out scoring evaluates every cell-state pair once and aggregates the
+same per-cell scores per attribute and per split, and a pdf evaluates the
+whole support or grid in one call.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +26,6 @@ from glfm.likelihoods import (
     loglik_continuous,
     map_forward,
     prob_categorical,
-    prob_ordinal,
 )
 from glfm.randkit import RngState, spawn_seeds
 
@@ -62,6 +70,51 @@ class Pattern:
         return "(" + "".join(str(b) for b in self.bits) + ")"
 
 
+def _log_predictive(state: LatentState, d: int, Z: np.ndarray, x) -> np.ndarray:
+    """log p(x | z) of attribute d under one state, batched over rows.
+
+    Z is an (n, K) matrix of feature rows and x an (n, J) array of encoded
+    values, or a length-J sequence shared by every row. Returns (n, J): log
+    masses for discrete kinds, log densities on the encoded scale for
+    continuous ones. The rows' linear predictors come from one product of Z
+    with the attribute's weight columns.
+    """
+    spec = state.specs[d]
+    kind = spec.kind
+    B_d = state.B[:, state.dim_cols(d)]
+    var_d = float(state.sigma2[d])
+    if kind is AttributeKind.CATEGORICAL:
+        p = prob_categorical(x, Z, B_d, math.sqrt(var_d))
+        return np.log(np.maximum(p, TINY_PROB))
+    m = Z @ B_d  # one column: every other kind has a single pseudo-observation
+    if kind.is_continuous:
+        return loglik_continuous(x, m, var_d + state.hp.sigma_u2, spec, kind)
+    if kind is AttributeKind.ORDINAL:
+        return log_prob_ordinal(x, m, state.theta[d], math.sqrt(var_d))
+    return log_prob_count(x, m, spec, math.sqrt(var_d))
+
+
+def _map_values(state: LatentState, d: int, Z: np.ndarray) -> np.ndarray:
+    """Most likely encoded value of attribute d for each feature row of Z
+    under one state: the mapped mean for continuous and ordinal kinds, the
+    argmax of the means for categorical, and for counts the highest-mass
+    value within 2 of the mapped mean. Discrete ties go to the lowest value.
+    """
+    spec = state.specs[d]
+    kind = spec.kind
+    m = Z @ state.B[:, state.dim_cols(d)]
+    if kind is AttributeKind.CATEGORICAL:
+        return np.argmax(m, axis=1) + 1
+    if kind is AttributeKind.ORDINAL:
+        return map_forward(m[:, 0], spec, kind, theta=state.theta[d])
+    center = map_forward(m[:, 0], spec, kind)
+    if kind.is_continuous:
+        return center
+    xs = np.maximum(center - 2, 0)[:, None] + np.arange(5)
+    ll = np.where(xs <= center[:, None] + 2, _log_predictive(state, d, Z, xs), -np.inf)
+    return xs[np.arange(len(xs)), np.argmax(ll, axis=1)]
+
+
 def compute_map(z: np.ndarray, state: LatentState, d: int):
     """Most likely value of attribute d for a row with feature vector z.
 
@@ -69,95 +122,45 @@ def compute_map(z: np.ndarray, state: LatentState, d: int):
     continuous value). Discrete ties resolve to the lowest value. For counts
     the search covers the neighbourhood of the density peak.
     """
-    spec = state.specs[d]
-    cs = state.dim_cols(d)
-    m = np.asarray(z, dtype=float) @ state.B[:, cs]
-    kind = spec.kind
-    if kind.is_continuous:
-        return float(map_forward(float(m[0]), spec, kind))
-    if kind is AttributeKind.CATEGORICAL:
-        return int(np.argmax(m) + 1)
-    if kind is AttributeKind.ORDINAL:
-        return int(map_forward(float(m[0]), spec, kind, theta=state.theta[d]))
-    sd = math.sqrt(float(state.sigma2[d]))
-    center = int(map_forward(float(m[0]), spec, kind))
-    best_x, best_ll = None, -np.inf
-    for x in range(max(0, center - 2), center + 3):
-        ll = log_prob_count(x, float(m[0]), spec, sd)
-        if ll > best_ll:
-            best_x, best_ll = x, ll
-    return int(best_x)
+    value = _map_values(state, d, np.asarray(z, dtype=float)[None])[0]
+    return float(value) if state.specs[d].kind.is_continuous else int(value)
 
 
-def _cell_loglik(state: LatentState, n: int, d: int, x: float) -> float:
-    """Log predictive probability (or density) of encoded value x at cell
-    (n, d) under one state."""
-    spec = state.specs[d]
-    cs = state.dim_cols(d)
-    z = state.Z[n]
-    m = z @ state.B[:, cs]
-    var_d = float(state.sigma2[d])
-    kind = spec.kind
-    if kind.is_continuous:
-        total_var = var_d + state.hp.sigma_u2
-        return float(loglik_continuous(float(x), float(m[0]), total_var, spec, kind))
-    sd = math.sqrt(var_d)
-    if kind is AttributeKind.CATEGORICAL:
-        p = prob_categorical(int(x), z, state.B[:, cs], sd)
-        return math.log(max(p, TINY_PROB))
-    if kind is AttributeKind.ORDINAL:
-        return float(log_prob_ordinal(int(x), float(m[0]), state.theta[d], sd))
-    return float(log_prob_count(int(x), float(m[0]), spec, sd))
-
-
-def _impute_cell(states: list[LatentState], n: int, d: int):
-    """Encoded completion of cell (n, d), averaging predictions over states."""
+def _impute(states: list[LatentState], d: int, rows: np.ndarray) -> np.ndarray:
+    """Encoded completions of attribute d at `rows`, averaging over states:
+    one state gives its most likely values; several give the mean of their
+    continuous predictions, or the argmax of the state-summed pmf."""
     if len(states) == 1:
-        state = states[0]
-        return compute_map(state.Z[n], state, d)
+        return _map_values(states[0], d, states[0].Z[rows])
     spec = states[0].specs[d]
     kind = spec.kind
     if kind.is_continuous:
-        vals = [
-            float(map_forward(float((s.Z[n] @ s.B[:, s.dim_cols(d)])[0]), spec, kind))
-            for s in states
-        ]
-        return float(np.mean(vals))
-    if kind is AttributeKind.CATEGORICAL:
-        R = spec.R_d
-        probs = np.zeros(R)
-        for s in states:
-            cs = s.dim_cols(d)
-            sd = math.sqrt(float(s.sigma2[d]))
-            probs += [prob_categorical(r, s.Z[n], s.B[:, cs], sd) for r in range(1, R + 1)]
-        return int(np.argmax(probs) + 1)
-    if kind is AttributeKind.ORDINAL:
-        R = spec.R_d
-        probs = np.zeros(R)
-        for s in states:
-            m = float((s.Z[n] @ s.B[:, s.dim_cols(d)])[0])
-            sd = math.sqrt(float(s.sigma2[d]))
-            probs += [prob_ordinal(r, m, s.theta[d], sd) for r in range(1, R + 1)]
-        return int(np.argmax(probs) + 1)
-    candidates: set[int] = set()
-    for s in states:
-        center = int(map_forward(float((s.Z[n] @ s.B[:, s.dim_cols(d)])[0]), spec, kind))
-        candidates.update(range(max(0, center - 2), center + 3))
-    xs = sorted(candidates)
-    probs = np.zeros(len(xs))
-    for s in states:
-        m = float((s.Z[n] @ s.B[:, s.dim_cols(d)])[0])
-        sd = math.sqrt(float(s.sigma2[d]))
-        probs += [math.exp(log_prob_count(x, m, spec, sd)) for x in xs]
-    return int(xs[int(np.argmax(probs))])
+        return np.mean([_map_values(s, d, s.Z[rows]) for s in states], axis=0)
+    if kind is AttributeKind.COUNT:
+        # candidates are the union of each state's center +- 2 window: the
+        # range covering them is scored, and the gaps between them masked
+        centers = np.array(
+            [map_forward((s.Z[rows] @ s.B[:, s.dim_cols(d)])[:, 0], spec, kind) for s in states]
+        )
+        lo = np.maximum(centers - 2, 0).min(axis=0)
+        xs = lo[:, None] + np.arange(int((centers.max(axis=0) + 2 - lo).max()) + 1)
+        candidate = (np.abs(xs - centers[:, :, None]) <= 2).any(axis=0)
+    else:
+        xs = np.broadcast_to(np.arange(1, spec.R_d + 1), (len(rows), spec.R_d))
+        candidate = True
+    probs = sum(np.exp(_log_predictive(s, d, s.Z[rows], xs)) for s in states)
+    best = np.argmax(np.where(candidate, probs, -np.inf), axis=1)
+    return xs[np.arange(len(rows)), best]
 
 
 def impute_from_states(states: list[LatentState], data: DataMatrix) -> np.ndarray:
-    """Encoded cell matrix with every missing entry filled from the states."""
+    """Encoded cell matrix with every missing entry filled from the states,
+    in one batched pass per attribute."""
     filled = data.cells.copy()
     for d in range(data.n_cols):
-        for n in np.flatnonzero(data.missing[:, d]):
-            filled[n, d] = _impute_cell(states, int(n), d)
+        rows = np.flatnonzero(data.missing[:, d])
+        if rows.size:
+            filled[rows, d] = _impute(states, d, rows)
     return filled
 
 
@@ -179,44 +182,49 @@ def complete(
     return CompletionResult(cells=filled, chain=chain)
 
 
+def _cell_scores(
+    states: list[LatentState], data: DataMatrix, mask: np.ndarray
+) -> dict[int, np.ndarray]:
+    """Log predictive of each encoded cell selected by `mask`, averaging
+    per-cell probabilities over the states: for every attribute with selected
+    cells, one array in ascending row order. Each cell-state pair is
+    evaluated once."""
+    scores = {}
+    for d in range(data.n_cols):
+        rows = np.flatnonzero(mask[:, d])
+        if rows.size == 0:
+            continue
+        x = data.cells[rows, d][:, None]
+        lls = np.stack([_log_predictive(s, d, s.Z[rows], x)[:, 0] for s in states])
+        top = lls.max(axis=0)
+        with np.errstate(invalid="ignore"):
+            avg = top + np.log(np.mean(np.exp(lls - top), axis=0))
+        scores[d] = np.where(np.isneginf(top), -np.inf, avg)
+    return scores
+
+
 def predictive_loglik(states: list[LatentState], data: DataMatrix, mask: np.ndarray) -> float:
     """Total log predictive of the encoded cells selected by `mask`,
     averaging per-cell probabilities over the given states."""
-    mask = np.asarray(mask, dtype=bool)
-    cells = np.argwhere(mask)
-    if cells.size == 0:
+    scores = _cell_scores(states, data, np.asarray(mask, dtype=bool))
+    if not scores:
         raise ValueError("mask selects no cells")
-    total = 0.0
-    S = len(states)
-    for n, d in cells:
-        lls = np.array(
-            [_cell_loglik(s, int(n), int(d), data.cells[n, d]) for s in states]
-        )
-        top = lls.max()
-        if np.isneginf(top):
-            total += -np.inf
-            continue
-        total += float(top + np.log(np.mean(np.exp(lls - top))))
-    return total
+    return sum(float(v.sum()) for v in scores.values())
 
 
 def predictive_loglik_by_dim(
     states: list[LatentState], data: DataMatrix, mask: np.ndarray
 ) -> dict[str, dict]:
-    """Per-attribute breakdown of predictive_loglik: sum, cell count, mean."""
-    mask = np.asarray(mask, dtype=bool)
+    """Per-attribute breakdown of predictive_loglik: sum, cell count, mean.
+    The sums add up to predictive_loglik exactly, in attribute order."""
     out = {}
-    for d, spec in enumerate(data.specs):
-        col = np.zeros_like(mask)
-        col[:, d] = mask[:, d]
-        n_cells = int(col.sum())
-        if n_cells == 0:
-            continue
-        total = predictive_loglik(states, data, col)
+    for d, scores in _cell_scores(states, data, np.asarray(mask, dtype=bool)).items():
+        spec = data.specs[d]
+        total = float(scores.sum())
         out[spec.name] = {
             "sum": total,
-            "count": n_cells,
-            "mean": total / n_cells,
+            "count": scores.size,
+            "mean": total / scores.size,
             "kind": spec.kind.value,
         }
     return out
@@ -269,8 +277,8 @@ def heldout_benchmark(
         scored = DataMatrix(
             cells=data.cells, missing=data.missing, specs=train.specs, raw=data.raw
         )
-        total = predictive_loglik(chain.saved, scored, mask)
         by_dim = predictive_loglik_by_dim(chain.saved, scored, mask)
+        total = sum(v["sum"] for v in by_dim.values())
         n_cells = int(mask.sum())
         splits.append(
             {
@@ -345,38 +353,24 @@ def compute_pdf(
     x_values, when given for a continuous attribute, are original-unit points.
     """
     spec = state.specs[d]
-    cs = state.dim_cols(d)
-    z = np.asarray(z, dtype=float)
-    m = z @ state.B[:, cs]
-    var_d = float(state.sigma2[d])
-    sd = math.sqrt(var_d)
     kind = spec.kind
+    Z = np.asarray(z, dtype=float)[None]
+    if not kind.is_continuous:
+        if kind is AttributeKind.COUNT:
+            xs = np.arange(0, state.count_xmax.get(d, 200) + 1)
+        else:
+            xs = np.arange(1, spec.R_d + 1)
+        return xs, np.exp(_log_predictive(state, d, Z, xs)[0])
 
-    if kind is AttributeKind.CATEGORICAL:
-        xs = np.arange(1, spec.R_d + 1)
-        p = np.array([prob_categorical(r, z, state.B[:, cs], sd) for r in xs])
-        return xs, p
-    if kind is AttributeKind.ORDINAL:
-        xs = np.arange(1, spec.R_d + 1)
-        p = np.array([prob_ordinal(r, float(m[0]), state.theta[d], sd) for r in xs])
-        return xs, p
-    if kind is AttributeKind.COUNT:
-        limit = state.count_xmax.get(d, 200)
-        xs = np.arange(0, limit + 1)
-        p = np.array([math.exp(log_prob_count(int(x), float(m[0]), spec, sd)) for x in xs])
-        return xs, p
-
-    total_var = var_d + state.hp.sigma_u2
     if x_values is None:
-        half = 4.0 * math.sqrt(total_var)
-        grid_y = np.linspace(float(m[0]) - half, float(m[0]) + half, n_points)
-        x_enc = map_forward(grid_y, spec, kind)
+        m = float((Z @ state.B[:, state.dim_cols(d)])[0, 0])
+        half = 4.0 * math.sqrt(float(state.sigma2[d]) + state.hp.sigma_u2)
+        x_enc = map_forward(np.linspace(m - half, m + half, n_points), spec, kind)
     else:
         x_enc = _encode_grid(spec, np.asarray(x_values, dtype=float))
-    dens = np.exp(loglik_continuous(x_enc, float(m[0]), total_var, spec, kind))
+    dens = np.exp(_log_predictive(state, d, Z, x_enc)[0])
     x_orig = _decode_grid(spec, x_enc)
-    dens = dens * _preprocess_jacobian(spec, x_orig)
-    return x_orig, dens
+    return x_orig, dens * _preprocess_jacobian(spec, x_orig)
 
 
 def _encode_grid(spec: AttributeSpec, x_orig: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from scipy.stats import norm
 from glfm.data import AttributeKind
 from glfm.likelihoods import (
     TransformParams,
-    check_theta,
     count_support_limit,
     log_phi_interval,
     log_prob_count,
@@ -41,17 +40,6 @@ def test_transform_params_validation():
         TransformParams(w=0.0, mu=1.0)
     with pytest.raises(ValueError):
         TransformParams(w=-2.0, mu=0.0)
-
-
-def test_check_theta():
-    out = check_theta([0.0, 1.5, 2.0])
-    np.testing.assert_array_equal(out, [0.0, 1.5, 2.0])
-    with pytest.raises(ValueError):
-        check_theta([0.5, 1.0])
-    with pytest.raises(ValueError):
-        check_theta([0.0, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        check_theta([])
 
 
 def test_softplus_known_values():
@@ -207,6 +195,38 @@ def test_prob_count_normalization():
         assert total == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError):
         log_prob_count(-1, 0.0, IDENT, 1.0)
+
+
+def test_batched_likelihoods_match_scalar_calls():
+    # more rows than one categorical quadrature block, two values per row
+    rng = np.random.default_rng(8)
+    n = 300
+    Z = rng.normal(size=(n, 2))
+    B = rng.normal(size=(2, 4))
+    B[:, -1] = 0.0
+    r = rng.integers(1, 5, (n, 2))
+    want = [[prob_categorical(int(v), Z[i], B, 0.7) for v in r[i]] for i in range(n)]
+    np.testing.assert_allclose(prob_categorical(r, Z, B, 0.7), want, rtol=1e-13, atol=0)
+    # a support shared by every row gives each row's full pmf
+    pmf = prob_categorical([1, 2, 3, 4], Z, B, 0.7)
+    assert pmf.shape == (n, 4)
+    np.testing.assert_allclose(pmf.sum(axis=1), 1.0, atol=1e-8)
+
+    m = rng.normal(scale=2.0, size=(n, 1))
+    theta = [0.0, 0.8, 2.1]
+    levels = rng.integers(1, 5, (n, 3))
+    want = [[log_prob_ordinal(int(v), m[i, 0], theta, 0.6) for v in levels[i]] for i in range(n)]
+    np.testing.assert_allclose(log_prob_ordinal(levels, m, theta, 0.6), want, rtol=1e-13)
+
+    params = TransformParams(w=0.8, mu=0.3)
+    counts = rng.integers(0, 30, (n, 3))
+    want = [[log_prob_count(int(v), m[i, 0], params, 0.6) for v in counts[i]] for i in range(n)]
+    np.testing.assert_allclose(log_prob_count(counts, m, params, 0.6), want, rtol=1e-13)
+
+    xs = rng.exponential(size=(n, 3)) + 1e-3
+    kind = AttributeKind.POSITIVE_REAL
+    want = [[loglik_continuous(v, m[i, 0], 1.3, params, kind) for v in xs[i]] for i in range(n)]
+    np.testing.assert_allclose(loglik_continuous(xs, m, 1.3, params, kind), want, rtol=1e-13)
 
 
 def test_log_phi_interval_matches_direct():

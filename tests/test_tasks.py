@@ -4,19 +4,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix
 from glfm.engine import Hyperparams, LatentState
 from glfm.likelihoods import (
     count_support_limit,
     log_prob_count,
+    log_prob_ordinal,
     loglik_continuous,
     map_forward,
+    prob_categorical,
+    prob_ordinal,
     softplus,
+    softplus_inv,
 )
 from glfm.synthetic import generate
 from glfm.tasks import (
+    TINY_PROB,
     Pattern,
+    _cell_scores,
+    _decode_grid,
+    _preprocess_jacobian,
     as_all_real,
     complete,
     compute_map,
@@ -338,3 +348,244 @@ def test_compute_pdf_preprocess_units():
     # explicit original-unit grid takes the same values
     xs2, dens2 = compute_pdf(state, 0, np.array([1.0]), x_values=xs)
     np.testing.assert_allclose(dens2, dens, rtol=1e-10)
+
+
+# --- per-cell reference: the loops the batched predictive replaced ------------
+#
+# The batched passes form each row's linear predictor in one matrix product
+# and sum some reductions in another order, so continuous values and scores
+# may differ from these loops at rounding. The tolerance is fixed from float64
+# before comparing: relative 1e-12, with magnitudes below 1 held to 1e-12
+# absolutely (a log density or a real value crossing 0 has no relative
+# scale). Discrete imputations must be identical.
+
+RTOL = ATOL = 1e-12
+
+
+def ref_compute_map(z, state, d):
+    spec = state.specs[d]
+    cs = state.dim_cols(d)
+    m = np.asarray(z, dtype=float) @ state.B[:, cs]
+    kind = spec.kind
+    if kind.is_continuous:
+        return float(map_forward(float(m[0]), spec, kind))
+    if kind is AttributeKind.CATEGORICAL:
+        return int(np.argmax(m) + 1)
+    if kind is AttributeKind.ORDINAL:
+        return int(map_forward(float(m[0]), spec, kind, theta=state.theta[d]))
+    sd = math.sqrt(float(state.sigma2[d]))
+    center = int(map_forward(float(m[0]), spec, kind))
+    best_x, best_ll = None, -np.inf
+    for x in range(max(0, center - 2), center + 3):
+        ll = log_prob_count(x, float(m[0]), spec, sd)
+        if ll > best_ll:
+            best_x, best_ll = x, ll
+    return int(best_x)
+
+
+def ref_cell_loglik(state, n, d, x):
+    spec = state.specs[d]
+    cs = state.dim_cols(d)
+    z = state.Z[n]
+    m = z @ state.B[:, cs]
+    var_d = float(state.sigma2[d])
+    kind = spec.kind
+    if kind.is_continuous:
+        total_var = var_d + state.hp.sigma_u2
+        return float(loglik_continuous(float(x), float(m[0]), total_var, spec, kind))
+    sd = math.sqrt(var_d)
+    if kind is AttributeKind.CATEGORICAL:
+        p = prob_categorical(int(x), z, state.B[:, cs], sd)
+        return math.log(max(p, TINY_PROB))
+    if kind is AttributeKind.ORDINAL:
+        return float(log_prob_ordinal(int(x), float(m[0]), state.theta[d], sd))
+    return float(log_prob_count(int(x), float(m[0]), spec, sd))
+
+
+def ref_cell_score(states, n, d, x):
+    lls = np.array([ref_cell_loglik(s, n, d, x) for s in states])
+    top = lls.max()
+    if np.isneginf(top):
+        return -np.inf
+    return float(top + np.log(np.mean(np.exp(lls - top))))
+
+
+def ref_impute_cell(states, n, d):
+    if len(states) == 1:
+        state = states[0]
+        return ref_compute_map(state.Z[n], state, d)
+    spec = states[0].specs[d]
+    kind = spec.kind
+    if kind.is_continuous:
+        vals = [
+            float(map_forward(float((s.Z[n] @ s.B[:, s.dim_cols(d)])[0]), spec, kind))
+            for s in states
+        ]
+        return float(np.mean(vals))
+    if kind is AttributeKind.CATEGORICAL:
+        R = spec.R_d
+        probs = np.zeros(R)
+        for s in states:
+            cs = s.dim_cols(d)
+            sd = math.sqrt(float(s.sigma2[d]))
+            probs += [prob_categorical(r, s.Z[n], s.B[:, cs], sd) for r in range(1, R + 1)]
+        return int(np.argmax(probs) + 1)
+    if kind is AttributeKind.ORDINAL:
+        R = spec.R_d
+        probs = np.zeros(R)
+        for s in states:
+            m = float((s.Z[n] @ s.B[:, s.dim_cols(d)])[0])
+            sd = math.sqrt(float(s.sigma2[d]))
+            probs += [prob_ordinal(r, m, s.theta[d], sd) for r in range(1, R + 1)]
+        return int(np.argmax(probs) + 1)
+    candidates: set[int] = set()
+    for s in states:
+        center = int(map_forward(float((s.Z[n] @ s.B[:, s.dim_cols(d)])[0]), spec, kind))
+        candidates.update(range(max(0, center - 2), center + 3))
+    xs = sorted(candidates)
+    probs = np.zeros(len(xs))
+    for s in states:
+        m = float((s.Z[n] @ s.B[:, s.dim_cols(d)])[0])
+        sd = math.sqrt(float(s.sigma2[d]))
+        probs += [math.exp(log_prob_count(x, m, spec, sd)) for x in xs]
+    return int(xs[int(np.argmax(probs))])
+
+
+def ref_compute_pdf(state, d, z, n_points=101):
+    spec = state.specs[d]
+    cs = state.dim_cols(d)
+    z = np.asarray(z, dtype=float)
+    m = z @ state.B[:, cs]
+    var_d = float(state.sigma2[d])
+    sd = math.sqrt(var_d)
+    kind = spec.kind
+    if kind is AttributeKind.CATEGORICAL:
+        xs = np.arange(1, spec.R_d + 1)
+        return xs, np.array([prob_categorical(r, z, state.B[:, cs], sd) for r in xs])
+    if kind is AttributeKind.ORDINAL:
+        xs = np.arange(1, spec.R_d + 1)
+        return xs, np.array([prob_ordinal(r, float(m[0]), state.theta[d], sd) for r in xs])
+    if kind is AttributeKind.COUNT:
+        xs = np.arange(0, state.count_xmax.get(d, 200) + 1)
+        return xs, np.array(
+            [math.exp(log_prob_count(int(x), float(m[0]), spec, sd)) for x in xs]
+        )
+    total_var = var_d + state.hp.sigma_u2
+    half = 4.0 * math.sqrt(total_var)
+    x_enc = map_forward(np.linspace(float(m[0]) - half, float(m[0]) + half, n_points), spec, kind)
+    dens = np.exp(loglik_continuous(x_enc, float(m[0]), total_var, spec, kind))
+    x_orig = _decode_grid(spec, x_enc)
+    return x_orig, dens * _preprocess_jacobian(spec, x_orig)
+
+
+def random_states(seed, n_states, n_rows=9):
+    """Small states over one attribute of each kind, with their own feature
+    counts, weights, thresholds and per-attribute noise variances, plus a
+    table (values in each kind's domain, some cells missing)."""
+    rng = np.random.default_rng(seed)
+    specs = (
+        AttributeSpec("r", AttributeKind.REAL, w=rng.uniform(0.3, 3), mu=rng.normal(),
+                      external_preprocess=[None, "log1p", "reflected-log1p"][seed % 3]),
+        AttributeSpec("p", AttributeKind.POSITIVE_REAL, w=rng.uniform(0.3, 3), mu=rng.normal()),
+        AttributeSpec("c", AttributeKind.CATEGORICAL, R_d=int(rng.integers(2, 6))),
+        AttributeSpec("o", AttributeKind.ORDINAL, R_d=int(rng.integers(2, 6))),
+        AttributeSpec("n", AttributeKind.COUNT, w=rng.uniform(0.3, 3), mu=rng.normal()),
+    )
+    hp = Hyperparams(K_init=0, bias=True, sigma_u2=rng.uniform(0.0, 0.5),
+                     iterations=0, burn_in=0)
+    S = sum(s.S_d for s in specs)
+    R_o = specs[3].R_d
+    states = []
+    for _ in range(n_states):
+        K = int(rng.integers(1, 5))
+        Z = np.column_stack([np.ones(n_rows), rng.integers(0, 2, (n_rows, K - 1))])
+        B = rng.normal(scale=rng.uniform(0.3, 3), size=(K, S))
+        B[:, 2 + specs[2].R_d - 1] = 0.0  # categorical identifiability
+        theta = {3: np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, R_o - 2))])}
+        state = manual_state(specs, Z, B, theta=theta, hp=hp, count_xmax={4: 60})
+        state.sigma2 = rng.uniform(0.2, 3.0, len(specs))
+        states.append(state)
+    cells = np.column_stack([
+        rng.normal(size=n_rows),
+        np.exp(rng.normal(size=n_rows)),
+        rng.integers(1, specs[2].R_d + 1, n_rows),
+        rng.integers(1, R_o + 1, n_rows),
+        rng.integers(0, 12, n_rows),
+    ]).astype(float)
+    if specs[0].external_preprocess is not None:
+        cells[:, 0] = rng.uniform(0.0, 20.0, n_rows)
+    missing = rng.random(cells.shape) < 0.4
+    data = DataMatrix(cells=np.where(missing, np.nan, cells), missing=missing, specs=specs)
+    full = DataMatrix(cells=cells, missing=np.zeros_like(missing), specs=specs)
+    return states, data, full, missing
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n_states=st.sampled_from([1, 3]))
+def test_batched_tasks_match_per_cell_reference(seed, n_states):
+    states, data, full, mask = random_states(seed, n_states)
+
+    filled = impute_from_states(states, data)
+    for n, d in np.argwhere(data.missing):
+        want = ref_impute_cell(states, int(n), int(d))
+        if data.specs[d].kind.is_continuous:
+            np.testing.assert_allclose(filled[n, d], want, rtol=RTOL, atol=ATOL)
+        else:
+            assert filled[n, d] == want, (n, d)
+
+    if mask.any():
+        scores = _cell_scores(states, full, mask)
+        for d, got in scores.items():
+            rows = np.flatnonzero(mask[:, d])
+            want = [ref_cell_score(states, int(n), d, full.cells[n, d]) for n in rows]
+            np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+        by_dim = predictive_loglik_by_dim(states, full, mask)
+        assert predictive_loglik(states, full, mask) == sum(v["sum"] for v in by_dim.values())
+
+    state = states[0]
+    for z in (state.Z[0], np.ones(state.K)):
+        for d in range(len(state.specs)):
+            assert compute_map(z, state, d) == pytest.approx(
+                ref_compute_map(z, state, d), rel=RTOL, abs=ATOL
+            )
+            xs, p = compute_pdf(state, d, z)
+            xs_ref, p_ref = ref_compute_pdf(state, d, z)
+            np.testing.assert_allclose(xs, xs_ref, rtol=RTOL, atol=ATOL)
+            np.testing.assert_allclose(p, p_ref, rtol=RTOL, atol=0)
+
+
+def test_multistate_count_imputation_keeps_disjoint_windows():
+    spec = AttributeSpec("n", AttributeKind.COUNT)
+    data = DataMatrix(cells=np.array([[np.nan]]), missing=np.array([[True]]), specs=[spec])
+
+    def state(softplus_mean, sigma2):
+        return manual_state([spec], [[1.0]], [[float(softplus_inv(softplus_mean))]], sigma2=sigma2)
+
+    cases = (
+        # centers 2 and 12, windows {0..4} and {10..14}: the sharper second
+        # state puts the summed mass's peak in its window
+        ((state(2.5, 1.0), state(12.5, 0.25)), (2, 12), 12),
+        # centers 20 and 26, broad: the summed mass peaks at 23, between the
+        # windows {18..22} and {24..28}, and is no candidate there
+        ((state(20.5, 9.0), state(26.1, 9.0)), (20, 26), 22),
+    )
+    for pair, centers, want in cases:
+        for s, center in zip(pair, centers):
+            assert map_forward(s.B[0, 0], spec, AttributeKind.COUNT) == center
+        windows = {x for c in centers for x in range(c - 2, c + 3)}
+        for states in (list(pair), list(pair[::-1])):
+            got = impute_from_states(states, data)[0, 0]
+            assert got in windows
+            assert got == ref_impute_cell(states, 0, 0) == want
+
+
+def test_multistate_categorical_tie_goes_to_lowest_category():
+    # each state's favourite is the other's runner-up: the summed masses of
+    # categories 1 and 2 are equal, and the lower category wins
+    spec = AttributeSpec("c", AttributeKind.CATEGORICAL, R_d=3)
+    sA = manual_state([spec], [[1.0]], [[0.9, 0.0, 0.0]])
+    sB = manual_state([spec], [[1.0]], [[0.0, 0.9, 0.0]])
+    data = DataMatrix(cells=np.array([[np.nan]]), missing=np.array([[True]]), specs=[spec])
+    for states in ([sA, sB], [sB, sA]):
+        assert impute_from_states(states, data)[0, 0] == 1.0
+        assert ref_impute_cell(states, 0, 0) == 1
