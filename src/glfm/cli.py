@@ -67,7 +67,7 @@ HYPER_FLAGS = (
     ("--kmax", "K_max", int, "hard cap on feature columns"),
     ("--kinit", "K_init", int, "starting number of feature columns"),
     ("--iters", "iterations", int, "Gibbs sweeps to run"),
-    ("--burn-in", "burn_in", int, "sweeps discarded by summaries"),
+    ("--burn-in", "burn_in", int, "recorded in state.json; must be below --iters"),
     ("--seed", "seed", int, "RNG seed"),
 )
 
@@ -271,7 +271,11 @@ def state_from_json(text: str) -> LatentState:
         )
         for a in obj["attributes"]
     )
-    hp = hyperparams_from_dict(obj["hyperparams"])
+    hp_dict = dict(obj["hyperparams"])
+    # states written before birth_prior_only was removed carry it as false
+    if hp_dict.pop("birth_prior_only", False):
+        raise ValueError("state.json sets birth_prior_only, which is no longer supported")
+    hp = hyperparams_from_dict(hp_dict)
     Z = np.array([[float(c) for c in row] for row in obj["Z"]])
     B = np.array(obj["B"], dtype=float)
     state = LatentState(

@@ -16,17 +16,21 @@ P stays exact because Z entries are 0/1 floats and its rank-one edits stay on
 the integer lattice; P^{-1} is maintained by Sherman-Morrison within a sweep
 and rebuilt from a Cholesky factor once per iteration.
 
-A row step takes the row out of P and lam once. The noise variance sigma_d^2
-is shared by an attribute's columns, so the row's collapsed log-likelihood is
+A row step takes the row out of P and lam once, from one product P^{-1} z.
+Columns are grouped by their noise variance (an attribute's columns share
+sigma_d^2, and attributes with equal sigma_d^2 share a group), so the row's
+collapsed log-likelihood is
 
-    -1/2 sum_d [S_d log(s + sigma_d^2) + Q_d / (s + sigma_d^2)]
+    -1/2 sum_g [S_g log(s + sigma_g^2) + Q_g / (s + sigma_g^2)]
 
-with s the weight-uncertainty variance z^T P_{-n}^{-1} z and Q_d the squared
-residual of attribute d. The Z-row scan keeps s, Q and per-attribute products
-of the residual with the weight means, so each candidate flip is scored in
-scalar arithmetic. The birth step reads the scan's final (s, Q): it scores its
-candidate counts only when its uniform lies above a lower bound on the
-probability of no birth, which holds on nearly every row.
+with s the weight-uncertainty variance z^T P_{-n}^{-1} z, S_g the number of
+columns in group g and Q_g their summed squared residual. With one shared
+sigma^2 there is a single group. The Z-row scan keeps s, Q and per-group
+products of the residual with the weight means, so each candidate flip is
+scored in scalar arithmetic, and it commits P, P^{-1}, lam and the column
+counts only when the row's pattern changed. The birth step reads the scan's
+final (s, Q): it scores its candidate counts only when its uniform lies above
+a lower bound on the probability of no birth, which holds on nearly every row.
 """
 
 from __future__ import annotations
@@ -89,7 +93,6 @@ class Hyperparams:
     seed: int = 0
     bias: bool = False
     sample_variance: bool = False
-    birth_prior_only: bool = False
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -154,10 +157,7 @@ class LatentState:
             if s.kind is AttributeKind.CATEGORICAL:
                 free[self.offsets[d + 1] - 1] = False
         self.free_cols = free
-        # S x D indicator of each pseudo-observation column's attribute, so a
-        # product with it sums a row's columns per attribute
-        self.col_group = (self.col_dim[:, None] == np.arange(len(self.specs))).astype(float)
-        self.widths = [float(w) for w in widths]
+        self._groups = None
         if self.Y.shape != (self.Z.shape[0], self.offsets[-1]):
             raise ValueError("Y shape does not match Z rows and spec widths")
         if self.B.shape != (self.Z.shape[1], self.offsets[-1]):
@@ -186,6 +186,18 @@ class LatentState:
 
     def dim_cols(self, d: int) -> slice:
         return slice(int(self.offsets[d]), int(self.offsets[d + 1]))
+
+    def variance_groups(self) -> tuple[np.ndarray, list[float], list[float]]:
+        """Pseudo-observation columns grouped by equal noise variance: the
+        S x g indicator of each column's group (a product with it sums a
+        row's columns per group), and each group's sigma^2 and column count.
+        Rebuilt only when sigma2 has changed since the last call."""
+        key = self.sigma2.tobytes()
+        if self._groups is None or self._groups[0] != key:
+            values, group_of_dim = np.unique(self.sigma2, return_inverse=True)
+            G = (group_of_dim[self.col_dim][:, None] == np.arange(values.size)).astype(float)
+            self._groups = (key, G, values.tolist(), G.sum(axis=0).tolist())
+        return self._groups[1:]
 
     def recompute_natural(self):
         """Rebuild P, lam, P_inv, and column counts exactly from Z and Y."""
@@ -328,42 +340,53 @@ def _sigmoid(t: float) -> float:
     return e / (1.0 + e)
 
 
-def _downdate_inverse(P_inv: np.ndarray, z: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """(P - z z^T)^{-1} from P^{-1} by Sherman-Morrison, with an exact
-    fallback if the update is ill-conditioned."""
-    g = P_inv @ z
-    denom = 1.0 - float(z @ g)
-    if denom <= 1e-12:
-        return _chol_inverse(P - z[:, None] * z)
-    return P_inv + g[:, None] * g / denom
-
-
 def _collapse_row(state: LatentState, n: int):
-    """Take row n out of the natural parameters.
+    """Take row n out of P and lam.
 
-    Returns (lam_noN, A, M) with A = (P - z z^T)^{-1} and M = A lam_noN, the
-    posterior mean of the weights given every other row.
+    Returns (A, h, s, M): A = (P - z z^T)^{-1}, h = A z, s = z h and
+    M = A (lam - z y^T), the posterior mean of the weights given every other
+    row. One product g = P^{-1} z gives them all: with c = z g,
+    h = g / (1 - c), s = c / (1 - c) and A = P^{-1} + g h^T (Sherman-Morrison).
+    An ill-conditioned downdate takes an exact inverse instead.
     """
+    # ndarray.dot rather than @: the same product at half the call overhead
+    # on these small arrays
     z = state.Z[n]
-    lam_noN = state.lam - z[:, None] * state.Y[n]
-    A = _downdate_inverse(state.P_inv, z, state.P)
-    return lam_noN, A, A @ lam_noN
+    g = state.P_inv.dot(z)
+    c = float(z.dot(g))
+    if 1.0 - c <= 1e-12:
+        A = _chol_inverse(state.P - z[:, None] * z)
+        h = A.dot(z)
+        s = float(z.dot(h))
+    else:
+        h = g / (1.0 - c)
+        s = c / (1.0 - c)
+        A = state.P_inv + g[:, None] * h
+    return A, h, s, A.dot(state.lam) - h[:, None] * state.Y[n]
+
+
+def _scan_stats(M: np.ndarray, G: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """Per variance group, r.M_k of every feature k (RM, g x K) and the
+    squared residual Q of r = y - z M, as lists."""
+    r = y - z.dot(M)
+    # a product with W sums r-weighted columns per group
+    W = r[:, None] * G
+    return M.dot(W).T.tolist(), r.dot(W).tolist()
 
 
 def _row_stats(state: LatentState, n: int) -> tuple[float, list[float]]:
     """Collapsed statistics (s, Q) of row n as it stands: s = z A z and
-    Q[d] = ||y_d - u_d||^2, the squared residual of attribute d under the
-    predictive mean u = z M."""
-    z = state.Z[n]
-    _, A, M = _collapse_row(state, n)
-    r = state.Y[n] - z @ M
-    return float(z @ A @ z), ((r * r) @ state.col_group).tolist()
+    Q[g] = ||y_g - u_g||^2 summed over the columns of variance group g,
+    under the predictive mean u = z M."""
+    _, _, s, M = _collapse_row(state, n)
+    G = state.variance_groups()[0]
+    return s, _scan_stats(M, G, state.Y[n], state.Z[n])[1]
 
 
 def _row_loglik(s: float, Q, sigma2, widths) -> float:
     """Collapsed log-likelihood of a row, up to a constant, from its
-    statistics: each of attribute d's S_d columns has predictive variance
-    s + sigma_d^2 and the attribute's squared residuals sum to Q[d]."""
+    statistics: each of group g's widths[g] columns has predictive variance
+    s + sigma2[g] and the group's squared residuals sum to Q[g]."""
     v0 = max(s, 0.0)
     total = 0.0
     for q, sg, w in zip(Q, sigma2, widths):
@@ -372,29 +395,20 @@ def _row_loglik(s: float, Q, sigma2, widths) -> float:
     return -0.5 * total
 
 
-def _scan_stats(A: np.ndarray, M: np.ndarray, G: np.ndarray, y: np.ndarray, z: np.ndarray):
-    """Row-scan statistics of row pattern z: h = A z, s = z h, and per
-    attribute r.M_k (RM) and the squared residual Q of r = y - z M."""
-    h = A @ z
-    r = y - z @ M
-    # a product with W sums r-weighted columns per attribute
-    W = r[:, None] * G
-    return h, float(z @ h), M @ W, (r @ W).tolist()
-
-
 def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     """Resample every non-bias entry of row n of Z with weights collapsed out.
 
     Feature columns used by no other row are forced off; fresh features enter
-    through birth_features. Commits updated natural parameters for the row and
-    returns the final row statistics (s, Q) of _row_stats, or None when there
-    is no feature column to scan.
+    through birth_features. Commits updated natural parameters when the row
+    changed and returns the final row statistics (s, Q) of _row_stats, or
+    None when there is no feature column to scan.
 
     The row is taken out of P and lam once. Flipping feature k moves the
     predictive mean u by +-M_k and s by 2 (+-h_k) + A_kk, with h = A z, so
-    each attribute's squared residual follows from Q, r.M_k and ||M_k||^2
-    summed over the attribute's columns (r = y - u): a candidate is scored
-    with D scalar operations, and only an accepted flip touches arrays.
+    each variance group's squared residual follows from Q, r.M_k and
+    ||M_k||^2 summed over the group's columns (r = y - u): a candidate is
+    scored with one scalar term per group, and an accepted flip updates only
+    the h_j and r.M_j of the features still to be scanned.
     """
     nb = state.n_bias
     K = state.K
@@ -403,76 +417,75 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
         return None
     z0 = state.Z[n]
     y = state.Y[n]
-    lam_noN, A, M = _collapse_row(state, n)
-    m = state.col_sums - z0
-    m_l = m.tolist()
-    z_l = z0.tolist()
-
-    G = state.col_group
-    h, s, RM, Q = _scan_stats(A, M, G, y, z0)
-    # C[k, j] = M_k.M_j per attribute: an accepted flip of k moves RM by C[k]
-    C = ((M[:, None, :] * M).reshape(K * K, -1) @ G).reshape(K, K, -1)
-    MM = C.reshape(K * K, -1)[:: K + 1].tolist()
-    RM_l = RM.tolist()
-    sig = state.sigma2.tolist()
-    widths = state.widths
+    A, h, s, M = _collapse_row(state, n)
+    G, sig, widths = state.variance_groups()
+    RM, Q = _scan_stats(M, G, y, z0)
+    # C[g, k, j] = M_k.M_j over the columns of group g: an accepted flip of k
+    # moves r.M_j by C[:, k, j]
+    C = np.matmul(M * G.T[:, None], M.T)
+    MM = C.diagonal(0, 1, 2).tolist()
     A_diag = A.diagonal().tolist()
     h_l = h.tolist()
+    m_l = (state.col_sums - z0).tolist()
+    z_l = z0.tolist()
     ll = _row_loglik(s, Q, sig, widths)
 
-    n_live = sum(1 for k in range(nb, K) if m_l[k] != 0.0)
+    n_live = K - nb - m_l[nb:].count(0.0)
     uniforms = iter(rng.gen.random(n_live).tolist())
     log = math.log
     changed = False
     for k in range(nb, K):
         on = z_l[k] == 1.0
-        if m_l[k] == 0.0:
+        m = m_l[k]
+        if m == 0.0:
             if on:
                 # forced off: A_kk = sigma_B^2 here, and the update below
                 # would cancel terms of that size, so recompute instead
                 z_l[k] = 0.0
-                h, s, RM, Q = _scan_stats(A, M, G, y, np.array(z_l))
-                ll = _row_loglik(s, Q, sig, widths)
+                z = np.array(z_l)
+                h = A.dot(z)
+                s = float(z.dot(h))
                 h_l = h.tolist()
-                RM_l = RM.tolist()
+                RM, Q = _scan_stats(M, G, y, z)
+                ll = _row_loglik(s, Q, sig, widths)
                 changed = True
             continue
         two_sgn = -2.0 if on else 2.0
         s_alt = s + two_sgn * h_l[k] + A_diag[k]
-        v0 = max(s_alt, 0.0)
+        v0 = s_alt if s_alt > 0.0 else 0.0
         total = 0.0
-        for q, rm, mm, sg, w in zip(Q, RM_l[k], MM[k], sig, widths):
+        for q, rm, mm, sg, w in zip(Q, RM, MM, sig, widths):
             v = v0 + sg
-            total += w * log(v) + (q - two_sgn * rm + mm) / v
+            total += w * log(v) + (q - two_sgn * rm[k] + mm[k]) / v
         ll_alt = -0.5 * total
-        prior = log(m_l[k]) - log(N - m_l[k])
-        logit_on = prior + (ll - ll_alt if on else ll_alt - ll)
+        logit_on = log(m) - log(N - m) + (ll - ll_alt if on else ll_alt - ll)
         if (next(uniforms) < _sigmoid(logit_on)) == on:
             continue
-        # accept the flip
-        Q = [q - two_sgn * rm + mm for q, rm, mm in zip(Q, RM_l[k], MM[k])]
+        # accept the flip; later candidates read h_j and r.M_j for j > k only
+        Q = [q - two_sgn * rm[k] + mm[k] for q, rm, mm in zip(Q, RM, MM)]
         s, ll = s_alt, ll_alt
         z_l[k] = 0.0 if on else 1.0
-        if on:
-            h -= A[k]
-            RM += C[k]
-        else:
-            h += A[k]
-            RM -= C[k]
-        h_l = h.tolist()
-        RM_l = RM.tolist()
+        sgn = 0.5 * two_sgn
+        A_k = A[k].tolist()
+        for j in range(k + 1, K):
+            h_l[j] += sgn * A_k[j]
+        for rm, c in zip(RM, C[:, k].tolist()):
+            for j in range(k + 1, K):
+                rm[j] -= sgn * c[j]
         changed = True
 
-    z = z0
+    # an unchanged row leaves P, P^{-1}, lam and the counts as they are
     if changed:
         z = np.array(z_l)
-        state.P = (state.P - z0[:, None] * z0) + z[:, None] * z
+        dz = z - z0
+        h = A.dot(z)
+        state.P -= z0[:, None] * z0
+        state.P += z[:, None] * z
+        A -= h[:, None] * (h / (1.0 + s))
+        state.P_inv = A
+        state.lam += dz[:, None] * y
+        state.col_sums = state.col_sums + dz
         state.Z[n] = z
-        state.col_sums = m + z
-        state.P_inv = A - h[:, None] * h / (1.0 + s)
-    # lam takes the round trip even when z is unchanged: the weight draw
-    # reads it, and outputs are kept identical to the full update
-    state.lam = lam_noN + z[:, None] * y
     return s, Q
 
 
@@ -497,9 +510,10 @@ def _birth_ladder(alpha: float, N: int, kmax: int) -> tuple[tuple[float, ...], f
 def _birth_gain_bound(s: float, Q, sigma2, widths) -> float:
     """An upper bound on ll_k - ll_0 over every birth count k >= 1.
 
-    Births add variance: per attribute the gain is
-    (c (1 - 1/x) - S_d log x) / 2 with x = v_k / v_0 >= 1 and c = Q_d / v_0,
-    which peaks at x = c / S_d when c > S_d and is never positive otherwise.
+    Births add variance: per variance group the gain is
+    (c (1 - 1/x) - w log x) / 2 with x = v_k / v_0 >= 1, c = Q_g / v_0 and
+    w the group's column count, which peaks at x = c / w when c > w and is
+    never positive otherwise.
     """
     v0 = max(s, 0.0)
     total = 0.0
@@ -531,18 +545,15 @@ def birth_features(rng: RngState, state: LatentState, data: DataMatrix, n: int, 
 
     ladder, log_rest = _birth_ladder(hp.alpha, N, kmax)
     u = rng.gen.random()
-    lw = list(ladder)
-    if not hp.birth_prior_only:
-        s, Q = _row_stats(state, n) if row is None else row
-        s = max(s, 0.0)
-        sig = state.sigma2.tolist()
-        # p_0 >= 1 / (1 + exp(gain bound) * prior weight of k >= 1); the
-        # margin keeps rounding in the full scoring from reversing the call
-        bound = _birth_gain_bound(s, Q, sig, state.widths) + log_rest
-        if bound < 700.0 and u < (1.0 - 1e-9) / (1.0 + math.exp(bound)):
-            return
-        for k in range(kmax + 1):
-            lw[k] += _row_loglik(s + k * hp.sigma_B2, Q, sig, state.widths)
+    s, Q = _row_stats(state, n) if row is None else row
+    s = max(s, 0.0)
+    _, sig, widths = state.variance_groups()
+    # p_0 >= 1 / (1 + exp(gain bound) * prior weight of k >= 1); the margin
+    # keeps rounding in the full scoring from reversing the call
+    bound = _birth_gain_bound(s, Q, sig, widths) + log_rest
+    if bound < 700.0 and u < (1.0 - 1e-9) / (1.0 + math.exp(bound)):
+        return
+    lw = [x + _row_loglik(s + k * hp.sigma_B2, Q, sig, widths) for k, x in enumerate(ladder)]
     top = max(lw)
     w = [math.exp(x - top) for x in lw]
     total = sum(w)

@@ -1,4 +1,4 @@
-"""Seeded random-variate kit: normal, Poisson, inverse-gamma, truncated normal.
+"""Seeded random-variate kit: inverse-gamma and truncated normal draws.
 
 Everything flows from one explicit RngState per chain; there is no ambient
 global generator. The doubly truncated normal sampler follows Robert's
@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "RngState",
     "inverse_gamma_sample",
-    "poisson_sample",
     "spawn_seeds",
     "trunc_normal_sample",
 ]
@@ -51,15 +50,6 @@ def spawn_seeds(seed: int, n: int) -> list[int]:
     """Derive n independent 64-bit child seeds from one root seed."""
     children = np.random.SeedSequence(seed).spawn(n)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
-
-
-def poisson_sample(rng: RngState, lam: float) -> int:
-    """Poisson draw with mean lam; lam = 0 returns 0."""
-    if lam < 0:
-        raise ValueError(f"Poisson rate must be >= 0, got {lam}")
-    if lam == 0:
-        return 0
-    return int(rng.gen.poisson(lam))
 
 
 def inverse_gamma_sample(rng: RngState, shape: float, rate: float) -> float:

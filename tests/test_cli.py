@@ -120,6 +120,26 @@ def test_state_json_roundtrip(workdir):
     assert state_to_json(back) == text
 
 
+def test_state_json_with_legacy_birth_prior_only_key(workdir):
+    # states written while Hyperparams had birth_prior_only carry the key,
+    # always false; such a state loads, and a true value is refused
+    data, _ = generate(10, missing_rate=0.1, seed=72)
+    hp = Hyperparams(alpha=2.0, K_max=6, K_init=2, bias=True,
+                     iterations=3, burn_in=1, seed=73)
+    res = run_chain(data, hp)
+    obj = json.loads(state_to_json(res.state))
+    assert "birth_prior_only" not in obj["hyperparams"]
+    obj["hyperparams"]["birth_prior_only"] = False
+    back = state_from_json(json.dumps(obj))
+    assert back.hp == res.state.hp
+    np.testing.assert_array_equal(back.Z, res.state.Z)
+    assert state_to_json(back) == state_to_json(res.state)
+
+    obj["hyperparams"]["birth_prior_only"] = True
+    with pytest.raises(ValueError, match="birth_prior_only"):
+        state_from_json(json.dumps(obj))
+
+
 def test_complete_fills_missing_cells(workdir, capsys):
     out = workdir / "out"
     code = run_cli(["complete", workdir / "data.csv", "--spec", workdir / "cols.spec",

@@ -164,22 +164,30 @@ def test_natural_params_stay_exact_across_sweeps():
     np.testing.assert_allclose(ident, np.eye(state.K), atol=1e-8)
 
 
-@pytest.mark.parametrize(
-    "sigma2", [None, (0.3, 3.0)], ids=["shared-sigma2", "per-attribute-sigma2"]
-)
+# noise variances of the six attributes of small_mixed_data: one shared
+# value, six distinct ones, and values repeated across non-adjacent
+# attributes, so that the row scan's variance groups merge attributes
+SIGMA2_LAYOUTS = {
+    "shared-sigma2": None,
+    "per-attribute-sigma2": tuple(np.geomspace(0.3, 3.0, num=6)),
+    "mixed-sigma2": (1.0, 2.0, 1.0, 2.0, 1.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("sigma2", SIGMA2_LAYOUTS.values(), ids=SIGMA2_LAYOUTS.keys())
 def test_z_row_replay_matches_from_scratch_logodds(sigma2):
-    # replay the exact random stream against the O(K^3) reference route; the
-    # second case gives every attribute its own noise variance, spread over
-    # (0.3, 3), so each attribute's columns form their own variance group
+    # replay the exact random stream against the O(K^3) reference route,
+    # which scores every attribute column with its own sigma_d^2; sigma2 is
+    # edited in place after the warm sweeps, so the scan must regroup
     data = small_mixed_data(15, seed=21)
     hp = Hyperparams(alpha=2.0, K_max=9, K_init=4, bias=True, iterations=0, burn_in=0)
     init_rng = RngState(8)
     state = init_state(data, hp, init_rng)
-    if sigma2 is not None:
-        state.sigma2 = np.geomspace(*sigma2, num=len(state.specs))
     warm = RngState(97)
     for _ in range(3):
         run_iteration(warm, state, data)
+    if sigma2 is not None:
+        state.sigma2[:] = sigma2
 
     for n in range(state.N):
         seed_now = warm.get_state()
@@ -205,6 +213,60 @@ def test_z_row_replay_matches_from_scratch_logodds(sigma2):
 
         np.testing.assert_array_equal(state.Z[n], reference.Z[n])
         assert_natural_params_exact(state)
+
+
+def test_z_row_statistics_are_residuals_summed_by_variance_group():
+    # Q from the scan against an exact-inverse reference: squared residuals
+    # of y - z M per attribute, summed over attributes sharing sigma_d^2.
+    # sigma2 is edited in place after the warm sweeps, so the scan must
+    # notice the change and regroup
+    data = small_mixed_data(15, seed=51)
+    hp = Hyperparams(alpha=0.0, K_init=4, bias=True, iterations=0, burn_in=0)
+    rng = RngState(52)
+    state = init_state(data, hp, rng)
+    for _ in range(2):
+        run_iteration(rng, state, data)
+    state.sigma2[:] = SIGMA2_LAYOUTS["mixed-sigma2"]
+    for n in range(state.N):
+        s, Q = sample_z_row(rng, state, data, n)
+        z, y = state.Z[n], state.Y[n]
+        A = np.linalg.inv(state.P - np.outer(z, z))
+        r = y - z @ (A @ (state.lam - np.outer(z, y)))
+        expected, n_cols = {}, {}
+        for d, v in enumerate(state.sigma2.tolist()):
+            cs = state.dim_cols(d)
+            expected[v] = expected.get(v, 0.0) + float(r[cs] @ r[cs])
+            n_cols[v] = n_cols.get(v, 0) + cs.stop - cs.start
+        _, sig, widths = state.variance_groups()
+        assert len(Q) == len(sig) == len(expected) == 3
+        assert dict(zip(sig, Q)) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert dict(zip(sig, widths)) == n_cols
+        assert s == pytest.approx(float(z @ A @ z), rel=1e-9, abs=1e-12)
+
+
+def test_z_row_commits_only_changed_rows():
+    # an unchanged row leaves the natural parameters bit for bit; a changed
+    # row commits exactly
+    data = small_mixed_data(25, seed=53)
+    hp = Hyperparams(alpha=0.0, K_init=5, bias=True, iterations=0, burn_in=0)
+    rng = RngState(54)
+    state = init_state(data, hp, rng)
+    run_iteration(rng, state, data)
+    kept = changed = 0
+    for _ in range(2):
+        for n in range(state.N):
+            before = [a.copy() for a in (state.Z[n], state.P, state.P_inv, state.lam,
+                                         state.col_sums)]
+            sample_z_row(rng, state, data, n)
+            if np.array_equal(state.Z[n], before[0]):
+                kept += 1
+                after = (state.P, state.P_inv, state.lam, state.col_sums)
+                for old, new in zip(before[1:], after):
+                    assert old.tobytes() == new.tobytes()
+            else:
+                changed += 1
+                assert_natural_params_exact(state)
+    assert kept > 0 and changed > 0
 
 
 def test_forced_zero_when_feature_unused_elsewhere():
