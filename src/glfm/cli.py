@@ -67,7 +67,7 @@ HYPER_FLAGS = (
     ("--kmax", "K_max", int, "hard cap on feature columns"),
     ("--kinit", "K_init", int, "starting number of feature columns"),
     ("--iters", "iterations", int, "Gibbs sweeps to run"),
-    ("--burn-in", "burn_in", int, "recorded in state.json; must be below --iters"),
+    ("--burn-in", "burn_in", int, "recorded in state.json (default 0); must be below --iters"),
     ("--seed", "seed", int, "RNG seed"),
 )
 

@@ -25,12 +25,14 @@ collapsed log-likelihood is
 
 with s the weight-uncertainty variance z^T P_{-n}^{-1} z, S_g the number of
 columns in group g and Q_g their summed squared residual. With one shared
-sigma^2 there is a single group. The Z-row scan keeps s, Q and per-group
-products of the residual with the weight means, so each candidate flip is
-scored in scalar arithmetic, and it commits P, P^{-1}, lam and the column
-counts only when the row's pattern changed. The birth step reads the scan's
-final (s, Q): it scores its candidate counts only when its uniform lies above
-a lower bound on the probability of no birth, which holds on nearly every row.
+sigma^2 there is a single group. The Z-row scan keeps s, Q and, for every
+candidate flip, the change it would make to each group's Q, so a candidate
+is scored in scalar arithmetic from one list of g numbers; only an accepted
+flip computes cross products of weight means, with the features still to be
+scanned. It commits P, P^{-1}, lam and the column counts only when the row's
+pattern changed. The birth step reads the scan's final (s, Q): it scores its
+candidate counts only when its uniform lies above a lower bound on the
+probability of no birth, which holds on nearly every row.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class Hyperparams:
     K_max: int = 50
     K_init: int = 2
     iterations: int = 1000
-    burn_in: int = 200
+    burn_in: int = 0
     seed: int = 0
     bias: bool = False
     sample_variance: bool = False
@@ -366,12 +368,17 @@ def _collapse_row(state: LatentState, n: int):
 
 
 def _scan_stats(M: np.ndarray, G: np.ndarray, y: np.ndarray, z: np.ndarray):
-    """Per variance group, r.M_k of every feature k (RM, g x K) and the
-    squared residual Q of r = y - z M, as lists."""
+    """Per variance group, the squared residual Q of r = y - z M (a list),
+    and for every feature k the change D_k = ||M_k||^2 - t_k r.M_k that
+    flipping k makes to Q (K x g), with t_k = 2 - 4 z_k; also T = t M, from
+    which an accepted flip takes its cross products."""
     r = y - z.dot(M)
+    T = (2.0 - 4.0 * z)[:, None] * M
     # a product with W sums r-weighted columns per group
     W = r[:, None] * G
-    return M.dot(W).T.tolist(), r.dot(W).tolist()
+    D = (M * M).dot(G)
+    D -= T.dot(W)
+    return r.dot(W).tolist(), D, T
 
 
 def _row_stats(state: LatentState, n: int) -> tuple[float, list[float]]:
@@ -380,7 +387,7 @@ def _row_stats(state: LatentState, n: int) -> tuple[float, list[float]]:
     under the predictive mean u = z M."""
     _, _, s, M = _collapse_row(state, n)
     G = state.variance_groups()[0]
-    return s, _scan_stats(M, G, state.Y[n], state.Z[n])[1]
+    return s, _scan_stats(M, G, state.Y[n], state.Z[n])[0]
 
 
 def _row_loglik(s: float, Q, sigma2, widths) -> float:
@@ -405,10 +412,12 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
 
     The row is taken out of P and lam once. Flipping feature k moves the
     predictive mean u by +-M_k and s by 2 (+-h_k) + A_kk, with h = A z, so
-    each variance group's squared residual follows from Q, r.M_k and
-    ||M_k||^2 summed over the group's columns (r = y - u): a candidate is
-    scored with one scalar term per group, and an accepted flip updates only
-    the h_j and r.M_j of the features still to be scanned.
+    each variance group's squared residual Q (r = y - u) moves by
+    D_k = ||M_k||^2 - t_k r.M_k, t_k = 2 - 4 z_k, summed over the group's
+    columns. z_k changes only when k is visited, so t_k holds for the whole
+    row: a candidate is scored from its own list D_k, one scalar term per
+    group. Only an accepted flip of k computes cross products, those of M_k
+    with the features still to be scanned: it moves their h_j and D_j.
     """
     nb = state.n_bias
     K = state.K
@@ -419,11 +428,8 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     y = state.Y[n]
     A, h, s, M = _collapse_row(state, n)
     G, sig, widths = state.variance_groups()
-    RM, Q = _scan_stats(M, G, y, z0)
-    # C[g, k, j] = M_k.M_j over the columns of group g: an accepted flip of k
-    # moves r.M_j by C[:, k, j]
-    C = np.matmul(M * G.T[:, None], M.T)
-    MM = C.diagonal(0, 1, 2).tolist()
+    Q, D, T = _scan_stats(M, G, y, z0)
+    D_l = D.tolist()
     A_diag = A.diagonal().tolist()
     h_l = h.tolist()
     m_l = (state.col_sums - z0).tolist()
@@ -432,6 +438,10 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
 
     n_live = K - nb - m_l[nb:].count(0.0)
     uniforms = iter(rng.gen.random(n_live).tolist())
+    # an accepted flip of the last live candidate leaves none to update
+    last = K - 1
+    while last >= nb and m_l[last] == 0.0:
+        last -= 1
     log = math.log
     changed = False
     for k in range(nb, K):
@@ -439,40 +449,48 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
         m = m_l[k]
         if m == 0.0:
             if on:
-                # forced off: A_kk = sigma_B^2 here, and the update below
-                # would cancel terms of that size, so recompute instead
+                # forced off: A_kk = sigma_B^2 here, and an update would
+                # cancel terms of that size, so recompute from the new z
                 z_l[k] = 0.0
                 z = np.array(z_l)
                 h = A.dot(z)
                 s = float(z.dot(h))
                 h_l = h.tolist()
-                RM, Q = _scan_stats(M, G, y, z)
+                Q, D, T = _scan_stats(M, G, y, z)
+                D_l = D.tolist()
                 ll = _row_loglik(s, Q, sig, widths)
                 changed = True
             continue
         two_sgn = -2.0 if on else 2.0
         s_alt = s + two_sgn * h_l[k] + A_diag[k]
         v0 = s_alt if s_alt > 0.0 else 0.0
+        D_k = D_l[k]
         total = 0.0
-        for q, rm, mm, sg, w in zip(Q, RM, MM, sig, widths):
+        for q, d, sg, w in zip(Q, D_k, sig, widths):
             v = v0 + sg
-            total += w * log(v) + (q - two_sgn * rm[k] + mm[k]) / v
+            total += w * log(v) + (q + d) / v
         ll_alt = -0.5 * total
         logit_on = log(m) - log(N - m) + (ll - ll_alt if on else ll_alt - ll)
         if (next(uniforms) < _sigmoid(logit_on)) == on:
             continue
-        # accept the flip; later candidates read h_j and r.M_j for j > k only
-        Q = [q - two_sgn * rm[k] + mm[k] for q, rm, mm in zip(Q, RM, MM)]
+        # accept the flip; later candidates read h_j and D_j for j > k only
+        Q = [q + d for q, d in zip(Q, D_k)]
         s, ll = s_alt, ll_alt
         z_l[k] = 0.0 if on else 1.0
-        sgn = 0.5 * two_sgn
-        A_k = A[k].tolist()
-        for j in range(k + 1, K):
-            h_l[j] += sgn * A_k[j]
-        for rm, c in zip(RM, C[:, k].tolist()):
-            for j in range(k + 1, K):
-                rm[j] -= sgn * c[j]
         changed = True
+        if k < last:
+            sgn = 0.5 * two_sgn
+            A_k = A[k].tolist()
+            for j in range(k + 1, K):
+                h_l[j] += sgn * A_k[j]
+            # D_j moves by sgn t_j (M_j o M_k).G, and T_j = t_j M_j
+            cross = T[k + 1 :].dot(M[k][:, None] * G)
+            rest = D[k + 1 :]
+            if on:
+                rest -= cross
+            else:
+                rest += cross
+            D_l = D.tolist()
 
     # an unchanged row leaves P, P^{-1}, lam and the counts as they are
     if changed:

@@ -97,6 +97,17 @@ def test_infer_writes_state_and_trace(workdir, capsys):
         assert set(entry) == {"iteration", "K_plus", "log_joint", "sigma2"}
 
 
+def test_short_run_without_burn_in_flag(workdir):
+    # burn_in defaults to 0, so a run shorter than any fixed burn-in works
+    out = workdir / "short"
+    code = run_cli(["infer", workdir / "data.csv", "--spec", workdir / "cols.spec",
+                    "-o", out, "--iters", "3", "--kinit", "1", "--bias"])
+    assert code == 0
+    state = json.loads((out / "state.json").read_text())
+    assert state["hyperparams"]["burn_in"] == 0
+    assert state["hyperparams"]["iterations"] == 3
+
+
 def test_state_json_roundtrip(workdir):
     data, _ = generate(12, missing_rate=0.1, seed=70)
     hp = Hyperparams(alpha=2.0, K_max=6, K_init=2, bias=True,

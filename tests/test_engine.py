@@ -179,8 +179,8 @@ def test_z_row_replay_matches_from_scratch_logodds(sigma2):
     # replay the exact random stream against the O(K^3) reference route,
     # which scores every attribute column with its own sigma_d^2; sigma2 is
     # edited in place after the warm sweeps, so the scan must regroup
-    data = small_mixed_data(15, seed=21)
-    hp = Hyperparams(alpha=2.0, K_max=9, K_init=4, bias=True, iterations=0, burn_in=0)
+    data = small_mixed_data(30, seed=21)
+    hp = Hyperparams(alpha=2.0, K_max=12, K_init=6, bias=True, iterations=0, burn_in=0)
     init_rng = RngState(8)
     state = init_state(data, hp, init_rng)
     warm = RngState(97)
@@ -189,6 +189,9 @@ def test_z_row_replay_matches_from_scratch_logodds(sigma2):
     if sigma2 is not None:
         state.sigma2[:] = sigma2
 
+    # rows where a candidate is scored after an accepted flip, so that the
+    # scan's update of the later candidates' statistics decides the outcome
+    updated_rows = 0
     for n in range(state.N):
         seed_now = warm.get_state()
         reference = state.copy()
@@ -197,6 +200,7 @@ def test_z_row_replay_matches_from_scratch_logodds(sigma2):
 
         replay = RngState(0)
         replay.set_state(seed_now)
+        flipped = scored_after_flip = False
         for k in range(reference.n_bias, reference.K):
             m = reference.col_sums[k] - reference.Z[n, k]
             if m == 0.0:
@@ -204,31 +208,41 @@ def test_z_row_replay_matches_from_scratch_logodds(sigma2):
                     reference.Z[n, k] = 0.0
                     reference.recompute_natural()
                 continue
+            scored_after_flip |= flipped
             logit_on = collapsed_flip_logodds(reference, n, k)
             p_on = 1.0 / (1.0 + math.exp(-logit_on)) if logit_on > -500 else 0.0
             turn_on = replay.gen.random() < p_on
             if turn_on != (reference.Z[n, k] == 1.0):
                 reference.Z[n, k] = 1.0 - reference.Z[n, k]
                 reference.recompute_natural()
+                flipped = True
+        updated_rows += scored_after_flip
 
         np.testing.assert_array_equal(state.Z[n], reference.Z[n])
         assert_natural_params_exact(state)
+    assert updated_rows >= 10
 
 
-def test_z_row_statistics_are_residuals_summed_by_variance_group():
-    # Q from the scan against an exact-inverse reference: squared residuals
-    # of y - z M per attribute, summed over attributes sharing sigma_d^2.
-    # sigma2 is edited in place after the warm sweeps, so the scan must
-    # notice the change and regroup
-    data = small_mixed_data(15, seed=51)
-    hp = Hyperparams(alpha=0.0, K_init=4, bias=True, iterations=0, burn_in=0)
+@pytest.mark.parametrize("sigma2", SIGMA2_LAYOUTS.values(), ids=SIGMA2_LAYOUTS.keys())
+def test_z_row_statistics_are_residuals_summed_by_variance_group(sigma2):
+    # (s, Q) from the scan against an exact-inverse reference: squared
+    # residuals of y - z M per attribute, summed over attributes sharing
+    # sigma_d^2. sigma2 is edited in place after the warm sweeps, so the scan
+    # must notice the change and regroup. Q after two accepted flips in one
+    # row has been moved by the first flip's update of the second's change
+    data = small_mixed_data(30, seed=51)
+    hp = Hyperparams(alpha=0.0, K_init=6, bias=True, iterations=0, burn_in=0)
     rng = RngState(52)
     state = init_state(data, hp, rng)
     for _ in range(2):
         run_iteration(rng, state, data)
-    state.sigma2[:] = SIGMA2_LAYOUTS["mixed-sigma2"]
+    if sigma2 is not None:
+        state.sigma2[:] = sigma2
+    multi_flip_rows = 0
     for n in range(state.N):
+        before = state.Z[n].copy()
         s, Q = sample_z_row(rng, state, data, n)
+        multi_flip_rows += int(np.sum(state.Z[n] != before)) >= 2
         z, y = state.Z[n], state.Y[n]
         A = np.linalg.inv(state.P - np.outer(z, z))
         r = y - z @ (A @ (state.lam - np.outer(z, y)))
@@ -238,10 +252,11 @@ def test_z_row_statistics_are_residuals_summed_by_variance_group():
             expected[v] = expected.get(v, 0.0) + float(r[cs] @ r[cs])
             n_cols[v] = n_cols.get(v, 0) + cs.stop - cs.start
         _, sig, widths = state.variance_groups()
-        assert len(Q) == len(sig) == len(expected) == 3
+        assert len(Q) == len(sig) == len(expected) == len(set(state.sigma2.tolist()))
         assert dict(zip(sig, Q)) == pytest.approx(expected, rel=1e-9, abs=1e-12)
         assert dict(zip(sig, widths)) == n_cols
         assert s == pytest.approx(float(z @ A @ z), rel=1e-9, abs=1e-12)
+    assert multi_flip_rows >= 5
 
 
 def test_z_row_commits_only_changed_rows():
