@@ -135,8 +135,9 @@ def loglik_continuous(x, m, total_var, params, kind: AttributeKind):
     base = -0.5 * (_LOG_2PI + np.log(total_var) + (y - m) ** 2 / total_var)
     if kind is AttributeKind.REAL:
         return base - math.log(params.w)
-    # d/dx of softplus_inv is e^x / (e^x - 1) = 1 / (1 - e^{-x})
-    return base - math.log(params.w) - np.log1p(-np.exp(-x))
+    # d/dx of softplus_inv is e^x / (e^x - 1) = 1 / (1 - e^{-x}); expm1 keeps
+    # 1 - e^{-x} nonzero for x below the float spacing at 1
+    return base - math.log(params.w) - np.log(-np.expm1(-x))
 
 
 def log_phi_interval(a, b):

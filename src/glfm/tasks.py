@@ -360,6 +360,10 @@ def compute_pdf(
             xs = np.arange(0, state.count_xmax.get(d, 200) + 1)
         else:
             xs = np.arange(1, spec.R_d + 1)
+        if kind is AttributeKind.CATEGORICAL:
+            # the masses themselves: the TINY_PROB floor belongs to log scores
+            B_d = state.B[:, state.dim_cols(d)]
+            return xs, prob_categorical(xs, Z, B_d, math.sqrt(float(state.sigma2[d])))[0]
         return xs, np.exp(_log_predictive(state, d, Z, xs)[0])
 
     if x_values is None:
@@ -369,8 +373,7 @@ def compute_pdf(
     else:
         x_enc = _encode_grid(spec, np.asarray(x_values, dtype=float))
     dens = np.exp(_log_predictive(state, d, Z, x_enc)[0])
-    x_orig = _decode_grid(spec, x_enc)
-    return x_orig, dens * _preprocess_jacobian(spec, x_orig)
+    return _decode_grid(spec, x_enc), dens * _preprocess_jacobian(spec, x_enc)
 
 
 def _encode_grid(spec: AttributeSpec, x_orig: np.ndarray) -> np.ndarray:
@@ -389,9 +392,10 @@ def _decode_grid(spec: AttributeSpec, x_enc: np.ndarray) -> np.ndarray:
     return x_enc
 
 
-def _preprocess_jacobian(spec: AttributeSpec, x_orig: np.ndarray) -> np.ndarray:
-    if spec.external_preprocess == "log1p":
-        return 1.0 / (1.0 + x_orig)
-    if spec.external_preprocess == "reflected-log1p":
-        return 1.0 / (101.0 - x_orig)
-    return np.ones_like(x_orig)
+def _preprocess_jacobian(spec: AttributeSpec, x_enc: np.ndarray) -> np.ndarray:
+    # d x_enc / d x_orig is 1/(1 + x) for log1p and 1/(101 - x) for
+    # reflected-log1p: exp(-x_enc) in both. Taken from x_enc, it stays finite
+    # where the decoded value rounds onto the transform's boundary.
+    if spec.external_preprocess is None:
+        return np.ones_like(x_enc)
+    return np.exp(-x_enc)
