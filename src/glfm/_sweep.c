@@ -1,0 +1,1061 @@
+/*
+ * One Gibbs sweep of the glfm sampler, drawn from the chain's own PCG64.
+ *
+ * The Python side (glfm.engine) owns every array; this file reads and
+ * writes them in place through the pointers of a glfm_state. Random draws
+ * come from numpy's bit generator and libnpyrandom, in exactly the order the
+ * numpy formulation of the sampler consumes its stream: one uniform per live
+ * flip candidate, one per birth decision, and the truncated-normal draws in
+ * the regime and round order of a vectorized accept-reject pass (Robert,
+ * "Simulation of truncated normal variables", 1995).
+ *
+ * Entry points:
+ *   glfm_rows          the Z-row scan and feature-birth decision over a row
+ *                      range; returns to the caller when a row draws births
+ *   glfm_attributes    Cholesky of P, the P^{-1} rebuild and, per attribute,
+ *                      weights, pseudo-observations, ordinal thresholds and
+ *                      noise variance
+ *   glfm_trunc_normal  N(mean, std^2) truncated to (lo, hi], vectorized
+ *   glfm_inverse_gamma one inverse-gamma draw
+ * and three scalar helpers of the birth step, exported for tests.
+ *
+ * Build: cc -O2 -fPIC -shared, linked with libnpyrandom.a and libm. No
+ * -ffast-math and no FMA contraction: the arithmetic must round as numpy's.
+ */
+
+#include <float.h>
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#include "numpy/random/bitgen.h"
+
+/* From libnpyrandom (numpy/random/distributions.h, which needs Python.h). */
+double random_standard_normal(bitgen_t *bitgen_state);
+double random_standard_exponential(bitgen_t *bitgen_state);
+double random_standard_gamma(bitgen_t *bitgen_state, double shape);
+
+enum { KIND_CONTINUOUS = 0, KIND_COUNT = 1, KIND_ORDINAL = 2, KIND_CATEGORICAL = 3 };
+
+enum {
+    STEP_REBUILD = 1,   /* rebuild P^{-1} from the Cholesky factor of P */
+    STEP_WEIGHTS = 2,
+    STEP_PSEUDO = 4,
+    STEP_THRESHOLDS = 8,
+    STEP_NOISE = 16,
+};
+
+enum {
+    ERR_NOT_PD = -1,        /* Cholesky: matrix not positive definite */
+    ERR_EMPTY_SUPPORT = -2, /* an ordinal threshold has empty support */
+    ERR_BOUNDS = -3,        /* truncation with lo >= hi */
+    ERR_STD = -4,           /* truncation with std <= 0 */
+    ERR_NOMEM = -5,
+};
+
+/* Mirrors the ctypes Structure in glfm/_kernel.py field for field. Arrays are
+ * C-contiguous float64 unless noted; Z is N x K, Y is N x S, B and lam are
+ * K x S, P and P_inv are K x K. */
+typedef struct {
+    int64_t N, K, S, D, nb, g;
+    double *Z, *Y, *B, *P, *P_inv, *lam, *col_sums, *sigma2;
+    const int64_t *col_group;      /* S: noise-variance group of each column */
+    const double *group_sig;       /* g: each group's sigma^2 */
+    const double *group_width;     /* g: each group's column count */
+    const int64_t *kind, *offset, *levels; /* D, D + 1, D */
+    const uint8_t *missing;        /* N x D */
+    const double *cells;           /* N x D: levels of ordinal/categorical cells */
+    const double *obs_lo, *obs_hi; /* N x D: continuous target or count bounds */
+    double *const *theta;          /* D: ordinal cut points, NULL elsewhere */
+    double sigma_B2, sigma_u2, sigma_theta2, beta1, beta2;
+} glfm_state;
+
+static const double PI = 3.141592653589793;
+static const double EULER = 2.718281828459045;
+/* one-sided truncation: below this standardized bound plain normal
+ * rejection beats the translated-exponential proposal */
+static const double ONE_SIDED_SWITCH = 0.45;
+
+static inline double next_double(bitgen_t *bg) { return bg->next_double(bg->state); }
+
+/* ------------------------------------------------------------------------ */
+/* dense linear algebra on small K x K matrices                             */
+
+/* Lower Cholesky factor of P into L (upper triangle zeroed). */
+static int cholesky(int64_t K, const double *P, double *L)
+{
+    for (int64_t i = 0; i < K; i++) {
+        for (int64_t j = 0; j <= i; j++) {
+            double sum = P[i * K + j];
+            for (int64_t k = 0; k < j; k++)
+                sum -= L[i * K + k] * L[j * K + k];
+            if (i == j) {
+                if (!(sum > 0.0))
+                    return ERR_NOT_PD;
+                L[i * K + i] = sqrt(sum);
+            } else {
+                L[i * K + j] = sum / L[j * K + j];
+            }
+        }
+        for (int64_t j = i + 1; j < K; j++)
+            L[i * K + j] = 0.0;
+    }
+    return 0;
+}
+
+/* out = (L L^T)^{-1} = E^T E with E = L^{-1}; E is K x K scratch. */
+static void cholesky_inverse(int64_t K, const double *L, double *E, double *out)
+{
+    memset(E, 0, (size_t)(K * K) * sizeof(double));
+    for (int64_t j = 0; j < K; j++) {
+        E[j * K + j] = 1.0 / L[j * K + j];
+        for (int64_t i = j + 1; i < K; i++) {
+            double sum = 0.0;
+            for (int64_t k = j; k < i; k++)
+                sum += L[i * K + k] * E[k * K + j];
+            E[i * K + j] = -sum / L[i * K + i];
+        }
+    }
+    for (int64_t i = 0; i < K; i++) {
+        for (int64_t j = 0; j <= i; j++) {
+            double sum = 0.0;
+            for (int64_t k = i; k < K; k++)
+                sum += E[k * K + i] * E[k * K + j];
+            out[i * K + j] = sum;
+            out[j * K + i] = sum;
+        }
+    }
+}
+
+/* Solve L x = b in place, L lower and b strided. */
+static void forward_solve(int64_t K, const double *L, double *x, int64_t stride)
+{
+    for (int64_t i = 0; i < K; i++) {
+        double sum = x[i * stride];
+        for (int64_t k = 0; k < i; k++)
+            sum -= L[i * K + k] * x[k * stride];
+        x[i * stride] = sum / L[i * K + i];
+    }
+}
+
+/* Solve L^T x = b in place. */
+static void backward_solve_transposed(int64_t K, const double *L, double *x, int64_t stride)
+{
+    for (int64_t i = K - 1; i >= 0; i--) {
+        double sum = x[i * stride];
+        for (int64_t k = i + 1; k < K; k++)
+            sum -= L[k * K + i] * x[k * stride];
+        x[i * stride] = sum / L[i * K + i];
+    }
+}
+
+/* ------------------------------------------------------------------------ */
+/* truncated normal: randkit's vectorized accept-reject, one index at a time */
+
+/* Each rejecter runs rounds over the indices in `idx` (positions into the
+ * bound arrays); a round draws for every index still to do, in order, and
+ * keeps the rejected ones for the next round. hi == NULL means +inf. */
+
+static void normal_reject(bitgen_t *bg, int64_t cnt, const int64_t *idx, const double *lo,
+                          const double *hi, double *out, int64_t *todo)
+{
+    memcpy(todo, idx, (size_t)cnt * sizeof(int64_t));
+    while (cnt > 0) {
+        int64_t left = 0;
+        for (int64_t t = 0; t < cnt; t++) {
+            int64_t i = todo[t];
+            double y = random_standard_normal(bg);
+            if (y > lo[i] && (hi == NULL || y <= hi[i]))
+                out[i] = y;
+            else
+                todo[left++] = i;
+        }
+        cnt = left;
+    }
+}
+
+static void uniform_reject(bitgen_t *bg, int64_t cnt, const int64_t *idx, const double *lo,
+                           const double *hi, double *out, int64_t *todo, double *y)
+{
+    memcpy(todo, idx, (size_t)cnt * sizeof(int64_t));
+    while (cnt > 0) {
+        for (int64_t t = 0; t < cnt; t++) {
+            int64_t i = todo[t];
+            y[t] = lo[i] + (hi[i] - lo[i]) * next_double(bg);
+        }
+        int64_t left = 0;
+        for (int64_t t = 0; t < cnt; t++) {
+            int64_t i = todo[t];
+            double u = next_double(bg);
+            /* the density peaks at 0 inside the interval, else at the
+             * endpoint nearer 0 */
+            double m = lo[i] > 0.0 ? lo[i] : (hi[i] < 0.0 ? hi[i] : 0.0);
+            double yt = y[t];
+            if (u <= exp((m * m - yt * yt) / 2.0))
+                out[i] = yt;
+            else
+                todo[left++] = i;
+        }
+        cnt = left;
+    }
+}
+
+/* translated-exponential proposals for (lo, hi], lo > 0 */
+static void exp_reject(bitgen_t *bg, int64_t cnt, const int64_t *idx, const double *lo,
+                       const double *hi, double *out, int64_t *todo, double *y)
+{
+    memcpy(todo, idx, (size_t)cnt * sizeof(int64_t));
+    while (cnt > 0) {
+        for (int64_t t = 0; t < cnt; t++) {
+            int64_t i = todo[t];
+            double lam = 0.5 * (lo[i] + sqrt(lo[i] * lo[i] + 4.0));
+            y[t] = lo[i] + random_standard_exponential(bg) / lam;
+        }
+        int64_t left = 0;
+        for (int64_t t = 0; t < cnt; t++) {
+            int64_t i = todo[t];
+            double u = next_double(bg);
+            double lam = 0.5 * (lo[i] + sqrt(lo[i] * lo[i] + 4.0));
+            double yt = y[t], dy = yt - lam;
+            if ((hi == NULL || yt <= hi[i]) && u <= exp(-0.5 * (dy * dy)))
+                out[i] = yt;
+            else
+                todo[left++] = i;
+        }
+        cnt = left;
+    }
+}
+
+typedef struct {
+    double *lo, *hi, *y; /* n each */
+    int64_t *list, *sub, *todo;
+} trunc_ws;
+
+/* standard normal truncated to (lo[i], inf) for the listed i */
+static void one_sided(bitgen_t *bg, int64_t cnt, const int64_t *list, const double *lo,
+                      double *out, trunc_ws *w)
+{
+    int64_t k = 0;
+    for (int64_t t = 0; t < cnt; t++)
+        if (lo[list[t]] <= ONE_SIDED_SWITCH)
+            w->sub[k++] = list[t];
+    normal_reject(bg, k, w->sub, lo, NULL, out, w->todo);
+    k = 0;
+    for (int64_t t = 0; t < cnt; t++)
+        if (!(lo[list[t]] <= ONE_SIDED_SWITCH))
+            w->sub[k++] = list[t];
+    exp_reject(bg, k, w->sub, lo, NULL, out, w->todo, w->y);
+}
+
+/* standard normal truncated to (a[i], b[i]], both finite, for the listed i */
+static void two_sided(bitgen_t *bg, int64_t cnt, const int64_t *list, const double *a,
+                      const double *b, double *out, trunc_ws *w)
+{
+    double *lo = w->lo, *hi = w->hi;
+    /* mirror so the interval is centered or right of zero */
+    for (int64_t t = 0; t < cnt; t++) {
+        int64_t i = list[t];
+        int flip = fabs(a[i]) > fabs(b[i]);
+        lo[i] = flip ? -b[i] : a[i];
+        hi[i] = flip ? -a[i] : b[i];
+    }
+    const double wide = sqrt(2.0 * PI);
+    int64_t k;
+    /* straddling 0: plain normals for wide intervals, uniforms otherwise */
+    k = 0;
+    for (int64_t t = 0; t < cnt; t++) {
+        int64_t i = list[t];
+        if (lo[i] <= 0.0 && (hi[i] - lo[i]) > wide)
+            w->sub[k++] = i;
+    }
+    normal_reject(bg, k, w->sub, lo, hi, out, w->todo);
+    k = 0;
+    for (int64_t t = 0; t < cnt; t++) {
+        int64_t i = list[t];
+        if (lo[i] <= 0.0 && !((hi[i] - lo[i]) > wide))
+            w->sub[k++] = i;
+    }
+    uniform_reject(bg, k, w->sub, lo, hi, out, w->todo, w->y);
+    /* in a tail: Robert's crossover between uniform and translated-
+     * exponential proposals */
+    const double c0 = 2.0 * sqrt(EULER);
+    for (int pass = 0; pass < 2; pass++) {
+        k = 0;
+        for (int64_t t = 0; t < cnt; t++) {
+            int64_t i = list[t];
+            if (lo[i] <= 0.0)
+                continue;
+            double tl = lo[i], q = sqrt(tl * tl + 4.0);
+            double cut = tl + c0 / (tl + q) * exp((tl * tl - tl * q) / 4.0);
+            if ((hi[i] > cut) == (pass == 0))
+                w->sub[k++] = i;
+        }
+        if (pass == 0)
+            exp_reject(bg, k, w->sub, lo, hi, out, w->todo, w->y);
+        else
+            uniform_reject(bg, k, w->sub, lo, hi, out, w->todo, w->y);
+    }
+    for (int64_t t = 0; t < cnt; t++) {
+        int64_t i = list[t];
+        if (fabs(a[i]) > fabs(b[i]))
+            out[i] = -out[i];
+    }
+}
+
+/* Standard normal truncated to (a[i], b[i]], i < n, regime by regime. */
+static void std_trunc(bitgen_t *bg, int64_t n, const double *a, const double *b, double *x,
+                      trunc_ws *w)
+{
+    int64_t k = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (a[i] == -INFINITY && b[i] == INFINITY)
+            x[i] = random_standard_normal(bg);
+    /* left truncation only */
+    for (int64_t i = 0; i < n; i++)
+        if (a[i] != -INFINITY && b[i] == INFINITY)
+            w->list[k++] = i;
+    one_sided(bg, k, w->list, a, x, w);
+    /* right truncation only: mirror to (-b, inf) */
+    k = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (a[i] == -INFINITY && b[i] != INFINITY) {
+            w->list[k++] = i;
+            w->lo[i] = -b[i];
+        }
+    one_sided(bg, k, w->list, w->lo, x, w);
+    for (int64_t t = 0; t < k; t++)
+        x[w->list[t]] = -x[w->list[t]];
+    k = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (a[i] != -INFINITY && b[i] != INFINITY)
+            w->list[k++] = i;
+    two_sided(bg, k, w->list, a, b, x, w);
+}
+
+/* N(mean[i], std[i]^2) truncated to (lo[i], hi[i]], i < n, into out. */
+int glfm_trunc_normal(bitgen_t *bg, int64_t n, const double *mean, const double *std,
+                      const double *lo, const double *hi, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (std[i] <= 0.0)
+            return ERR_STD;
+    for (int64_t i = 0; i < n; i++)
+        if (lo[i] >= hi[i])
+            return ERR_BOUNDS;
+    if (n == 0)
+        return 0;
+    double *buf = malloc((size_t)n * 6 * sizeof(double));
+    int64_t *ibuf = malloc((size_t)n * 3 * sizeof(int64_t));
+    if (buf == NULL || ibuf == NULL) {
+        free(buf);
+        free(ibuf);
+        return ERR_NOMEM;
+    }
+    double *a = buf, *b = buf + n, *t = buf + 2 * n;
+    trunc_ws w = {buf + 3 * n, buf + 4 * n, buf + 5 * n, ibuf, ibuf + n, ibuf + 2 * n};
+    for (int64_t i = 0; i < n; i++) {
+        a[i] = isfinite(lo[i]) ? (lo[i] - mean[i]) / std[i] : lo[i];
+        b[i] = isfinite(hi[i]) ? (hi[i] - mean[i]) / std[i] : hi[i];
+    }
+    std_trunc(bg, n, a, b, t, &w);
+    for (int64_t i = 0; i < n; i++) {
+        double x = mean[i] + std[i] * t[i];
+        /* float rounding can push a sample just outside (lo, hi] */
+        if (x > hi[i])
+            x = hi[i];
+        if (x <= lo[i])
+            x = isfinite(hi[i]) ? hi[i] : lo[i] + std[i];
+        out[i] = x;
+    }
+    free(buf);
+    free(ibuf);
+    return 0;
+}
+
+/* v with 1/v ~ Gamma(shape, rate), drawn as Generator.gamma(shape, 1 / rate) */
+double glfm_inverse_gamma(bitgen_t *bg, double shape, double rate)
+{
+    double g = (1.0 / rate) * random_standard_gamma(bg, shape);
+    /* gamma draws can underflow to 0 for tiny shapes; keep the output finite */
+    return 1.0 / (DBL_MIN > g ? DBL_MIN : g);
+}
+
+/* ------------------------------------------------------------------------ */
+/* row statistics and the birth step                                        */
+
+/* Collapsed log-likelihood of a row, up to a constant: each of group j's
+ * width[j] columns has predictive variance s + sig[j] and the group's
+ * squared residuals sum to Q[j]. */
+double glfm_row_loglik(double s, int64_t g, const double *Q, const double *sig,
+                       const double *width)
+{
+    double v0 = s > 0.0 ? s : 0.0, total = 0.0;
+    for (int64_t j = 0; j < g; j++) {
+        double v = v0 + sig[j];
+        total += width[j] * log(v) + Q[j] / v;
+    }
+    return -0.5 * total;
+}
+
+/* An upper bound on ll_k - ll_0 over every birth count k >= 1. Births add
+ * variance: per group the gain is (c (1 - 1/x) - w log x) / 2 with
+ * x = v_k / v_0 >= 1, c = Q / v_0 and w the column count, which peaks at
+ * x = c / w when c > w and is never positive otherwise. */
+double glfm_birth_gain_bound(double s, int64_t g, const double *Q, const double *sig,
+                             const double *width)
+{
+    double v0 = s > 0.0 ? s : 0.0, total = 0.0;
+    for (int64_t j = 0; j < g; j++) {
+        double c = Q[j] / (v0 + sig[j]);
+        if (c > width[j])
+            total += c - width[j] - width[j] * log(c / width[j]);
+    }
+    return 0.5 * total;
+}
+
+/* The index Generator.choice(n, p=p) draws from the uniform u: the number of
+ * normalized cumulative probabilities at or below u. */
+int64_t glfm_inverse_cdf_index(int64_t n, const double *p, double u)
+{
+    double cdf[n];
+    cdf[0] = p[0];
+    for (int64_t k = 1; k < n; k++)
+        cdf[k] = cdf[k - 1] + p[k];
+    double total = cdf[n - 1];
+    int64_t idx = 0;
+    for (int64_t k = 0; k < n; k++)
+        if (cdf[k] / total <= u)
+            idx = k + 1;
+    return idx;
+}
+
+typedef struct {
+    double *A, *L, *E, *gv, *h, *M, *T, *r, *D, *Q, *z, *z0, *m, *Ad, *cross;
+} row_ws;
+
+static inline double sigmoid(double t)
+{
+    if (t >= 0.0)
+        return 1.0 / (1.0 + exp(-t));
+    double e = exp(t);
+    return e / (1.0 + e);
+}
+
+/* Take row n out of P and lam: A = (P - z z^T)^{-1}, h = A z, s = z h and
+ * M = A (lam - z y^T). One product P^{-1} z gives them all by
+ * Sherman-Morrison; an ill-conditioned downdate takes an exact inverse. */
+static int collapse_row(const glfm_state *st, int64_t n, row_ws *w, double *s_out)
+{
+    const int64_t K = st->K, S = st->S;
+    const double *z = w->z, *y = st->Y + n * S;
+    double *A = w->A, *h = w->h, *gv = w->gv;
+    double c = 0.0, s;
+    for (int64_t i = 0; i < K; i++) {
+        double sum = 0.0;
+        for (int64_t j = 0; j < K; j++)
+            if (z[j] != 0.0)
+                sum += st->P_inv[i * K + j] * z[j];
+        gv[i] = sum;
+    }
+    for (int64_t j = 0; j < K; j++)
+        if (z[j] != 0.0)
+            c += z[j] * gv[j];
+    if (1.0 - c <= 1e-12) {
+        for (int64_t i = 0; i < K; i++)
+            for (int64_t j = 0; j < K; j++)
+                A[i * K + j] = st->P[i * K + j] - z[i] * z[j];
+        int err = cholesky(K, A, w->L);
+        if (err)
+            return err;
+        cholesky_inverse(K, w->L, w->E, A);
+        s = 0.0;
+        for (int64_t i = 0; i < K; i++) {
+            double sum = 0.0;
+            for (int64_t j = 0; j < K; j++)
+                sum += A[i * K + j] * z[j];
+            h[i] = sum;
+        }
+        for (int64_t i = 0; i < K; i++)
+            s += z[i] * h[i];
+    } else {
+        for (int64_t i = 0; i < K; i++)
+            h[i] = gv[i] / (1.0 - c);
+        s = c / (1.0 - c);
+        for (int64_t i = 0; i < K; i++)
+            for (int64_t j = 0; j < K; j++)
+                A[i * K + j] = st->P_inv[i * K + j] + gv[i] * h[j];
+    }
+    for (int64_t i = 0; i < K; i++) {
+        double *Mi = w->M + i * S;
+        for (int64_t col = 0; col < S; col++)
+            Mi[col] = 0.0;
+        for (int64_t j = 0; j < K; j++) {
+            double a = A[i * K + j];
+            const double *lj = st->lam + j * S;
+            for (int64_t col = 0; col < S; col++)
+                Mi[col] += a * lj[col];
+        }
+        for (int64_t col = 0; col < S; col++)
+            Mi[col] -= h[i] * y[col];
+    }
+    *s_out = s;
+    return 0;
+}
+
+/* Per variance group, the squared residual Q of r = y - z M, and for every
+ * feature k the change D_k = ||M_k||^2 - t_k r.M_k that flipping k makes to
+ * Q, with t_k = 2 - 4 z_k; also T = t M. */
+static void scan_stats(const glfm_state *st, int64_t n, row_ws *w)
+{
+    const int64_t K = st->K, S = st->S, g = st->g;
+    const int64_t *grp = st->col_group;
+    const double *y = st->Y + n * S, *z = w->z, *M = w->M;
+    double *r = w->r, *a1 = w->cross, *a2 = w->cross + g;
+    for (int64_t col = 0; col < S; col++) {
+        double zm = 0.0;
+        for (int64_t k = 0; k < K; k++)
+            if (z[k] != 0.0)
+                zm += z[k] * M[k * S + col];
+        r[col] = y[col] - zm;
+    }
+    for (int64_t j = 0; j < g; j++)
+        w->Q[j] = 0.0;
+    for (int64_t col = 0; col < S; col++)
+        w->Q[grp[col]] += r[col] * r[col];
+    for (int64_t k = 0; k < K; k++) {
+        double t = 2.0 - 4.0 * z[k];
+        const double *Mk = M + k * S;
+        double *Tk = w->T + k * S;
+        for (int64_t j = 0; j < g; j++)
+            a1[j] = a2[j] = 0.0;
+        for (int64_t col = 0; col < S; col++) {
+            Tk[col] = t * Mk[col];
+            a1[grp[col]] += Mk[col] * Mk[col];
+            a2[grp[col]] += Tk[col] * r[col];
+        }
+        for (int64_t j = 0; j < g; j++)
+            w->D[k * g + j] = a1[j] - a2[j];
+    }
+}
+
+/* s = z A z with h = A z, from the current z */
+static double quad_form(int64_t K, const double *A, const double *z, double *h)
+{
+    double s = 0.0;
+    for (int64_t i = 0; i < K; i++) {
+        double sum = 0.0;
+        for (int64_t j = 0; j < K; j++)
+            if (z[j] != 0.0)
+                sum += A[i * K + j] * z[j];
+        h[i] = sum;
+    }
+    for (int64_t i = 0; i < K; i++)
+        if (z[i] != 0.0)
+            s += z[i] * h[i];
+    return s;
+}
+
+/* Resample every non-bias entry of row n with the weights collapsed out.
+ * Flipping k moves the predictive mean by +-M_k and s by 2 (+-h_k) + A_kk,
+ * so each group's Q moves by D_k; z_k changes only when k is visited, so
+ * D_k holds until an earlier accepted flip moves it by its cross products.
+ * Features no other row uses are forced off. Commits P, P^{-1}, lam and
+ * the counts only when the row changed. */
+static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, row_ws *w, double *s_out)
+{
+    const int64_t K = st->K, S = st->S, g = st->g, nb = st->nb;
+    const double N = (double)st->N;
+    const double *sig = st->group_sig, *width = st->group_width;
+    const double *y = st->Y + n * S;
+    double *z = w->z, *z0 = w->z0, *h = w->h, *Q = w->Q, *D = w->D, *A = w->A;
+    double s;
+    int err = collapse_row(st, n, w, &s);
+    if (err)
+        return err;
+    scan_stats(st, n, w);
+    for (int64_t k = 0; k < K; k++) {
+        w->Ad[k] = A[k * K + k];
+        w->m[k] = st->col_sums[k] - z0[k];
+    }
+    double ll = glfm_row_loglik(s, g, Q, sig, width);
+    /* an accepted flip of the last live candidate leaves none to update */
+    int64_t last = K - 1;
+    while (last >= nb && w->m[last] == 0.0)
+        last--;
+    int changed = 0;
+    for (int64_t k = nb; k < K; k++) {
+        int on = z[k] == 1.0;
+        double m = w->m[k];
+        if (m == 0.0) {
+            if (on) {
+                /* forced off: A_kk = sigma_B^2 here, and an update would
+                 * cancel terms of that size, so recompute from the new z */
+                z[k] = 0.0;
+                s = quad_form(K, A, z, h);
+                scan_stats(st, n, w);
+                ll = glfm_row_loglik(s, g, Q, sig, width);
+                changed = 1;
+            }
+            continue;
+        }
+        double two_sgn = on ? -2.0 : 2.0;
+        double s_alt = s + two_sgn * h[k] + w->Ad[k];
+        double v0 = s_alt > 0.0 ? s_alt : 0.0, total = 0.0;
+        const double *Dk = D + k * g;
+        for (int64_t j = 0; j < g; j++) {
+            double v = v0 + sig[j];
+            total += width[j] * log(v) + (Q[j] + Dk[j]) / v;
+        }
+        double ll_alt = -0.5 * total;
+        double logit_on = log(m) - log(N - m) + (on ? ll - ll_alt : ll_alt - ll);
+        if ((next_double(bg) < sigmoid(logit_on)) == on)
+            continue;
+        for (int64_t j = 0; j < g; j++)
+            Q[j] += Dk[j];
+        s = s_alt;
+        ll = ll_alt;
+        z[k] = on ? 0.0 : 1.0;
+        changed = 1;
+        if (k < last) {
+            /* later candidates read h_j and D_j for j > k only; D_j moves
+             * by sgn t_j (M_j o M_k) summed per group, and T_j = t_j M_j */
+            double sgn = 0.5 * two_sgn;
+            const double *Mk = w->M + k * S;
+            for (int64_t j = k + 1; j < K; j++)
+                h[j] += sgn * A[k * K + j];
+            for (int64_t j = k + 1; j < K; j++) {
+                const double *Tj = w->T + j * S;
+                double *cross = w->cross;
+                for (int64_t q = 0; q < g; q++)
+                    cross[q] = 0.0;
+                for (int64_t col = 0; col < S; col++)
+                    cross[st->col_group[col]] += Tj[col] * Mk[col];
+                for (int64_t q = 0; q < g; q++)
+                    D[j * g + q] = on ? D[j * g + q] - cross[q] : D[j * g + q] + cross[q];
+            }
+        }
+    }
+    /* an unchanged row leaves P, P^{-1}, lam and the counts as they are */
+    if (changed) {
+        quad_form(K, A, z, h);
+        for (int64_t i = 0; i < K; i++)
+            for (int64_t j = 0; j < K; j++) {
+                double *p = st->P + i * K + j;
+                *p -= z0[i] * z0[j];
+                *p += z[i] * z[j];
+            }
+        for (int64_t i = 0; i < K; i++)
+            for (int64_t j = 0; j < K; j++)
+                st->P_inv[i * K + j] = A[i * K + j] - h[i] * (h[j] / (1.0 + s));
+        for (int64_t k = 0; k < K; k++) {
+            double dz = z[k] - z0[k];
+            if (dz != 0.0) {
+                double *lk = st->lam + k * S;
+                for (int64_t col = 0; col < S; col++)
+                    lk[col] += dz * y[col];
+                st->col_sums[k] += dz;
+            }
+            st->Z[n * K + k] = z[k];
+        }
+    }
+    *s_out = s;
+    return 0;
+}
+
+/* How many fresh features row n turns on, from its statistics (s, Q) and the
+ * uniform u: a truncated Poisson(alpha/N) prior (log weights `ladder`, and
+ * log_rest the log prior mass of k >= 1) reweighted by the row's marginal
+ * likelihood with variance s + k sigma_B^2. When u falls below a lower bound
+ * on the mass of no birth the candidates are not scored. */
+static int64_t birth_count(const glfm_state *st, double s, const double *Q, int64_t kmax,
+                           const double *ladder, double log_rest, double u)
+{
+    const int64_t g = st->g;
+    const double *sig = st->group_sig, *width = st->group_width;
+    double lw[kmax + 1], p[kmax + 1];
+    s = s > 0.0 ? s : 0.0;
+    /* p_0 >= 1 / (1 + exp(gain bound) * prior weight of k >= 1); the margin
+     * keeps rounding in the full scoring from reversing the call */
+    double bound = glfm_birth_gain_bound(s, g, Q, sig, width) + log_rest;
+    if (bound < 700.0 && u < (1.0 - 1e-9) / (1.0 + exp(bound)))
+        return 0;
+    double top = -INFINITY;
+    for (int64_t k = 0; k <= kmax; k++) {
+        lw[k] = ladder[k] + glfm_row_loglik(s + (double)k * st->sigma_B2, g, Q, sig, width);
+        if (k == 0 || lw[k] > top)
+            top = lw[k];
+    }
+    double total = 0.0;
+    for (int64_t k = 0; k <= kmax; k++) {
+        lw[k] = exp(lw[k] - top);
+        total += lw[k];
+    }
+    for (int64_t k = 0; k <= kmax; k++)
+        p[k] = lw[k] / total;
+    return glfm_inverse_cdf_index(kmax + 1, p, u);
+}
+
+/* The row loop over rows [row_lo, row_hi): the Z-row scan when `scan` (and a
+ * feature column exists to scan), then the birth decision when kmax > 0,
+ * from the scan's final statistics or, without a scan, from fresh ones.
+ * stats receives the last row's (s, Q[0..g)). Returns 0 when every row is
+ * done, 1 when row born[0] drew born[1] > 0 births (the caller grows Z and B
+ * and resumes at the next row), or a negative error code. */
+int glfm_rows(bitgen_t *bg, const glfm_state *st, int64_t row_lo, int64_t row_hi, int scan,
+              int64_t kmax, const double *ladder, double log_rest, double *stats,
+              int64_t *born)
+{
+    const int64_t K = st->K, S = st->S, g = st->g;
+    const int64_t Ku = K > 0 ? K : 1;
+    size_t doubles = (size_t)(3 * Ku * Ku + 2 * Ku * S + S + Ku * g + g + 6 * Ku + 2 * g);
+    double *buf = malloc(doubles * sizeof(double));
+    if (buf == NULL)
+        return ERR_NOMEM;
+    double *p = buf;
+    row_ws w;
+    w.A = p; p += Ku * Ku;
+    w.L = p; p += Ku * Ku;
+    w.E = p; p += Ku * Ku;
+    w.M = p; p += Ku * S;
+    w.T = p; p += K * S;
+    w.r = p; p += S;
+    w.D = p; p += Ku * g;
+    w.Q = p; p += g;
+    w.gv = p; p += Ku;
+    w.h = p; p += Ku;
+    w.z = p; p += Ku;
+    w.z0 = p; p += Ku;
+    w.m = p; p += Ku;
+    w.Ad = p; p += Ku;
+    w.cross = p; p += 2 * g;
+    int ret = 0;
+    for (int64_t n = row_lo; n < row_hi; n++) {
+        double s;
+        memcpy(w.z0, st->Z + n * K, (size_t)K * sizeof(double));
+        memcpy(w.z, w.z0, (size_t)K * sizeof(double));
+        int have_stats = 0;
+        if (scan && K > st->nb) {
+            ret = scan_row(bg, st, n, &w, &s);
+            if (ret)
+                break;
+            have_stats = 1;
+        }
+        if (kmax > 0) {
+            double u = next_double(bg);
+            if (!have_stats) {
+                ret = collapse_row(st, n, &w, &s);
+                if (ret)
+                    break;
+                scan_stats(st, n, &w);
+                have_stats = 1;
+            }
+            int64_t k_new = birth_count(st, s, w.Q, kmax, ladder, log_rest, u);
+            if (k_new > 0) {
+                born[0] = n;
+                born[1] = k_new;
+                ret = 1;
+            }
+        }
+        if (have_stats && stats != NULL) {
+            stats[0] = s;
+            memcpy(stats + 1, w.Q, (size_t)g * sizeof(double));
+        }
+        if (ret)
+            break;
+    }
+    free(buf);
+    return ret;
+}
+
+/* ------------------------------------------------------------------------ */
+/* the per-attribute phase                                                  */
+
+typedef struct {
+    double *L, *E, *eps;                  /* K x K, K x K, K x Smax */
+    double *Ynew, *Yold, *mean;           /* rows x Smax */
+    double *wmean;                        /* K */
+    double *tm, *ts, *tlo, *thi, *tout;   /* rows */
+    int64_t *sel, *picked;                /* rows each */
+} attr_ws;
+
+/* Draw attribute d's weight columns from N(P^{-1} lam, sigma_d^2 P^{-1}),
+ * given the Cholesky factor L of P. A categorical attribute's last column
+ * is pinned at zero. */
+static void sample_weights(bitgen_t *bg, const glfm_state *st, int64_t d, attr_ws *w)
+{
+    const int64_t K = st->K, S = st->S, c0 = st->offset[d];
+    const int64_t Sd = st->offset[d + 1] - c0;
+    const int64_t n_free = st->kind[d] == KIND_CATEGORICAL ? Sd - 1 : Sd;
+    const double sd = sqrt(st->sigma2[d]);
+    double *eps = w->eps;
+    for (int64_t i = 0; i < K * n_free; i++)
+        eps[i] = random_standard_normal(bg);
+    for (int64_t j = 0; j < n_free; j++) {
+        /* mean column j: L L^T x = lam_j; noise column j: L^T e = eps_j */
+        double *mean = w->wmean;
+        for (int64_t k = 0; k < K; k++)
+            mean[k] = st->lam[k * S + c0 + j];
+        forward_solve(K, w->L, mean, 1);
+        backward_solve_transposed(K, w->L, mean, 1);
+        backward_solve_transposed(K, w->L, eps + j, n_free);
+        for (int64_t k = 0; k < K; k++)
+            st->B[k * S + c0 + j] = mean[k] + sd * eps[k * n_free + j];
+    }
+    for (int64_t j = n_free; j < Sd; j++)
+        for (int64_t k = 0; k < K; k++)
+            st->B[k * S + c0 + j] = 0.0;
+}
+
+/* Resample attribute d's pseudo-observations on rows [r0, r1), keeping lam
+ * in sync. Missing cells draw from N(z b, sigma_d^2); continuous cells blend
+ * that prior with the encoded observation under the observation noise
+ * sigma_u^2; count and ordinal cells draw from the normal truncated to the
+ * interval their value maps to; categorical cells sweep the R_d columns in
+ * order, keeping the observed level's column the maximum. Draw order: the
+ * missing cells, then the observed ones, each in row order. */
+static int sample_pseudo_obs(bitgen_t *bg, const glfm_state *st, int64_t d, int64_t r0,
+                             int64_t r1, attr_ws *w)
+{
+    const int64_t K = st->K, S = st->S, D = st->D, c0 = st->offset[d];
+    const int64_t Sd = st->offset[d + 1] - c0, rows = r1 - r0, kind = st->kind[d];
+    const double var = st->sigma2[d], sd = sqrt(var);
+    double *Ynew = w->Ynew, *Yold = w->Yold, *mean = w->mean;
+    for (int64_t i = 0; i < rows; i++) {
+        const double *zi = st->Z + (r0 + i) * K;
+        for (int64_t j = 0; j < Sd; j++) {
+            double sum = 0.0;
+            for (int64_t k = 0; k < K; k++)
+                if (zi[k] != 0.0)
+                    sum += zi[k] * st->B[k * S + c0 + j];
+            mean[i * Sd + j] = sum;
+            Yold[i * Sd + j] = Ynew[i * Sd + j] = st->Y[(r0 + i) * S + c0 + j];
+        }
+    }
+    for (int64_t i = 0; i < rows; i++)
+        if (st->missing[(r0 + i) * D + d])
+            for (int64_t j = 0; j < Sd; j++)
+                Ynew[i * Sd + j] = mean[i * Sd + j] + sd * random_standard_normal(bg);
+
+    int64_t nobs = 0;
+    for (int64_t i = 0; i < rows; i++)
+        if (!st->missing[(r0 + i) * D + d])
+            w->sel[nobs++] = i;
+    int err = 0;
+    if (nobs > 0 && kind == KIND_CONTINUOUS) {
+        const double su2 = st->sigma_u2;
+        for (int64_t t = 0; t < nobs; t++) {
+            int64_t i = w->sel[t];
+            double target = st->obs_lo[(r0 + i) * D + d];
+            if (su2 == 0.0) {
+                Ynew[i * Sd] = target;
+            } else {
+                double pv = 1.0 / (1.0 / var + 1.0 / su2);
+                double pm = pv * (mean[i * Sd] / var + target / su2);
+                Ynew[i * Sd] = pm + sqrt(pv) * random_standard_normal(bg);
+            }
+        }
+    } else if (nobs > 0 && (kind == KIND_COUNT || kind == KIND_ORDINAL)) {
+        const double *th = st->theta[d];
+        const int64_t R = st->levels[d];
+        for (int64_t t = 0; t < nobs; t++) {
+            int64_t i = w->sel[t], cell = (r0 + i) * D + d;
+            w->tm[t] = mean[i * Sd];
+            w->ts[t] = sd;
+            if (kind == KIND_COUNT) {
+                w->tlo[t] = st->obs_lo[cell];
+                w->thi[t] = st->obs_hi[cell];
+            } else {
+                int64_t x = (int64_t)st->cells[cell];
+                w->tlo[t] = x == 1 ? -INFINITY : th[x - 2];
+                w->thi[t] = x == R ? INFINITY : th[x - 1];
+            }
+        }
+        err = glfm_trunc_normal(bg, nobs, w->tm, w->ts, w->tlo, w->thi, w->tout);
+        for (int64_t t = 0; !err && t < nobs; t++)
+            Ynew[w->sel[t] * Sd] = w->tout[t];
+    } else if (nobs > 0) {
+        for (int64_t j = 0; j < Sd && !err; j++) {
+            for (int pass = 0; pass < 2 && !err; pass++) {
+                /* pass 0: rows observed at level j + 1 rise above their
+                 * rivals; pass 1: every other row stays below its own level */
+                int64_t cnt = 0;
+                for (int64_t t = 0; t < nobs; t++) {
+                    int64_t i = w->sel[t];
+                    int64_t x = (int64_t)st->cells[(r0 + i) * D + d];
+                    if ((x == j + 1) != (pass == 0))
+                        continue;
+                    const double *yi = Ynew + i * Sd;
+                    w->tm[cnt] = mean[i * Sd + j];
+                    w->ts[cnt] = sd;
+                    if (pass == 0) {
+                        double lo = -INFINITY;
+                        for (int64_t c = 0; c < Sd; c++)
+                            if (c != j && yi[c] > lo)
+                                lo = yi[c];
+                        w->tlo[cnt] = lo;
+                        w->thi[cnt] = INFINITY;
+                    } else {
+                        w->tlo[cnt] = -INFINITY;
+                        w->thi[cnt] = yi[x - 1];
+                    }
+                    w->picked[cnt++] = i;
+                }
+                err = glfm_trunc_normal(bg, cnt, w->tm, w->ts, w->tlo, w->thi, w->tout);
+                for (int64_t t = 0; !err && t < cnt; t++)
+                    Ynew[w->picked[t] * Sd + j] = w->tout[t];
+            }
+        }
+    }
+    if (err)
+        return err;
+
+    /* lam[:, cs] += Z[rows]^T (Ynew - Yold), summed before it is added */
+    double *delta = w->mean; /* the means are no longer needed */
+    for (int64_t k = 0; k < K; k++)
+        for (int64_t j = 0; j < Sd; j++)
+            delta[k * Sd + j] = 0.0;
+    for (int64_t i = 0; i < rows; i++) {
+        const double *zi = st->Z + (r0 + i) * K;
+        for (int64_t k = 0; k < K; k++)
+            if (zi[k] != 0.0)
+                for (int64_t j = 0; j < Sd; j++)
+                    delta[k * Sd + j] += zi[k] * (Ynew[i * Sd + j] - Yold[i * Sd + j]);
+    }
+    for (int64_t k = 0; k < K; k++)
+        for (int64_t j = 0; j < Sd; j++)
+            st->lam[k * S + c0 + j] += delta[k * Sd + j];
+    for (int64_t i = 0; i < rows; i++)
+        memcpy(st->Y + (r0 + i) * S + c0, Ynew + i * Sd, (size_t)Sd * sizeof(double));
+    return 0;
+}
+
+/* Resample the free ordinal cut points theta_2..theta_{R-1}; theta_1 stays
+ * pinned at 0. Each is a N(0, sigma_theta^2) draw truncated between its
+ * neighbours and the pseudo-observations of the two levels it separates. */
+static int sample_thresholds(bitgen_t *bg, const glfm_state *st, int64_t d, int64_t *err_at)
+{
+    const int64_t N = st->N, S = st->S, D = st->D, R = st->levels[d];
+    const int64_t col = st->offset[d];
+    double *th = st->theta[d];
+    const double sd = sqrt(st->sigma_theta2);
+    if (R < 3)
+        return 0;
+    double top[R + 2], bottom[R + 2];
+    int seen[R + 2];
+    for (int64_t r = 0; r < R + 2; r++) {
+        seen[r] = 0;
+        top[r] = -INFINITY;
+        bottom[r] = INFINITY;
+    }
+    for (int64_t n = 0; n < N; n++) {
+        if (st->missing[n * D + d])
+            continue;
+        int64_t x = (int64_t)st->cells[n * D + d];
+        double y = st->Y[n * S + col];
+        if (!seen[x] || y > top[x])
+            top[x] = y;
+        if (!seen[x] || y < bottom[x])
+            bottom[x] = y;
+        seen[x] = 1;
+    }
+    for (int64_t r = 2; r < R; r++) {
+        double lo = th[r - 2];
+        if (seen[r] && top[r] > lo)
+            lo = top[r];
+        double hi = r < R - 1 ? th[r] : INFINITY;
+        if (seen[r + 1] && bottom[r + 1] < hi)
+            hi = bottom[r + 1];
+        if (!(lo < hi)) {
+            err_at[0] = d;
+            err_at[1] = r;
+            return ERR_EMPTY_SUPPORT;
+        }
+        double zero = 0.0;
+        int err = glfm_trunc_normal(bg, 1, &zero, &sd, &lo, &hi, &th[r - 1]);
+        if (err)
+            return err;
+    }
+    return 0;
+}
+
+/* Conjugate inverse-gamma draw of attribute d's pseudo-observation noise. */
+static void sample_noise_variance(bitgen_t *bg, const glfm_state *st, int64_t d)
+{
+    const int64_t N = st->N, K = st->K, S = st->S, c0 = st->offset[d];
+    const int64_t Sd = st->offset[d + 1] - c0;
+    double ss = 0.0;
+    for (int64_t n = 0; n < N; n++) {
+        const double *zn = st->Z + n * K;
+        for (int64_t j = 0; j < Sd; j++) {
+            double u = 0.0;
+            for (int64_t k = 0; k < K; k++)
+                if (zn[k] != 0.0)
+                    u += zn[k] * st->B[k * S + c0 + j];
+            double e = st->Y[n * S + c0 + j] - u;
+            ss += e * e;
+        }
+    }
+    double shape = st->beta1 + (double)(N * Sd) / 2.0;
+    double rate = st->beta2 + ss / 2.0;
+    st->sigma2[d] = glfm_inverse_gamma(bg, shape, rate);
+}
+
+/* The per-attribute phase for attributes [d_lo, d_hi) and rows [r0, r1) of
+ * the pseudo-observation step. `steps` is a mask of STEP_*; the Cholesky
+ * factor of P is taken once for the P^{-1} rebuild and every weight draw.
+ * err_at receives (attribute, threshold) of an empty threshold support. */
+int glfm_attributes(bitgen_t *bg, const glfm_state *st, int64_t d_lo, int64_t d_hi,
+                    int64_t r0, int64_t r1, int steps, int64_t *err_at)
+{
+    const int64_t K = st->K, Ku = K > 0 ? K : 1;
+    int64_t Smax = 1, rows = r1 - r0 > 0 ? r1 - r0 : 1;
+    for (int64_t d = d_lo; d < d_hi; d++)
+        if (st->offset[d + 1] - st->offset[d] > Smax)
+            Smax = st->offset[d + 1] - st->offset[d];
+    /* mean doubles as the K x Smax lam delta */
+    int64_t mean_len = rows * Smax > Ku * Smax ? rows * Smax : Ku * Smax;
+    size_t doubles = (size_t)(2 * Ku * Ku + Ku * Smax + Ku + 2 * rows * Smax + mean_len + 5 * rows);
+    double *buf = malloc(doubles * sizeof(double));
+    int64_t *sel = malloc((size_t)(2 * rows) * sizeof(int64_t));
+    if (buf == NULL || sel == NULL) {
+        free(buf);
+        free(sel);
+        return ERR_NOMEM;
+    }
+    attr_ws w;
+    double *p = buf;
+    w.L = p; p += Ku * Ku;
+    w.E = p; p += Ku * Ku;
+    w.eps = p; p += Ku * Smax;
+    w.wmean = p; p += Ku;
+    w.Ynew = p; p += rows * Smax;
+    w.Yold = p; p += rows * Smax;
+    w.mean = p; p += mean_len;
+    w.tm = p; p += rows;
+    w.ts = p; p += rows;
+    w.tlo = p; p += rows;
+    w.thi = p; p += rows;
+    w.tout = p; p += rows;
+    w.sel = sel;
+    w.picked = sel + rows;
+
+    int err = 0;
+    if (steps & (STEP_REBUILD | STEP_WEIGHTS))
+        err = cholesky(K, st->P, w.L);
+    if (!err && (steps & STEP_REBUILD))
+        cholesky_inverse(K, w.L, w.E, st->P_inv);
+    for (int64_t d = d_lo; d < d_hi && !err; d++) {
+        if (steps & STEP_WEIGHTS)
+            sample_weights(bg, st, d, &w);
+        if (steps & STEP_PSEUDO)
+            err = sample_pseudo_obs(bg, st, d, r0, r1, &w);
+        if (!err && (steps & STEP_THRESHOLDS) && st->kind[d] == KIND_ORDINAL)
+            err = sample_thresholds(bg, st, d, err_at);
+        if (!err && (steps & STEP_NOISE))
+            sample_noise_variance(bg, st, d);
+    }
+    free(buf);
+    free(sel);
+    return err;
+}

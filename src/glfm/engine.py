@@ -33,24 +33,34 @@ scanned. It commits P, P^{-1}, lam and the column counts only when the row's
 pattern changed. The birth step reads the scan's final (s, Q): it scores its
 candidate counts only when its uniform lies above a lower bound on the
 probability of no birth, which holds on nearly every row.
+
+The sweep runs as compiled C (_sweep.c, built and loaded by glfm._kernel) on
+the chain's own PCG64 stream, in two calls per sweep: the row loop (collapse,
+scan, commit and birth decision), then, after prune, the per-attribute phase
+(Cholesky of P and the P^{-1} rebuild; per attribute the weights, the
+pseudo-observations, the ordinal thresholds and the noise variance). Python
+keeps the rest: regrowing Z and B when a row draws births (the kernel returns
+there and resumes at the next row), prune, init, and the log joint. The
+public per-step functions below are thin calls into the same two entry
+points.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
+from glfm import _kernel
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix
 from glfm.likelihoods import count_support_limit, map_inverse
-from glfm.randkit import RngState, inverse_gamma_sample, trunc_normal_sample
+from glfm.randkit import RngState
 
 __all__ = [
     "ChainResult",
@@ -75,6 +85,15 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Truncation of the per-row feature birth proposal. With rate alpha/N the
 # Poisson mass above 3 is negligible for any practical alpha.
 MAX_BIRTHS_PER_ROW = 3
+
+# attribute kinds as the kernel numbers them
+_KIND_CODES = {
+    AttributeKind.REAL: 0,
+    AttributeKind.POSITIVE_REAL: 0,
+    AttributeKind.COUNT: 1,
+    AttributeKind.ORDINAL: 2,
+    AttributeKind.CATEGORICAL: 3,
+}
 
 
 @dataclass(frozen=True)
@@ -143,22 +162,24 @@ class LatentState:
     P_inv: np.ndarray | None = None
     lam: np.ndarray | None = None
     col_sums: np.ndarray | None = None
-    # Observation caches, bound when the state is built against a dataset:
-    # encoded continuous targets f^{-1}(x) and count interval bounds, nan/unused
-    # at missing cells. States restored from disk leave these as None.
-    cont_y: dict[int, np.ndarray] | None = None
-    count_lo: dict[int, np.ndarray] | None = None
-    count_hi: dict[int, np.ndarray] | None = None
+    # Observation caches, bound when the state is built against a dataset,
+    # N x D: the encoded continuous target f^{-1}(x) in obs_lo, or a count's
+    # interval (obs_lo, obs_hi]; nan at missing cells and in other columns.
+    # States restored from disk leave these as None.
+    obs_lo: np.ndarray | None = None
+    obs_hi: np.ndarray | None = None
 
     def __post_init__(self):
         widths = [s.S_d for s in self.specs]
-        self.offsets = np.concatenate([[0], np.cumsum(widths)]).astype(int)
+        self.offsets = np.concatenate([[0], np.cumsum(widths)]).astype(np.int64)
         self.col_dim = np.repeat(np.arange(len(self.specs)), widths)
         free = np.ones(self.offsets[-1], dtype=bool)
         for d, s in enumerate(self.specs):
             if s.kind is AttributeKind.CATEGORICAL:
                 free[self.offsets[d + 1] - 1] = False
         self.free_cols = free
+        self.kind_codes = np.array([_KIND_CODES[s.kind] for s in self.specs], dtype=np.int64)
+        self.levels = np.array([s.R_d or 0 for s in self.specs], dtype=np.int64)
         self._groups = None
         if self.Y.shape != (self.Z.shape[0], self.offsets[-1]):
             raise ValueError("Y shape does not match Z rows and spec widths")
@@ -189,16 +210,16 @@ class LatentState:
     def dim_cols(self, d: int) -> slice:
         return slice(int(self.offsets[d]), int(self.offsets[d + 1]))
 
-    def variance_groups(self) -> tuple[np.ndarray, list[float], list[float]]:
-        """Pseudo-observation columns grouped by equal noise variance: the
-        S x g indicator of each column's group (a product with it sums a
-        row's columns per group), and each group's sigma^2 and column count.
+    def variance_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pseudo-observation columns grouped by equal noise variance: each
+        column's group index, and each group's sigma^2 and column count.
         Rebuilt only when sigma2 has changed since the last call."""
         key = self.sigma2.tobytes()
         if self._groups is None or self._groups[0] != key:
             values, group_of_dim = np.unique(self.sigma2, return_inverse=True)
-            G = (group_of_dim[self.col_dim][:, None] == np.arange(values.size)).astype(float)
-            self._groups = (key, G, values.tolist(), G.sum(axis=0).tolist())
+            col_group = group_of_dim[self.col_dim].astype(np.int64)
+            width = np.bincount(col_group, minlength=values.size).astype(float)
+            self._groups = (key, col_group, values.astype(float), width)
         return self._groups[1:]
 
     def recompute_natural(self):
@@ -223,9 +244,8 @@ class LatentState:
             P_inv=None if self.P_inv is None else self.P_inv.copy(),
             lam=None if self.lam is None else self.lam.copy(),
             col_sums=None if self.col_sums is None else self.col_sums.copy(),
-            cont_y=self.cont_y,
-            count_lo=self.count_lo,
-            count_hi=self.count_hi,
+            obs_lo=self.obs_lo,
+            obs_hi=self.obs_hi,
         )
 
 
@@ -267,9 +287,8 @@ def init_state(data: DataMatrix, hp: Hyperparams, rng: RngState) -> LatentState:
             theta[d] = np.arange(spec.R_d - 1, dtype=float) * (sd_theta / 2.0)
 
     count_xmax = {}
-    cont_y: dict[int, np.ndarray] = {}
-    count_lo: dict[int, np.ndarray] = {}
-    count_hi: dict[int, np.ndarray] = {}
+    obs_lo = np.full((N, D), np.nan)
+    obs_hi = np.full((N, D), np.nan)
 
     offsets = np.concatenate([[0], np.cumsum([s.S_d for s in specs])]).astype(int)
     Y = np.empty((N, int(offsets[-1])))
@@ -283,21 +302,16 @@ def init_state(data: DataMatrix, hp: Hyperparams, rng: RngState) -> LatentState:
 
         block = rng.gen.normal(0.0, sd_y, size=(N, spec.S_d))
         if kind.is_continuous:
-            enc = np.full(N, np.nan)
             if np.any(obs):
-                enc[obs] = map_inverse(x[obs], spec, kind)
-            cont_y[d] = enc
-            block[obs, 0] = enc[obs]
+                obs_lo[obs, d] = map_inverse(x[obs], spec, kind)
+            block[obs, 0] = obs_lo[obs, d]
         elif kind is AttributeKind.COUNT:
             xm = int(x[obs].max()) if np.any(obs) else 0
             count_xmax[d] = count_support_limit(xm)
-            lo = np.full(N, np.nan)
-            hi = np.full(N, np.nan)
             if np.any(obs):
-                lo[obs] = map_inverse(x[obs], spec, kind)
-                hi[obs] = map_inverse(x[obs] + 1.0, spec, kind)
-            count_lo[d], count_hi[d] = lo, hi
-            block[obs, 0] = _interval_seed(lo[obs], hi[obs])
+                obs_lo[obs, d] = map_inverse(x[obs], spec, kind)
+                obs_hi[obs, d] = map_inverse(x[obs] + 1.0, spec, kind)
+            block[obs, 0] = _interval_seed(obs_lo[obs, d], obs_hi[obs, d])
         elif kind is AttributeKind.ORDINAL:
             pad = np.concatenate([[-np.inf], theta[d], [np.inf]])
             xi = x[obs].astype(int)
@@ -317,9 +331,8 @@ def init_state(data: DataMatrix, hp: Hyperparams, rng: RngState) -> LatentState:
         theta=theta,
         sigma2=np.full(D, hp.sigma_y2),
         count_xmax=count_xmax,
-        cont_y=cont_y,
-        count_lo=count_lo,
-        count_hi=count_hi,
+        obs_lo=obs_lo,
+        obs_hi=obs_hi,
     )
     state.recompute_natural()
     return state
@@ -335,71 +348,88 @@ def _interval_seed(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigmoid(t: float) -> float:
-    if t >= 0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
+def _one(size: int, i: int) -> tuple[int, int]:
+    """The one-element range [i, i + 1) of index i into a sequence of `size`,
+    with Python's rules for negative and out-of-range indices."""
+    i = range(size)[i]
+    return i, i + 1
 
 
-def _collapse_row(state: LatentState, n: int):
-    """Take row n out of P and lam.
+def _bind(state: LatentState, data: DataMatrix | None) -> _kernel.State:
+    """The kernel's view of the state and, when given, of the data: pointers
+    to the arrays it reads and writes in place. Shapes are checked here, and
+    arrays the kernel writes are made C-contiguous float64 on the state."""
+    N, K, S, D = state.N, state.K, state.S, len(state.specs)
+    shapes = {"Z": (N, K), "Y": (N, S), "B": (K, S), "P": (K, K), "P_inv": (K, K),
+              "lam": (K, S), "col_sums": (K,), "sigma2": (D,)}
+    for name, shape in shapes.items():
+        a = getattr(state, name)
+        if a.shape != shape:
+            raise ValueError(f"state.{name} has shape {a.shape}, expected {shape}; "
+                             "call recompute_natural() after editing Z or Y")
+        if a.dtype != np.float64 or not (a.flags.c_contiguous and a.flags.writeable):
+            setattr(state, name, np.array(a, dtype=float, order="C"))
+    for d, th in state.theta.items():
+        if th.shape != (state.specs[d].R_d - 1,):
+            raise ValueError(f"theta of attribute {state.specs[d].name} has shape {th.shape}")
+        if th.dtype != np.float64 or not (th.flags.c_contiguous and th.flags.writeable):
+            state.theta[d] = np.array(th, dtype=float, order="C")
+    theta = (ctypes.c_void_p * D)(
+        *(state.theta[d].ctypes.data if d in state.theta else None for d in range(D))
+    )
+    groups, sig, width = state.variance_groups()
+    hp = state.hp
+    st = _kernel.State(
+        N=N, K=K, S=S, D=D, nb=state.n_bias, g=sig.size,
+        Z=state.Z.ctypes.data, Y=state.Y.ctypes.data, B=state.B.ctypes.data,
+        P=state.P.ctypes.data, P_inv=state.P_inv.ctypes.data, lam=state.lam.ctypes.data,
+        col_sums=state.col_sums.ctypes.data, sigma2=state.sigma2.ctypes.data,
+        col_group=groups.ctypes.data, group_sig=sig.ctypes.data,
+        group_width=width.ctypes.data, kind=state.kind_codes.ctypes.data,
+        offset=state.offsets.ctypes.data, levels=state.levels.ctypes.data,
+        theta=ctypes.addressof(theta), sigma_B2=hp.sigma_B2, sigma_u2=hp.sigma_u2,
+        sigma_theta2=hp.sigma_theta2, beta1=hp.beta1, beta2=hp.beta2,
+    )
+    keep = [theta]
+    if data is not None:
+        if state.obs_lo is None:
+            raise ValueError("the state carries no observation bounds; build it with init_state")
+        if data.cells.shape != (N, D) or state.obs_lo.shape != (N, D):
+            raise ValueError("the data does not match the state's N x D table")
+        missing = np.ascontiguousarray(data.missing)
+        cells = np.ascontiguousarray(data.cells, dtype=float)
+        st.missing, st.cells = missing.ctypes.data, cells.ctypes.data
+        st.obs_lo, st.obs_hi = state.obs_lo.ctypes.data, state.obs_hi.ctypes.data
+        keep += [missing, cells]
+    st.keep = keep  # alive as long as the struct
+    return st
 
-    Returns (A, h, s, M): A = (P - z z^T)^{-1}, h = A z, s = z h and
-    M = A (lam - z y^T), the posterior mean of the weights given every other
-    row. One product g = P^{-1} z gives them all: with c = z g,
-    h = g / (1 - c), s = c / (1 - c) and A = P^{-1} + g h^T (Sherman-Morrison).
-    An ill-conditioned downdate takes an exact inverse instead.
-    """
-    # ndarray.dot rather than @: the same product at half the call overhead
-    # on these small arrays
-    z = state.Z[n]
-    g = state.P_inv.dot(z)
-    c = float(z.dot(g))
-    if 1.0 - c <= 1e-12:
-        A = _chol_inverse(state.P - z[:, None] * z)
-        h = A.dot(z)
-        s = float(z.dot(h))
-    else:
-        h = g / (1.0 - c)
-        s = c / (1.0 - c)
-        A = state.P_inv + g[:, None] * h
-    return A, h, s, A.dot(state.lam) - h[:, None] * state.Y[n]
 
-
-def _scan_stats(M: np.ndarray, G: np.ndarray, y: np.ndarray, z: np.ndarray):
-    """Per variance group, the squared residual Q of r = y - z M (a list),
-    and for every feature k the change D_k = ||M_k||^2 - t_k r.M_k that
-    flipping k makes to Q (K x g), with t_k = 2 - 4 z_k; also T = t M, from
-    which an accepted flip takes its cross products."""
-    r = y - z.dot(M)
-    T = (2.0 - 4.0 * z)[:, None] * M
-    # a product with W sums r-weighted columns per group
-    W = r[:, None] * G
-    D = (M * M).dot(G)
-    D -= T.dot(W)
-    return r.dot(W).tolist(), D, T
-
-
-def _row_stats(state: LatentState, n: int) -> tuple[float, list[float]]:
-    """Collapsed statistics (s, Q) of row n as it stands: s = z A z and
-    Q[g] = ||y_g - u_g||^2 summed over the columns of variance group g,
-    under the predictive mean u = z M."""
-    _, _, s, M = _collapse_row(state, n)
-    G = state.variance_groups()[0]
-    return s, _scan_stats(M, G, state.Y[n], state.Z[n])[0]
-
-
-def _row_loglik(s: float, Q, sigma2, widths) -> float:
-    """Collapsed log-likelihood of a row, up to a constant, from its
-    statistics: each of group g's widths[g] columns has predictive variance
-    s + sigma2[g] and the group's squared residuals sum to Q[g]."""
-    v0 = max(s, 0.0)
-    total = 0.0
-    for q, sg, w in zip(Q, sigma2, widths):
-        v = v0 + sg
-        total += w * math.log(v) + q / v
-    return -0.5 * total
+def _row_loop(rng: RngState, state: LatentState, data: DataMatrix, lo: int, hi: int,
+              scan: bool, birth: bool) -> np.ndarray:
+    """The kernel's row loop over rows [lo, hi): the Z-row scan when `scan`,
+    then the birth decision when `birth` (and alpha > 0 and K < K_max). The
+    kernel returns when a row draws births; the columns are added here and
+    the loop resumes at the next row. Returns the last row's statistics
+    (s, Q_1, ..., Q_g)."""
+    hp = state.hp
+    stats = np.zeros(1 + state.variance_groups()[1].size)
+    born = np.zeros(2, dtype=np.int64)
+    while lo < hi:
+        kmax = min(MAX_BIRTHS_PER_ROW, hp.K_max - state.K) if birth and hp.alpha > 0 else 0
+        ladder, log_rest = _birth_ladder(hp.alpha, state.N, kmax) if kmax > 0 else ((), 0.0)
+        ladder = np.array(ladder, dtype=float)
+        code = _kernel.call(
+            rng, "glfm_rows", ctypes.byref(_bind(state, data)), lo, hi, scan, kmax,
+            ladder.ctypes.data, log_rest, stats.ctypes.data, born.ctypes.data,
+        )
+        _kernel.check(code)
+        if code == 0:
+            break
+        n, k_new = born.tolist()
+        _add_features(state, n, k_new)
+        lo = n + 1
+    return stats
 
 
 def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
@@ -407,112 +437,21 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
 
     Feature columns used by no other row are forced off; fresh features enter
     through birth_features. Commits updated natural parameters when the row
-    changed and returns the final row statistics (s, Q) of _row_stats, or
-    None when there is no feature column to scan.
+    changed and returns its final statistics (s, Q), or None when there is no
+    feature column to scan: s = z A z and Q[g] = ||y_g - u_g||^2 summed over
+    the columns of variance group g, under the predictive mean u = z M.
 
-    The row is taken out of P and lam once. Flipping feature k moves the
-    predictive mean u by +-M_k and s by 2 (+-h_k) + A_kk, with h = A z, so
-    each variance group's squared residual Q (r = y - u) moves by
-    D_k = ||M_k||^2 - t_k r.M_k, t_k = 2 - 4 z_k, summed over the group's
-    columns. z_k changes only when k is visited, so t_k holds for the whole
-    row: a candidate is scored from its own list D_k, one scalar term per
-    group. Only an accepted flip of k computes cross products, those of M_k
-    with the features still to be scanned: it moves their h_j and D_j.
+    Flipping feature k moves u by +-M_k and s by 2 (+-h_k) + A_kk, with
+    h = A z, so each group's Q moves by D_k = ||M_k||^2 - t_k r.M_k,
+    t_k = 2 - 4 z_k. z_k changes only when k is visited, so a candidate is
+    scored from its own D_k; only an accepted flip of k computes cross
+    products, those of M_k with the features still to be scanned.
     """
-    nb = state.n_bias
-    K = state.K
-    N = state.N
-    if K == nb:
+    lo, hi = _one(state.N, n)
+    if state.K == state.n_bias:
         return None
-    z0 = state.Z[n]
-    y = state.Y[n]
-    A, h, s, M = _collapse_row(state, n)
-    G, sig, widths = state.variance_groups()
-    Q, D, T = _scan_stats(M, G, y, z0)
-    D_l = D.tolist()
-    A_diag = A.diagonal().tolist()
-    h_l = h.tolist()
-    m_l = (state.col_sums - z0).tolist()
-    z_l = z0.tolist()
-    ll = _row_loglik(s, Q, sig, widths)
-
-    n_live = K - nb - m_l[nb:].count(0.0)
-    uniforms = iter(rng.gen.random(n_live).tolist())
-    # an accepted flip of the last live candidate leaves none to update
-    last = K - 1
-    while last >= nb and m_l[last] == 0.0:
-        last -= 1
-    log = math.log
-    changed = False
-    for k in range(nb, K):
-        on = z_l[k] == 1.0
-        m = m_l[k]
-        if m == 0.0:
-            if on:
-                # forced off: A_kk = sigma_B^2 here, and an update would
-                # cancel terms of that size, so recompute from the new z
-                z_l[k] = 0.0
-                z = np.array(z_l)
-                h = A.dot(z)
-                s = float(z.dot(h))
-                h_l = h.tolist()
-                Q, D, T = _scan_stats(M, G, y, z)
-                D_l = D.tolist()
-                ll = _row_loglik(s, Q, sig, widths)
-                changed = True
-            continue
-        two_sgn = -2.0 if on else 2.0
-        s_alt = s + two_sgn * h_l[k] + A_diag[k]
-        v0 = s_alt if s_alt > 0.0 else 0.0
-        D_k = D_l[k]
-        total = 0.0
-        for q, d, sg, w in zip(Q, D_k, sig, widths):
-            v = v0 + sg
-            total += w * log(v) + (q + d) / v
-        ll_alt = -0.5 * total
-        logit_on = log(m) - log(N - m) + (ll - ll_alt if on else ll_alt - ll)
-        if (next(uniforms) < _sigmoid(logit_on)) == on:
-            continue
-        # accept the flip; later candidates read h_j and D_j for j > k only
-        Q = [q + d for q, d in zip(Q, D_k)]
-        s, ll = s_alt, ll_alt
-        z_l[k] = 0.0 if on else 1.0
-        changed = True
-        if k < last:
-            sgn = 0.5 * two_sgn
-            A_k = A[k].tolist()
-            for j in range(k + 1, K):
-                h_l[j] += sgn * A_k[j]
-            # D_j moves by sgn t_j (M_j o M_k).G, and T_j = t_j M_j
-            cross = T[k + 1 :].dot(M[k][:, None] * G)
-            rest = D[k + 1 :]
-            if on:
-                rest -= cross
-            else:
-                rest += cross
-            D_l = D.tolist()
-
-    # an unchanged row leaves P, P^{-1}, lam and the counts as they are
-    if changed:
-        z = np.array(z_l)
-        dz = z - z0
-        h = A.dot(z)
-        state.P -= z0[:, None] * z0
-        state.P += z[:, None] * z
-        A -= h[:, None] * (h / (1.0 + s))
-        state.P_inv = A
-        state.lam += dz[:, None] * y
-        state.col_sums = state.col_sums + dz
-        state.Z[n] = z
-    return s, Q
-
-
-def _inverse_cdf_index(p, u: float) -> int:
-    """The index Generator.choice(len(p), p=p) draws from the uniform u: the
-    number of normalized cumulative probabilities at or below u."""
-    cdf = list(accumulate(p))
-    total = cdf[-1]
-    return bisect_right([c / total for c in cdf], u)
+    stats = _row_loop(rng, state, data, lo, hi, scan=True, birth=False)
+    return float(stats[0]), stats[1:].tolist()
 
 
 @lru_cache(maxsize=16)
@@ -525,61 +464,22 @@ def _birth_ladder(alpha: float, N: int, kmax: int) -> tuple[tuple[float, ...], f
     return ladder, top + math.log(sum(math.exp(x - top) for x in ladder[1:]))
 
 
-def _birth_gain_bound(s: float, Q, sigma2, widths) -> float:
-    """An upper bound on ll_k - ll_0 over every birth count k >= 1.
-
-    Births add variance: per variance group the gain is
-    (c (1 - 1/x) - w log x) / 2 with x = v_k / v_0 >= 1, c = Q_g / v_0 and
-    w the group's column count, which peaks at x = c / w when c > w and is
-    never positive otherwise.
-    """
-    v0 = max(s, 0.0)
-    total = 0.0
-    for q, sg, w in zip(Q, sigma2, widths):
-        c = q / (v0 + sg)
-        if c > w:
-            total += c - w - w * math.log(c / w)
-    return 0.5 * total
-
-
-def birth_features(rng: RngState, state: LatentState, data: DataMatrix, n: int, row=None):
+def birth_features(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     """Draw how many fresh feature columns row n turns on.
 
     The count follows a truncated Poisson(alpha/N) reweighted by the row's
     marginal likelihood, where each prospective feature contributes prior
     weight variance sigma_B^2 on top of the collapsed predictive variance.
-    `row` is the row's (s, Q) as sample_z_row returns it; when None it is
-    computed here. The count is read off one uniform by inverse CDF. When the
-    uniform falls below a lower bound on the mass of no birth, the count is 0
-    and the candidates are not scored.
+    The count is read off one uniform by inverse CDF, as Generator.choice
+    would. When the uniform falls below a lower bound on the mass of no
+    birth, the count is 0 and the candidates are not scored.
     """
-    hp = state.hp
-    if hp.alpha == 0.0:
-        return
-    N = state.N
-    kmax = min(MAX_BIRTHS_PER_ROW, hp.K_max - state.K)
-    if kmax <= 0:
-        return
+    _row_loop(rng, state, data, *_one(state.N, n), scan=False, birth=True)
 
-    ladder, log_rest = _birth_ladder(hp.alpha, N, kmax)
-    u = rng.gen.random()
-    s, Q = _row_stats(state, n) if row is None else row
-    s = max(s, 0.0)
-    _, sig, widths = state.variance_groups()
-    # p_0 >= 1 / (1 + exp(gain bound) * prior weight of k >= 1); the margin
-    # keeps rounding in the full scoring from reversing the call
-    bound = _birth_gain_bound(s, Q, sig, widths) + log_rest
-    if bound < 700.0 and u < (1.0 - 1e-9) / (1.0 + math.exp(bound)):
-        return
-    lw = [x + _row_loglik(s + k * hp.sigma_B2, Q, sig, widths) for k, x in enumerate(ladder)]
-    top = max(lw)
-    w = [math.exp(x - top) for x in lw]
-    total = sum(w)
-    k_new = _inverse_cdf_index([x / total for x in w], u)
-    if k_new == 0:
-        return
 
-    K = state.K
+def _add_features(state: LatentState, n: int, k_new: int):
+    """Append k_new feature columns that row n alone turns on."""
+    N, K = state.N, state.K
     Z = np.zeros((N, K + k_new))
     Z[:, :K] = state.Z
     Z[n, K:] = 1.0
@@ -601,34 +501,35 @@ def prune_features(state: LatentState):
     state.recompute_natural()
 
 
-def sample_weights(rng: RngState, state: LatentState, d: int, chol: np.ndarray | None = None):
+def _attributes(rng: RngState, state: LatentState, data: DataMatrix | None, steps: int,
+                dim: int | None = None, row: int | None = None):
+    """The kernel's per-attribute phase: the _kernel.STEP_* in `steps`, for
+    attribute `dim` (all by default) and, for pseudo-observations, row `row`
+    (all by default). An index out of range raises IndexError; a negative
+    one counts from the end."""
+    d_lo, d_hi = (0, len(state.specs)) if dim is None else _one(len(state.specs), dim)
+    r_lo, r_hi = (0, state.N) if row is None else _one(state.N, row)
+    where = np.zeros(2, dtype=np.int64)
+    code = _kernel.call(
+        rng, "glfm_attributes", ctypes.byref(_bind(state, data)), d_lo, d_hi, r_lo, r_hi,
+        steps, where.ctypes.data,
+    )
+    if code == _kernel.ERR_EMPTY_SUPPORT:
+        d, r = where.tolist()
+        raise RuntimeError(f"threshold {r} of attribute {state.specs[d].name} has empty support")
+    _kernel.check(code)
+
+
+def sample_weights(rng: RngState, state: LatentState, d: int):
     """Draw the weight columns of attribute d from N(P^{-1} lam_r, sigma_d^2 P^{-1}).
 
-    The last column of a categorical attribute is pinned at zero. Pass the
-    Cholesky factor of P to share one factorization across attributes.
+    The last column of a categorical attribute is pinned at zero.
     """
-    cs = state.dim_cols(d)
-    spec = state.specs[d]
-    L = np.linalg.cholesky(state.P) if chol is None else chol
-    mean = cho_solve((L, True), state.lam[:, cs])
-    S_d = spec.S_d
-    n_free = S_d - 1 if spec.kind is AttributeKind.CATEGORICAL else S_d
-    sd = math.sqrt(float(state.sigma2[d]))
-    eps = rng.gen.standard_normal((state.K, n_free))
-    draw = mean[:, :n_free] + sd * solve_triangular(L, eps, lower=True, trans="T")
-    state.B[:, cs.start : cs.start + n_free] = draw
-    if n_free < S_d:
-        state.B[:, cs.stop - 1] = 0.0
+    _attributes(rng, state, None, _kernel.STEP_WEIGHTS, dim=d)
 
 
 def sample_pseudo_obs(rng: RngState, state: LatentState, data: DataMatrix, n: int, d: int):
-    """Resample the pseudo-observations of cell (n, d)."""
-    _sample_pseudo_obs_rows(rng, state, data, d, rows=np.array([n]))
-
-
-def _sample_pseudo_obs_rows(rng, state, data, d, rows=None):
-    """Resample the pseudo-observation block of attribute d for the given rows
-    (all rows by default), keeping lam in sync.
+    """Resample the pseudo-observations of cell (n, d), keeping lam in sync.
 
     Missing cells draw from the unconstrained prior N(z b, sigma_d^2).
     Continuous cells blend that prior with the encoded observation under the
@@ -636,62 +537,7 @@ def _sample_pseudo_obs_rows(rng, state, data, d, rows=None):
     truncated to the interval their value maps to. Categorical cells sweep the
     R_d columns in order, keeping the observed category's column the maximum.
     """
-    spec = state.specs[d]
-    hp = state.hp
-    cs = state.dim_cols(d)
-    col_idx = np.arange(cs.start, cs.stop)
-    if rows is None:
-        rows = np.arange(state.N)
-    idx = np.ix_(rows, col_idx)
-
-    Yold = state.Y[idx].copy()
-    Ynew = Yold.copy()
-    mean = state.Z[rows] @ state.B[:, cs]
-    var_d = float(state.sigma2[d])
-    sd = math.sqrt(var_d)
-    miss = data.missing[rows, d]
-    obs = ~miss
-
-    if np.any(miss):
-        nm = int(miss.sum())
-        Ynew[miss] = mean[miss] + sd * rng.gen.standard_normal((nm, spec.S_d))
-
-    if np.any(obs):
-        kind = spec.kind
-        if kind.is_continuous:
-            target = state.cont_y[d][rows][obs]
-            if hp.sigma_u2 == 0.0:
-                Ynew[obs, 0] = target
-            else:
-                pv = 1.0 / (1.0 / var_d + 1.0 / hp.sigma_u2)
-                pm = pv * (mean[obs, 0] / var_d + target / hp.sigma_u2)
-                Ynew[obs, 0] = pm + math.sqrt(pv) * rng.gen.standard_normal(int(obs.sum()))
-        elif kind is AttributeKind.COUNT:
-            lo = state.count_lo[d][rows][obs]
-            hi = state.count_hi[d][rows][obs]
-            Ynew[obs, 0] = trunc_normal_sample(rng, mean[obs, 0], sd, lo, hi)
-        elif kind is AttributeKind.ORDINAL:
-            pad = np.concatenate([[-np.inf], state.theta[d], [np.inf]])
-            xi = data.cells[rows, d][obs].astype(int)
-            Ynew[obs, 0] = trunc_normal_sample(rng, mean[obs, 0], sd, pad[xi - 1], pad[xi])
-        else:
-            obs_rows = np.flatnonzero(obs)
-            xi = np.zeros(len(rows), dtype=int)
-            xi[obs_rows] = data.cells[rows, d][obs_rows].astype(int)
-            for j in range(spec.R_d):
-                own = obs_rows[xi[obs_rows] == j + 1]
-                other = obs_rows[xi[obs_rows] != j + 1]
-                if own.size:
-                    rivals = Ynew[own].copy()
-                    rivals[:, j] = -np.inf
-                    lo = rivals.max(axis=1)
-                    Ynew[own, j] = trunc_normal_sample(rng, mean[own, j], sd, lo, np.inf)
-                if other.size:
-                    hi = Ynew[other, xi[other] - 1]
-                    Ynew[other, j] = trunc_normal_sample(rng, mean[other, j], sd, -np.inf, hi)
-
-    state.lam[:, cs] += state.Z[rows].T @ (Ynew - Yold)
-    state.Y[idx] = Ynew
+    _attributes(rng, state, data, _kernel.STEP_PSEUDO, dim=d, row=n)
 
 
 def sample_thresholds(rng: RngState, state: LatentState, data: DataMatrix, d: int):
@@ -699,73 +545,33 @@ def sample_thresholds(rng: RngState, state: LatentState, data: DataMatrix, d: in
 
     theta_1 stays pinned at 0. Each cut point is a N(0, sigma_theta^2) draw
     truncated between its neighbours and the pseudo-observations of the two
-    levels it separates.
+    levels it separates. Attributes that are not ordinal are left alone.
     """
-    spec = state.specs[d]
-    if spec.kind is not AttributeKind.ORDINAL or spec.R_d < 3:
-        return
-    th = state.theta[d]
-    obs = ~data.missing[:, d]
-    x = data.cells[obs, d].astype(int)
-    yv = state.Y[obs, state.dim_cols(d).start]
-    sd_theta = math.sqrt(state.hp.sigma_theta2)
-
-    for r in range(2, spec.R_d):
-        lo = th[r - 2]
-        at_r = x == r
-        if np.any(at_r):
-            lo = max(lo, float(yv[at_r].max()))
-        hi = th[r] if r < spec.R_d - 1 else np.inf
-        above = x == r + 1
-        if np.any(above):
-            hi = min(hi, float(yv[above].min()))
-        if not lo < hi:
-            raise RuntimeError(
-                f"threshold {r} of attribute {spec.name} has empty support"
-            )
-        th[r - 1] = trunc_normal_sample(rng, 0.0, sd_theta, lo, hi)
+    _attributes(rng, state, data, _kernel.STEP_THRESHOLDS, dim=d)
 
 
 def sample_noise_variance(rng: RngState, state: LatentState, data: DataMatrix, d: int):
     """Conjugate inverse-gamma draw of attribute d's pseudo-observation noise."""
-    hp = state.hp
-    cs = state.dim_cols(d)
-    resid = state.Y[:, cs] - state.Z @ state.B[:, cs]
-    shape = hp.beta1 + state.N * state.specs[d].S_d / 2.0
-    rate = hp.beta2 + float(np.sum(resid * resid)) / 2.0
-    state.sigma2[d] = inverse_gamma_sample(rng, shape, rate)
+    _attributes(rng, state, data, _kernel.STEP_NOISE, dim=d)
 
 
-def run_iteration(rng: RngState, state: LatentState, data: DataMatrix, pinned=frozenset()):
-    """One full Gibbs sweep.
-
-    Rows in `pinned` keep their Z entries (their pseudo-observations still
-    move). P^{-1} is rebuilt from one Cholesky factorization after the row
-    scan, which also serves every weight draw.
-    """
-    for n in range(state.N):
-        if n in pinned:
-            continue
-        row = sample_z_row(rng, state, data, n)
-        birth_features(rng, state, data, n, row)
+def run_iteration(rng: RngState, state: LatentState, data: DataMatrix):
+    """One full Gibbs sweep: the row loop (Z-row scan and births), prune, then
+    the per-attribute phase. P^{-1} is rebuilt from one Cholesky factorization
+    after the row loop, which also serves every weight draw."""
+    _row_loop(rng, state, data, 0, state.N, scan=True, birth=True)
     prune_features(state)
-
-    L = np.linalg.cholesky(state.P)
-    state.P_inv = _chol_inverse(state.P, L)
-    for d in range(len(state.specs)):
-        sample_weights(rng, state, d, chol=L)
-        _sample_pseudo_obs_rows(rng, state, data, d)
-        if state.specs[d].kind is AttributeKind.ORDINAL:
-            sample_thresholds(rng, state, data, d)
-        if state.hp.sample_variance:
-            sample_noise_variance(rng, state, data, d)
+    steps = (_kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO
+             | _kernel.STEP_THRESHOLDS)
+    if state.hp.sample_variance:
+        steps |= _kernel.STEP_NOISE
+    _attributes(rng, state, data, steps)
 
 
 def run_chain(
     data: DataMatrix,
     hp: Hyperparams,
     rng: RngState | None = None,
-    pinned_rows=(),
     keep_last: int = 1,
 ) -> ChainResult:
     """Run a full chain: init, hp.iterations sweeps, per-sweep trace.
@@ -777,12 +583,11 @@ def run_chain(
         rng = RngState(hp.seed)
     if keep_last < 1:
         raise ValueError("keep_last must be >= 1")
-    pinned = frozenset(pinned_rows)
     state = init_state(data, hp, rng)
     trace: list[dict] = []
     saved: list[LatentState] = []
     for t in range(hp.iterations):
-        run_iteration(rng, state, data, pinned)
+        run_iteration(rng, state, data)
         trace.append(
             {
                 "iteration": t + 1,

@@ -1,6 +1,10 @@
 """End-to-end command line behavior through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,3 +299,31 @@ def test_synthetic_csv_runs_through_cli(workdir):
                     "-o", out] + FAST)
     assert code == 0
     assert (out / "completed.csv").exists()
+
+
+# stand-ins for the system C compiler: none on PATH, or one that fails
+BROKEN_CC = "#!/bin/sh\necho 'cc: error: cannot compile' >&2\nexit 1\n"
+
+
+@pytest.mark.parametrize("compiler", ["missing", "failing"])
+def test_kernel_build_failure_exits_1_with_one_line(workdir, compiler):
+    # a fresh kernel cache and no working `cc`: the sweep cannot be built,
+    # and glfm says so on one line, with no traceback and no fallback
+    bin_dir = workdir / "bin"
+    bin_dir.mkdir()
+    if compiler == "failing":
+        (bin_dir / "cc").write_text(BROKEN_CC)
+        (bin_dir / "cc").chmod(0o755)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PATH=str(bin_dir), XDG_CACHE_HOME=str(workdir / "cache"),
+               PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "glfm", "infer", str(workdir / "data.csv"),
+         "--spec", str(workdir / "cols.spec"), "-o", str(workdir / "out"), *FAST],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert "sampler kernel" in lines[0]
+    assert not (workdir / "out" / "state.json").exists()

@@ -13,14 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import invgamma, kstest
 
-import glfm.engine
+from glfm import _kernel
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix
 from glfm.engine import (
+    MAX_BIRTHS_PER_ROW,
     Hyperparams,
-    _birth_gain_bound,
-    _inverse_cdf_index,
-    _row_loglik,
-    _row_stats,
+    _attributes,
+    _row_loop,
     birth_features,
     collapsed_flip_logodds,
     complete_data_log_joint,
@@ -37,7 +36,7 @@ from glfm.engine import (
     sample_weights,
     sample_z_row,
 )
-from glfm.randkit import RngState
+from glfm.randkit import RngState, trunc_normal_sample
 from glfm.synthetic import generate
 
 
@@ -65,6 +64,31 @@ def assert_natural_params_exact(state, atol=1e-9):
     np.testing.assert_allclose(state.P, P_ref, rtol=0, atol=atol)
     np.testing.assert_allclose(state.lam, lam_ref, rtol=0, atol=atol)
     np.testing.assert_array_equal(state.col_sums, state.Z.sum(axis=0))
+
+
+def reference_row_stats(state, n):
+    """(s, Q) of row n from an exact inverse: s = z A z with
+    A = (P - z z^T)^{-1}, and Q the squared residuals of y - z M per noise
+    variance, in increasing order of sigma^2."""
+    z, y = state.Z[n], state.Y[n]
+    A = np.linalg.inv(state.P - np.outer(z, z))
+    r = y - z @ (A @ (state.lam - np.outer(z, y)))
+    col_var = state.sigma2[state.col_dim]
+    Q = [float(r[col_var == v] @ r[col_var == v]) for v in np.unique(state.sigma2)]
+    return float(z @ A @ z), Q
+
+
+def kernel_row_helper(name, s, Q, sig, widths):
+    """The kernel's exported row log-likelihood or birth gain bound."""
+    Q, sig, widths = (np.ascontiguousarray(a, dtype=float) for a in (Q, sig, widths))
+    return getattr(_kernel.load(), name)(
+        s, Q.size, Q.ctypes.data, sig.ctypes.data, widths.ctypes.data
+    )
+
+
+def kernel_inverse_cdf_index(p, u):
+    p = np.ascontiguousarray(p, dtype=float)
+    return _kernel.load().glfm_inverse_cdf_index(p.size, p.ctypes.data, u)
 
 
 def test_hyperparams_validation():
@@ -300,10 +324,12 @@ def test_forced_zero_when_feature_unused_elsewhere():
     assert_natural_params_exact(state)
 
 
-def test_z_row_exact_inverse_fallback(monkeypatch):
+def test_z_row_exact_inverse_fallback():
     # with sigma_B^2 = 1e13 a feature held by row 0 alone leaves P - z z^T
     # with a 1e-13 pivot: 1 - z^T P^{-1} z falls below the Sherman-Morrison
-    # cutoff and the downdate takes the exact Cholesky route
+    # cutoff and the downdate takes the exact Cholesky route. A
+    # Sherman-Morrison downdate there cancels terms of size 1e13, which
+    # leaves errors of order 1e-4 in A's cross terms with that feature
     data = small_mixed_data(12, seed=46)
     hp = Hyperparams(alpha=0.0, sigma_B2=1e13, K_init=2, bias=True,
                      iterations=0, burn_in=0)
@@ -313,24 +339,18 @@ def test_z_row_exact_inverse_fallback(monkeypatch):
     state.Z[0, 2] = 1.0
     state.recompute_natural()
 
-    calls = []
-    exact = glfm.engine._chol_inverse
-
-    def counted(P, L=None):
-        calls.append(P.shape)
-        return exact(P, L)
-
-    monkeypatch.setattr(glfm.engine, "_chol_inverse", counted)
     s, Q = sample_z_row(RngState(48), state, data, 0)
-    assert len(calls) == 1
     assert state.Z[0, 2] == 0.0  # used by no other row: forced off
     assert_natural_params_exact(state)
     # the scan's final statistics are those of the committed row: the
     # forced-off flip recomputes them from A and M, since an update would
     # cancel A's 1e13 entries (A_kk ~ 1e13 against 2 h_k ~ 2e13)
-    s_ref, Q_ref = _row_stats(state, 0)
+    s_ref, Q_ref = reference_row_stats(state, 0)
     assert s == pytest.approx(s_ref, rel=1e-9)
     np.testing.assert_allclose(Q, Q_ref, rtol=1e-9, atol=0)
+    # the committed inverse is the downdate's A, updated for the new row:
+    # its cross terms with the now unused feature are exactly 0
+    np.testing.assert_allclose(state.P_inv, np.linalg.inv(state.P), rtol=1e-9, atol=1e-9)
 
 
 def test_weight_posterior_moments():
@@ -420,6 +440,77 @@ def test_pseudo_obs_respects_intervals():
             assert np.all(np.argmax(y[obs], axis=1) + 1 == xi)
 
 
+def ref_sample_pseudo_obs(rng, state, data, d):
+    """Numpy reference of the pseudo-observation step over all rows: missing
+    cells first, then the observed ones; a categorical attribute sweeps its
+    columns in order, each column drawing the rows observed at its level
+    before every other observed row."""
+    spec, hp = state.specs[d], state.hp
+    cs = state.dim_cols(d)
+    Yold = state.Y[:, cs].copy()
+    Ynew = Yold.copy()
+    mean = state.Z @ state.B[:, cs]
+    var_d = float(state.sigma2[d])
+    sd = math.sqrt(var_d)
+    miss = data.missing[:, d]
+    obs = ~miss
+    if np.any(miss):
+        Ynew[miss] = mean[miss] + sd * rng.gen.standard_normal((int(miss.sum()), spec.S_d))
+    kind = spec.kind
+    if kind.is_continuous:
+        target = state.obs_lo[obs, d]
+        pv = 1.0 / (1.0 / var_d + 1.0 / hp.sigma_u2)
+        pm = pv * (mean[obs, 0] / var_d + target / hp.sigma_u2)
+        Ynew[obs, 0] = pm + math.sqrt(pv) * rng.gen.standard_normal(int(obs.sum()))
+    elif kind is AttributeKind.COUNT:
+        Ynew[obs, 0] = trunc_normal_sample(
+            rng, mean[obs, 0], sd, state.obs_lo[obs, d], state.obs_hi[obs, d]
+        )
+    elif kind is AttributeKind.ORDINAL:
+        pad = np.concatenate([[-np.inf], state.theta[d], [np.inf]])
+        xi = data.cells[obs, d].astype(int)
+        Ynew[obs, 0] = trunc_normal_sample(rng, mean[obs, 0], sd, pad[xi - 1], pad[xi])
+    else:
+        obs_rows = np.flatnonzero(obs)
+        xi = np.zeros(state.N, dtype=int)
+        xi[obs_rows] = data.cells[obs_rows, d].astype(int)
+        for j in range(spec.R_d):
+            own = obs_rows[xi[obs_rows] == j + 1]
+            other = obs_rows[xi[obs_rows] != j + 1]
+            if own.size:
+                rivals = Ynew[own].copy()
+                rivals[:, j] = -np.inf
+                Ynew[own, j] = trunc_normal_sample(
+                    rng, mean[own, j], sd, rivals.max(axis=1), np.inf
+                )
+            if other.size:
+                hi = Ynew[other, xi[other] - 1]
+                Ynew[other, j] = trunc_normal_sample(rng, mean[other, j], sd, -np.inf, hi)
+    state.lam[:, cs] += state.Z.T @ (Ynew - Yold)
+    state.Y[:, cs] = Ynew
+
+
+def test_pseudo_obs_match_numpy_reference():
+    # every attribute kind, drawn by the kernel and by the numpy reference
+    # from the same stream: the same values, the same stream position
+    data = small_mixed_data(40, missing_rate=0.2, seed=55)
+    hp = Hyperparams(alpha=2.0, K_init=3, bias=True, sigma_u2=0.3,
+                     sample_variance=True, iterations=0, burn_in=0)
+    rng = RngState(56)
+    state = init_state(data, hp, rng)
+    for _ in range(2):
+        run_iteration(rng, state, data)
+    for d, spec in enumerate(data.specs):
+        reference = state.copy()
+        replay = RngState(0)
+        replay.set_state(rng.get_state())
+        _attributes(rng, state, data, _kernel.STEP_PSEUDO, dim=d)
+        ref_sample_pseudo_obs(replay, reference, data, d)
+        np.testing.assert_allclose(state.Y, reference.Y, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(state.lam, reference.lam, rtol=1e-12, atol=1e-9)
+        assert rng.get_state() == replay.get_state(), spec.name
+
+
 def test_threshold_sampler_keeps_order_and_support():
     specs = [AttributeSpec("o", AttributeKind.ORDINAL, R_d=5)]
     rng_data = np.random.default_rng(1)
@@ -502,7 +593,7 @@ def test_birth_count_draw_matches_generator_choice(weights, seed):
     twin = RngState(0)
     twin.set_state(rng.get_state())
     expected = int(twin.gen.choice(len(p), p=p))
-    assert _inverse_cdf_index(p.tolist(), rng.gen.random()) == expected
+    assert kernel_inverse_cdf_index(p, rng.gen.random()) == expected
     # choice spends exactly the one uniform the inverse CDF reads
     assert rng.get_state() == twin.get_state()
 
@@ -510,36 +601,39 @@ def test_birth_count_draw_matches_generator_choice(weights, seed):
 def test_birth_count_draw_ties_go_right():
     # a uniform equal to a cumulative probability selects the next index,
     # as searchsorted(side="right") inside Generator.choice does
-    assert _inverse_cdf_index([0.5, 0.5], 0.5) == 1
-    assert _inverse_cdf_index([0.25, 0.25, 0.5], 0.0) == 0
-    assert _inverse_cdf_index([0.0, 1.0], 0.0) == 1
+    assert kernel_inverse_cdf_index([0.5, 0.5], 0.5) == 1
+    assert kernel_inverse_cdf_index([0.25, 0.25, 0.5], 0.0) == 0
+    assert kernel_inverse_cdf_index([0.0, 1.0], 0.0) == 1
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10000))
 def test_birth_from_scan_statistics_matches_fresh_statistics(seed):
+    # a sweep's fused row loop hands the scan's final statistics to the
+    # birth step; sample_z_row then birth_features, row by row, recomputes
+    # them fresh. Both must draw the same Z from the same stream
     data, _ = generate(10, missing_rate=0.2, seed=seed)
     hp = Hyperparams(alpha=20.0, sigma_B2=0.2, K_max=30, K_init=2, bias=True,
                      sample_variance=True, iterations=0, burn_in=0)
     rng = RngState(seed + 1)
     state = init_state(data, hp, rng)
     run_iteration(rng, state, data)
+    fused = state.copy()
+    fused_rng = RngState(0)
+    fused_rng.set_state(rng.get_state())
     births = 0
     for n in range(state.N):
         row = sample_z_row(rng, state, data, n)
-        s_ref, Q_ref = _row_stats(state, n)
-        assert row[0] == pytest.approx(s_ref, rel=1e-9, abs=1e-12)
-        np.testing.assert_allclose(row[1], Q_ref, rtol=1e-9, atol=1e-12)
-
-        fresh = state.copy()
-        fresh_rng = RngState(0)
-        fresh_rng.set_state(rng.get_state())
+        if row is not None:
+            s_ref, Q_ref = reference_row_stats(state, n)
+            assert row[0] == pytest.approx(s_ref, rel=1e-9, abs=1e-12)
+            np.testing.assert_allclose(row[1], Q_ref, rtol=1e-9, atol=1e-12)
         K_before = state.K
-        birth_features(rng, state, data, n, row)
-        birth_features(fresh_rng, fresh, data, n)
-        np.testing.assert_array_equal(state.Z, fresh.Z)
-        assert rng.get_state() == fresh_rng.get_state()
+        birth_features(rng, state, data, n)
         births += state.K > K_before
+    _row_loop(fused_rng, fused, data, 0, fused.N, scan=True, birth=True)
+    np.testing.assert_array_equal(state.Z, fused.Z)
+    assert rng.get_state() == fused_rng.get_state()
     assert_natural_params_exact(state)
     assert births > 0
 
@@ -555,36 +649,60 @@ def test_birth_from_scan_statistics_matches_fresh_statistics(seed):
 )
 def test_birth_gain_bound_dominates_every_birth_count(s, attrs, sigma_B2):
     Q, sig, widths = (list(col) for col in zip(*attrs))
-    widths = [float(w) for w in widths]
     s0 = max(s, 0.0)
-    ll = [_row_loglik(s0 + k * sigma_B2, Q, sig, widths) for k in range(4)]
-    bound = _birth_gain_bound(s, Q, sig, widths)
+    ll = [kernel_row_helper("glfm_row_loglik", s0 + k * sigma_B2, Q, sig, widths)
+          for k in range(4)]
+    bound = kernel_row_helper("glfm_birth_gain_bound", s, Q, sig, widths)
     assert bound >= 0.0
     for k in range(1, 4):
         assert ll[k] - ll[0] <= bound + 1e-9 * (1.0 + abs(ll[0]))
 
 
+def reference_birth_count(state, s, Q, u):
+    """Test-local birth draw: score every count k = 0..kmax under the
+    truncated Poisson(alpha/N) prior and invert the CDF at u."""
+    hp = state.hp
+    kmax = min(MAX_BIRTHS_PER_ROW, hp.K_max - state.K)
+    if hp.alpha == 0.0 or kmax <= 0:
+        return 0
+    _, sig, widths = state.variance_groups()
+    Q = np.asarray(Q)
+    lw = []
+    for k in range(kmax + 1):
+        v = max(s, 0.0) + k * hp.sigma_B2 + sig
+        ll = -0.5 * float(np.sum(widths * np.log(v) + Q / v))
+        lw.append(k * math.log(hp.alpha / state.N) - math.lgamma(k + 1) + ll)
+    w = np.exp(np.array(lw) - max(lw))
+    cdf = np.cumsum(w / w.sum())
+    return int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+
+
 @pytest.mark.parametrize("alpha", [1.0, 50.0])
-def test_birth_shortcut_matches_full_scoring(monkeypatch, alpha):
-    # with the no-birth shortcut disabled every row scores all its candidate
-    # counts; the chain must not notice the difference
+def test_birth_shortcut_matches_full_scoring(alpha):
+    # the kernel skips scoring when the birth uniform lies below a lower
+    # bound on P(no birth); replaying each row's uniform into a reference
+    # that scores every count must give the kernel's birth count
     data = small_mixed_data(40, seed=49)
     hp = Hyperparams(alpha=alpha, K_max=20, K_init=2, bias=True,
                      sample_variance=True, iterations=0, burn_in=0)
     rng = RngState(50)
     state = init_state(data, hp, rng)
-    full = state.copy()
-    full_rng = RngState(0)
-    full_rng.set_state(rng.get_state())
+    replay = RngState(0)
+    births = 0
     for _ in range(4):
-        run_iteration(rng, state, data)
-    monkeypatch.setattr(glfm.engine, "_birth_gain_bound", lambda *args: math.inf)
-    for _ in range(4):
-        run_iteration(full_rng, full, data)
-    np.testing.assert_array_equal(state.Z, full.Z)
-    np.testing.assert_array_equal(state.B, full.B)
-    assert rng.get_state() == full_rng.get_state()
-    assert state.K > hp.K_init + 1
+        for n in range(state.N):
+            row = sample_z_row(rng, state, data, n)
+            s, Q = row if row is not None else reference_row_stats(state, n)
+            replay.set_state(rng.get_state())
+            expected = reference_birth_count(state, s, Q, replay.gen.random())
+            K_before = state.K
+            birth_features(rng, state, data, n)
+            assert state.K - K_before == expected
+            births += expected > 0
+        prune_features(state)
+        _attributes(rng, state, data, _kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS
+                    | _kernel.STEP_PSEUDO | _kernel.STEP_THRESHOLDS | _kernel.STEP_NOISE)
+    assert births >= 3
 
 
 def test_birth_disabled_at_zero_alpha():
@@ -639,17 +757,6 @@ def test_run_chain_zero_iterations_returns_init():
     ref = init_state(data, hp, RngState(38))
     np.testing.assert_array_equal(res.state.Z, ref.Z)
     np.testing.assert_array_equal(res.state.Y, ref.Y)
-
-
-def test_run_chain_pinned_rows_hold_their_pattern():
-    data = small_mixed_data(10, seed=39)
-    hp = Hyperparams(alpha=2.0, K_max=8, K_init=3, bias=True,
-                     iterations=8, burn_in=1, seed=40)
-    res = run_chain(data, hp, pinned_rows=range(10))
-    ref = init_state(data, hp, RngState(40))
-    # no row scan means no births; only initially dead columns get pruned
-    alive = ref.Z.sum(axis=0) > 0
-    np.testing.assert_array_equal(res.state.Z, ref.Z[:, alive])
 
 
 def test_ibp_lof_log_prior_against_direct_enumeration():
