@@ -45,9 +45,8 @@ class State(ctypes.Structure):
     """Pointers to a LatentState's arrays; mirrors glfm_state in _sweep.c."""
 
     _fields_ = [
-        *((name, _i64) for name in ("N", "K", "S", "D", "nb", "g")),
+        *((name, _i64) for name in ("N", "K", "S", "D", "nb")),
         *((name, _ptr) for name in ("Z", "Y", "B", "P", "P_inv", "lam", "col_sums", "sigma2")),
-        *((name, _ptr) for name in ("col_group", "group_sig", "group_width")),
         *((name, _ptr) for name in ("kind", "offset", "levels", "missing", "cells")),
         *((name, _ptr) for name in ("obs_lo", "obs_hi", "theta")),
         *((name, _f64) for name in ("sigma_B2", "sigma_u2", "sigma_theta2", "beta1", "beta2")),
@@ -61,8 +60,8 @@ _SIGNATURES = {
                                        ctypes.c_int, _ptr]),
     "glfm_trunc_normal": (ctypes.c_int, [_ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr]),
     "glfm_inverse_gamma": (_f64, [_ptr, _f64, _f64]),
-    "glfm_row_loglik": (_f64, [_f64, _i64, _ptr, _ptr, _ptr]),
-    "glfm_birth_gain_bound": (_f64, [_f64, _i64, _ptr, _ptr, _ptr]),
+    "glfm_row_loglik": (_f64, [_f64, _f64, _f64]),
+    "glfm_birth_gain_bound": (_f64, [_f64, _f64, _f64]),
     "glfm_inverse_cdf_index": (_i64, [_i64, _ptr, _f64]),
 }
 

@@ -9,6 +9,18 @@
  * the regime and round order of a vectorized accept-reject pass (Robert,
  * "Simulation of truncated normal variables", 1995).
  *
+ * The model: each pseudo-observation column c of attribute d is
+ * y_c = z B_c + N(0, sigma_d^2), with weights B_c ~ N(0, sigma_d^2 sigma_B^2 I)
+ * on free columns; a categorical attribute's last column is pinned at 0.
+ * With the weights collapsed, a row's log-likelihood in z is
+ *
+ *     -1/2 [S_free log(1 + s) + Q / (1 + s)] + const,
+ *
+ * with s = z^T P_{-n}^{-1} z, S_free the number of free columns and
+ * Q = sum_c w_c (y_c - u_c)^2 under the predictive mean u = z M, weighted
+ * by w_c = 1/sigma_d^2 on free columns and 0 on pinned ones. So the scan
+ * and the birth read one scalar statistic at every noise-variance layout.
+ *
  * Entry points:
  *   glfm_rows          the Z-row scan and feature-birth decision over a row
  *                      range; returns to the caller when a row draws births
@@ -56,13 +68,11 @@ enum {
 
 /* Mirrors the ctypes Structure in glfm/_kernel.py field for field. Arrays are
  * C-contiguous float64 unless noted; Z is N x K, Y is N x S, B and lam are
- * K x S, P and P_inv are K x K. */
+ * K x S, P and P_inv are K x K, sigma2 holds one noise variance per
+ * attribute. */
 typedef struct {
-    int64_t N, K, S, D, nb, g;
+    int64_t N, K, S, D, nb;
     double *Z, *Y, *B, *P, *P_inv, *lam, *col_sums, *sigma2;
-    const int64_t *col_group;      /* S: noise-variance group of each column */
-    const double *group_sig;       /* g: each group's sigma^2 */
-    const double *group_width;     /* g: each group's column count */
     const int64_t *kind, *offset, *levels; /* D, D + 1, D */
     const uint8_t *missing;        /* N x D */
     const double *cells;           /* N x D: levels of ordinal/categorical cells */
@@ -384,34 +394,23 @@ double glfm_inverse_gamma(bitgen_t *bg, double shape, double rate)
 /* ------------------------------------------------------------------------ */
 /* row statistics and the birth step                                        */
 
-/* Collapsed log-likelihood of a row, up to a constant: each of group j's
- * width[j] columns has predictive variance s + sig[j] and the group's
- * squared residuals sum to Q[j]. */
-double glfm_row_loglik(double s, int64_t g, const double *Q, const double *sig,
-                       const double *width)
+/* Collapsed log-likelihood of a row, up to a constant: each of the n_free
+ * free columns has predictive variance sigma_d^2 (1 + s), and Q is the
+ * row's squared residual weighted by 1/sigma_d^2. */
+double glfm_row_loglik(double s, double n_free, double Q)
 {
-    double v0 = s > 0.0 ? s : 0.0, total = 0.0;
-    for (int64_t j = 0; j < g; j++) {
-        double v = v0 + sig[j];
-        total += width[j] * log(v) + Q[j] / v;
-    }
-    return -0.5 * total;
+    double v = 1.0 + (s > 0.0 ? s : 0.0);
+    return -0.5 * (n_free * log(v) + Q / v);
 }
 
 /* An upper bound on ll_k - ll_0 over every birth count k >= 1. Births add
- * variance: per group the gain is (c (1 - 1/x) - w log x) / 2 with
- * x = v_k / v_0 >= 1, c = Q / v_0 and w the column count, which peaks at
- * x = c / w when c > w and is never positive otherwise. */
-double glfm_birth_gain_bound(double s, int64_t g, const double *Q, const double *sig,
-                             const double *width)
+ * variance: the gain is (c (1 - 1/x) - n_free log x) / 2 with
+ * x = (1 + s + k sigma_B^2) / (1 + s) >= 1 and c = Q / (1 + s), which peaks
+ * at x = c / n_free when c > n_free and is never positive otherwise. */
+double glfm_birth_gain_bound(double s, double n_free, double Q)
 {
-    double v0 = s > 0.0 ? s : 0.0, total = 0.0;
-    for (int64_t j = 0; j < g; j++) {
-        double c = Q[j] / (v0 + sig[j]);
-        if (c > width[j])
-            total += c - width[j] - width[j] * log(c / width[j]);
-    }
-    return 0.5 * total;
+    double c = Q / (1.0 + (s > 0.0 ? s : 0.0));
+    return c > n_free ? 0.5 * (c - n_free - n_free * log(c / n_free)) : 0.0;
 }
 
 /* The index Generator.choice(n, p=p) draws from the uniform u: the number of
@@ -431,7 +430,10 @@ int64_t glfm_inverse_cdf_index(int64_t n, const double *p, double u)
 }
 
 typedef struct {
-    double *A, *L, *E, *gv, *h, *M, *T, *r, *D, *Q, *z, *z0, *m, *Ad, *cross;
+    double *A, *L, *E, *gv, *h, *M, *T, *r, *D, *z, *z0, *m, *Ad;
+    double *wt;    /* S: residual weight of each column, 1/sigma_d^2 or 0 */
+    double n_free; /* free columns: the weights' count */
+    double Q;      /* the row's weighted squared residual */
 } row_ws;
 
 static inline double sigmoid(double t)
@@ -503,39 +505,33 @@ static int collapse_row(const glfm_state *st, int64_t n, row_ws *w, double *s_ou
     return 0;
 }
 
-/* Per variance group, the squared residual Q of r = y - z M, and for every
- * feature k the change D_k = ||M_k||^2 - t_k r.M_k that flipping k makes to
- * Q, with t_k = 2 - 4 z_k; also T = t M. */
+/* The weighted squared residual Q of r = y - z M, and for every feature k
+ * the change D_k = sum_c wt_c (M_kc^2 - t_k r_c M_kc) that flipping k makes
+ * to Q, with t_k = 2 - 4 z_k; also T_k = t_k (wt o M_k). */
 static void scan_stats(const glfm_state *st, int64_t n, row_ws *w)
 {
-    const int64_t K = st->K, S = st->S, g = st->g;
-    const int64_t *grp = st->col_group;
-    const double *y = st->Y + n * S, *z = w->z, *M = w->M;
-    double *r = w->r, *a1 = w->cross, *a2 = w->cross + g;
+    const int64_t K = st->K, S = st->S;
+    const double *y = st->Y + n * S, *z = w->z, *M = w->M, *wt = w->wt;
+    double *r = w->r, Q = 0.0;
     for (int64_t col = 0; col < S; col++) {
         double zm = 0.0;
         for (int64_t k = 0; k < K; k++)
             if (z[k] != 0.0)
                 zm += z[k] * M[k * S + col];
         r[col] = y[col] - zm;
+        Q += wt[col] * (r[col] * r[col]);
     }
-    for (int64_t j = 0; j < g; j++)
-        w->Q[j] = 0.0;
-    for (int64_t col = 0; col < S; col++)
-        w->Q[grp[col]] += r[col] * r[col];
+    w->Q = Q;
     for (int64_t k = 0; k < K; k++) {
-        double t = 2.0 - 4.0 * z[k];
+        double t = 2.0 - 4.0 * z[k], mm = 0.0, tr = 0.0;
         const double *Mk = M + k * S;
         double *Tk = w->T + k * S;
-        for (int64_t j = 0; j < g; j++)
-            a1[j] = a2[j] = 0.0;
         for (int64_t col = 0; col < S; col++) {
-            Tk[col] = t * Mk[col];
-            a1[grp[col]] += Mk[col] * Mk[col];
-            a2[grp[col]] += Tk[col] * r[col];
+            Tk[col] = t * (wt[col] * Mk[col]);
+            mm += wt[col] * (Mk[col] * Mk[col]);
+            tr += Tk[col] * r[col];
         }
-        for (int64_t j = 0; j < g; j++)
-            w->D[k * g + j] = a1[j] - a2[j];
+        w->D[k] = mm - tr;
     }
 }
 
@@ -558,17 +554,16 @@ static double quad_form(int64_t K, const double *A, const double *z, double *h)
 
 /* Resample every non-bias entry of row n with the weights collapsed out.
  * Flipping k moves the predictive mean by +-M_k and s by 2 (+-h_k) + A_kk,
- * so each group's Q moves by D_k; z_k changes only when k is visited, so
- * D_k holds until an earlier accepted flip moves it by its cross products.
- * Features no other row uses are forced off. Commits P, P^{-1}, lam and
- * the counts only when the row changed. */
+ * so Q moves by D_k; z_k changes only when k is visited, so D_k holds until
+ * an earlier accepted flip moves it by a cross product. Features no other
+ * row uses are forced off. Commits P, P^{-1}, lam and the counts only when
+ * the row changed. */
 static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, row_ws *w, double *s_out)
 {
-    const int64_t K = st->K, S = st->S, g = st->g, nb = st->nb;
-    const double N = (double)st->N;
-    const double *sig = st->group_sig, *width = st->group_width;
+    const int64_t K = st->K, S = st->S, nb = st->nb;
+    const double N = (double)st->N, n_free = w->n_free;
     const double *y = st->Y + n * S;
-    double *z = w->z, *z0 = w->z0, *h = w->h, *Q = w->Q, *D = w->D, *A = w->A;
+    double *z = w->z, *z0 = w->z0, *h = w->h, *D = w->D, *A = w->A;
     double s;
     int err = collapse_row(st, n, w, &s);
     if (err)
@@ -578,7 +573,7 @@ static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, row_ws *w, do
         w->Ad[k] = A[k * K + k];
         w->m[k] = st->col_sums[k] - z0[k];
     }
-    double ll = glfm_row_loglik(s, g, Q, sig, width);
+    double ll = glfm_row_loglik(s, n_free, w->Q);
     /* an accepted flip of the last live candidate leaves none to update */
     int64_t last = K - 1;
     while (last >= nb && w->m[last] == 0.0)
@@ -594,45 +589,35 @@ static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, row_ws *w, do
                 z[k] = 0.0;
                 s = quad_form(K, A, z, h);
                 scan_stats(st, n, w);
-                ll = glfm_row_loglik(s, g, Q, sig, width);
+                ll = glfm_row_loglik(s, n_free, w->Q);
                 changed = 1;
             }
             continue;
         }
         double two_sgn = on ? -2.0 : 2.0;
         double s_alt = s + two_sgn * h[k] + w->Ad[k];
-        double v0 = s_alt > 0.0 ? s_alt : 0.0, total = 0.0;
-        const double *Dk = D + k * g;
-        for (int64_t j = 0; j < g; j++) {
-            double v = v0 + sig[j];
-            total += width[j] * log(v) + (Q[j] + Dk[j]) / v;
-        }
-        double ll_alt = -0.5 * total;
+        double ll_alt = glfm_row_loglik(s_alt, n_free, w->Q + D[k]);
         double logit_on = log(m) - log(N - m) + (on ? ll - ll_alt : ll_alt - ll);
         if ((next_double(bg) < sigmoid(logit_on)) == on)
             continue;
-        for (int64_t j = 0; j < g; j++)
-            Q[j] += Dk[j];
+        w->Q += D[k];
         s = s_alt;
         ll = ll_alt;
         z[k] = on ? 0.0 : 1.0;
         changed = 1;
         if (k < last) {
             /* later candidates read h_j and D_j for j > k only; D_j moves
-             * by sgn t_j (M_j o M_k) summed per group, and T_j = t_j M_j */
+             * by sgn T_j . M_k, with T_j = t_j (wt o M_j) */
             double sgn = 0.5 * two_sgn;
             const double *Mk = w->M + k * S;
             for (int64_t j = k + 1; j < K; j++)
                 h[j] += sgn * A[k * K + j];
             for (int64_t j = k + 1; j < K; j++) {
                 const double *Tj = w->T + j * S;
-                double *cross = w->cross;
-                for (int64_t q = 0; q < g; q++)
-                    cross[q] = 0.0;
+                double cross = 0.0;
                 for (int64_t col = 0; col < S; col++)
-                    cross[st->col_group[col]] += Tj[col] * Mk[col];
-                for (int64_t q = 0; q < g; q++)
-                    D[j * g + q] = on ? D[j * g + q] - cross[q] : D[j * g + q] + cross[q];
+                    cross += Tj[col] * Mk[col];
+                D[j] = on ? D[j] - cross : D[j] + cross;
             }
         }
     }
@@ -666,23 +651,21 @@ static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, row_ws *w, do
 /* How many fresh features row n turns on, from its statistics (s, Q) and the
  * uniform u: a truncated Poisson(alpha/N) prior (log weights `ladder`, and
  * log_rest the log prior mass of k >= 1) reweighted by the row's marginal
- * likelihood with variance s + k sigma_B^2. When u falls below a lower bound
- * on the mass of no birth the candidates are not scored. */
-static int64_t birth_count(const glfm_state *st, double s, const double *Q, int64_t kmax,
+ * likelihood with s + k sigma_B^2 in place of s. When u falls below a lower
+ * bound on the mass of no birth the candidates are not scored. */
+static int64_t birth_count(const glfm_state *st, double s, const row_ws *w, int64_t kmax,
                            const double *ladder, double log_rest, double u)
 {
-    const int64_t g = st->g;
-    const double *sig = st->group_sig, *width = st->group_width;
     double lw[kmax + 1], p[kmax + 1];
     s = s > 0.0 ? s : 0.0;
     /* p_0 >= 1 / (1 + exp(gain bound) * prior weight of k >= 1); the margin
      * keeps rounding in the full scoring from reversing the call */
-    double bound = glfm_birth_gain_bound(s, g, Q, sig, width) + log_rest;
+    double bound = glfm_birth_gain_bound(s, w->n_free, w->Q) + log_rest;
     if (bound < 700.0 && u < (1.0 - 1e-9) / (1.0 + exp(bound)))
         return 0;
     double top = -INFINITY;
     for (int64_t k = 0; k <= kmax; k++) {
-        lw[k] = ladder[k] + glfm_row_loglik(s + (double)k * st->sigma_B2, g, Q, sig, width);
+        lw[k] = ladder[k] + glfm_row_loglik(s + (double)k * st->sigma_B2, w->n_free, w->Q);
         if (k == 0 || lw[k] > top)
             top = lw[k];
     }
@@ -699,16 +682,16 @@ static int64_t birth_count(const glfm_state *st, double s, const double *Q, int6
 /* The row loop over rows [row_lo, row_hi): the Z-row scan when `scan` (and a
  * feature column exists to scan), then the birth decision when kmax > 0,
  * from the scan's final statistics or, without a scan, from fresh ones.
- * stats receives the last row's (s, Q[0..g)). Returns 0 when every row is
- * done, 1 when row born[0] drew born[1] > 0 births (the caller grows Z and B
- * and resumes at the next row), or a negative error code. */
+ * stats receives the last row's (s, Q). Returns 0 when every row is done,
+ * 1 when row born[0] drew born[1] > 0 births (the caller grows Z and B and
+ * resumes at the next row), or a negative error code. */
 int glfm_rows(bitgen_t *bg, const glfm_state *st, int64_t row_lo, int64_t row_hi, int scan,
               int64_t kmax, const double *ladder, double log_rest, double *stats,
               int64_t *born)
 {
-    const int64_t K = st->K, S = st->S, g = st->g;
+    const int64_t K = st->K, S = st->S;
     const int64_t Ku = K > 0 ? K : 1;
-    size_t doubles = (size_t)(3 * Ku * Ku + 2 * Ku * S + S + Ku * g + g + 6 * Ku + 2 * g);
+    size_t doubles = (size_t)(3 * Ku * Ku + 2 * Ku * S + 2 * S + 7 * Ku);
     double *buf = malloc(doubles * sizeof(double));
     if (buf == NULL)
         return ERR_NOMEM;
@@ -720,15 +703,23 @@ int glfm_rows(bitgen_t *bg, const glfm_state *st, int64_t row_lo, int64_t row_hi
     w.M = p; p += Ku * S;
     w.T = p; p += K * S;
     w.r = p; p += S;
-    w.D = p; p += Ku * g;
-    w.Q = p; p += g;
+    w.wt = p; p += S;
+    w.D = p; p += Ku;
     w.gv = p; p += Ku;
     w.h = p; p += Ku;
     w.z = p; p += Ku;
     w.z0 = p; p += Ku;
     w.m = p; p += Ku;
     w.Ad = p; p += Ku;
-    w.cross = p; p += 2 * g;
+    w.n_free = 0.0;
+    for (int64_t d = 0; d < st->D; d++) {
+        int64_t c0 = st->offset[d], c1 = st->offset[d + 1];
+        if (st->kind[d] == KIND_CATEGORICAL)
+            c1--; /* the pinned column carries no dependence on z */
+        for (int64_t col = c0; col < st->offset[d + 1]; col++)
+            w.wt[col] = col < c1 ? 1.0 / st->sigma2[d] : 0.0;
+        w.n_free += (double)(c1 - c0);
+    }
     int ret = 0;
     for (int64_t n = row_lo; n < row_hi; n++) {
         double s;
@@ -750,7 +741,7 @@ int glfm_rows(bitgen_t *bg, const glfm_state *st, int64_t row_lo, int64_t row_hi
                 scan_stats(st, n, &w);
                 have_stats = 1;
             }
-            int64_t k_new = birth_count(st, s, w.Q, kmax, ladder, log_rest, u);
+            int64_t k_new = birth_count(st, s, &w, kmax, ladder, log_rest, u);
             if (k_new > 0) {
                 born[0] = n;
                 born[1] = k_new;
@@ -759,7 +750,7 @@ int glfm_rows(bitgen_t *bg, const glfm_state *st, int64_t row_lo, int64_t row_hi
         }
         if (have_stats && stats != NULL) {
             stats[0] = s;
-            memcpy(stats + 1, w.Q, (size_t)g * sizeof(double));
+            stats[1] = w.Q;
         }
         if (ret)
             break;
@@ -979,12 +970,14 @@ static int sample_thresholds(bitgen_t *bg, const glfm_state *st, int64_t d, int6
     return 0;
 }
 
-/* Conjugate inverse-gamma draw of attribute d's pseudo-observation noise. */
+/* Conjugate inverse-gamma draw of attribute d's pseudo-observation noise,
+ * which scales both the residuals of Y and the prior of the free weights. */
 static void sample_noise_variance(bitgen_t *bg, const glfm_state *st, int64_t d)
 {
     const int64_t N = st->N, K = st->K, S = st->S, c0 = st->offset[d];
     const int64_t Sd = st->offset[d + 1] - c0;
-    double ss = 0.0;
+    const int64_t n_free = st->kind[d] == KIND_CATEGORICAL ? Sd - 1 : Sd;
+    double ss = 0.0, bb = 0.0;
     for (int64_t n = 0; n < N; n++) {
         const double *zn = st->Z + n * K;
         for (int64_t j = 0; j < Sd; j++) {
@@ -996,8 +989,13 @@ static void sample_noise_variance(bitgen_t *bg, const glfm_state *st, int64_t d)
             ss += e * e;
         }
     }
-    double shape = st->beta1 + (double)(N * Sd) / 2.0;
-    double rate = st->beta2 + ss / 2.0;
+    for (int64_t k = 0; k < K; k++)
+        for (int64_t j = 0; j < n_free; j++) {
+            double b = st->B[k * S + c0 + j];
+            bb += b * b;
+        }
+    double shape = st->beta1 + (double)(N * Sd + K * n_free) / 2.0;
+    double rate = st->beta2 + ss / 2.0 + bb / (2.0 * st->sigma_B2);
     st->sigma2[d] = glfm_inverse_gamma(bg, shape, rate);
 }
 

@@ -46,7 +46,6 @@ from glfm.engine import (
 )
 from glfm.randkit import RngState, spawn_seeds
 from glfm.tasks import (
-    CompletionResult,
     compute_pdf,
     extract_patterns,
     feature_activation_probs,
@@ -58,7 +57,8 @@ __all__ = ["main", "state_from_json", "state_to_json"]
 
 HYPER_FLAGS = (
     ("--alpha", "alpha", float, "feature birth rate of the buffet prior"),
-    ("--sigma-b2", "sigma_B2", float, "prior variance of weights"),
+    ("--sigma-b2", "sigma_B2", float,
+     "prior variance of weights, relative to the attribute's noise variance"),
     ("--sigma-y2", "sigma_y2", float, "pseudo-observation noise variance"),
     ("--sigma-u2", "sigma_u2", float, "continuous observation noise variance"),
     ("--sigma-theta2", "sigma_theta2", float, "prior variance of ordinal cut points"),
@@ -351,10 +351,9 @@ def cmd_complete(args) -> int:
     if not data.missing.any():
         print("warning: no missing cells to complete", file=sys.stderr)
     best, best_i, summaries = _run_chains(data, hp, args.chains, keep_last=args.average_last)
-    result = CompletionResult(cells=impute_from_states(best.saved, data), chain=best)
-
-    (args.out / "completed.csv").write_text(render_csv(data, fill=result.cells))
-    _write_state_outputs(args.out, result.chain)
+    filled = impute_from_states(best.saved, data)
+    (args.out / "completed.csv").write_text(render_csv(data, fill=filled))
+    _write_state_outputs(args.out, best)
     _print_summaries(summaries, best_i)
     print(f"imputed {int(data.missing.sum())} cells")
     print(f"wrote {args.out / 'completed.csv'}")

@@ -2,7 +2,9 @@
 
 Every attribute is coupled to the shared binary matrix Z through Gaussian
 pseudo-observations Y (one column per attribute, R_d columns for a categorical
-attribute with R_d levels). The sampler keeps the natural parameters
+attribute with R_d levels): Y_d = Z B_d + N(0, sigma_d^2), with weights
+B_d ~ N(0, sigma_d^2 sigma_B^2 I) on free columns and a categorical
+attribute's last column pinned at 0. The sampler keeps the natural parameters
 
     P = Z^T Z + I / sigma_B^2        lam = Z^T Y
 
@@ -17,22 +19,24 @@ the integer lattice; P^{-1} is maintained by Sherman-Morrison within a sweep
 and rebuilt from a Cholesky factor once per iteration.
 
 A row step takes the row out of P and lam once, from one product P^{-1} z.
-Columns are grouped by their noise variance (an attribute's columns share
-sigma_d^2, and attributes with equal sigma_d^2 share a group), so the row's
-collapsed log-likelihood is
+Because the weight prior scales with sigma_d^2 as the noise does, column c's
+predictive variance is sigma_d^2 (1 + s), and the row's collapsed
+log-likelihood is
 
-    -1/2 sum_g [S_g log(s + sigma_g^2) + Q_g / (s + sigma_g^2)]
+    -1/2 [S_free log(1 + s) + Q / (1 + s)] + const,
+    Q = sum_c w_c (y_c - u_c)^2,
 
-with s the weight-uncertainty variance z^T P_{-n}^{-1} z, S_g the number of
-columns in group g and Q_g their summed squared residual. With one shared
-sigma^2 there is a single group. The Z-row scan keeps s, Q and, for every
-candidate flip, the change it would make to each group's Q, so a candidate
-is scored in scalar arithmetic from one list of g numbers; only an accepted
-flip computes cross products of weight means, with the features still to be
-scanned. It commits P, P^{-1}, lam and the column counts only when the row's
-pattern changed. The birth step reads the scan's final (s, Q): it scores its
-candidate counts only when its uniform lies above a lower bound on the
-probability of no birth, which holds on nearly every row.
+with s the weight-uncertainty variance z^T P_{-n}^{-1} z, u = z M the
+predictive mean, S_free the number of free columns and w_c = 1/sigma_d^2 on
+free columns, 0 on pinned ones (a pinned column does not depend on z). A
+birth of k features puts s + k sigma_B^2 in place of s. The Z-row scan keeps
+s, Q and, for every candidate flip, the change it would make to Q, so a
+candidate is scored from two scalars; only an accepted flip computes cross
+products of weight means, with the features still to be scanned. It commits
+P, P^{-1}, lam and the column counts only when the row's pattern changed.
+The birth step reads the scan's final (s, Q): it scores its candidate counts
+only when its uniform lies above a lower bound on the probability of no
+birth, which holds on nearly every row.
 
 The sweep runs as compiled C (_sweep.c, built and loaded by glfm._kernel) on
 the chain's own PCG64 stream, in two calls per sweep: the row loop (collapse,
@@ -180,7 +184,6 @@ class LatentState:
         self.free_cols = free
         self.kind_codes = np.array([_KIND_CODES[s.kind] for s in self.specs], dtype=np.int64)
         self.levels = np.array([s.R_d or 0 for s in self.specs], dtype=np.int64)
-        self._groups = None
         if self.Y.shape != (self.Z.shape[0], self.offsets[-1]):
             raise ValueError("Y shape does not match Z rows and spec widths")
         if self.B.shape != (self.Z.shape[1], self.offsets[-1]):
@@ -209,18 +212,6 @@ class LatentState:
 
     def dim_cols(self, d: int) -> slice:
         return slice(int(self.offsets[d]), int(self.offsets[d + 1]))
-
-    def variance_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pseudo-observation columns grouped by equal noise variance: each
-        column's group index, and each group's sigma^2 and column count.
-        Rebuilt only when sigma2 has changed since the last call."""
-        key = self.sigma2.tobytes()
-        if self._groups is None or self._groups[0] != key:
-            values, group_of_dim = np.unique(self.sigma2, return_inverse=True)
-            col_group = group_of_dim[self.col_dim].astype(np.int64)
-            width = np.bincount(col_group, minlength=values.size).astype(float)
-            self._groups = (key, col_group, values.astype(float), width)
-        return self._groups[1:]
 
     def recompute_natural(self):
         """Rebuild P, lam, P_inv, and column counts exactly from Z and Y."""
@@ -377,15 +368,13 @@ def _bind(state: LatentState, data: DataMatrix | None) -> _kernel.State:
     theta = (ctypes.c_void_p * D)(
         *(state.theta[d].ctypes.data if d in state.theta else None for d in range(D))
     )
-    groups, sig, width = state.variance_groups()
     hp = state.hp
     st = _kernel.State(
-        N=N, K=K, S=S, D=D, nb=state.n_bias, g=sig.size,
+        N=N, K=K, S=S, D=D, nb=state.n_bias,
         Z=state.Z.ctypes.data, Y=state.Y.ctypes.data, B=state.B.ctypes.data,
         P=state.P.ctypes.data, P_inv=state.P_inv.ctypes.data, lam=state.lam.ctypes.data,
         col_sums=state.col_sums.ctypes.data, sigma2=state.sigma2.ctypes.data,
-        col_group=groups.ctypes.data, group_sig=sig.ctypes.data,
-        group_width=width.ctypes.data, kind=state.kind_codes.ctypes.data,
+        kind=state.kind_codes.ctypes.data,
         offset=state.offsets.ctypes.data, levels=state.levels.ctypes.data,
         theta=ctypes.addressof(theta), sigma_B2=hp.sigma_B2, sigma_u2=hp.sigma_u2,
         sigma_theta2=hp.sigma_theta2, beta1=hp.beta1, beta2=hp.beta2,
@@ -411,9 +400,9 @@ def _row_loop(rng: RngState, state: LatentState, data: DataMatrix, lo: int, hi: 
     then the birth decision when `birth` (and alpha > 0 and K < K_max). The
     kernel returns when a row draws births; the columns are added here and
     the loop resumes at the next row. Returns the last row's statistics
-    (s, Q_1, ..., Q_g)."""
+    (s, Q)."""
     hp = state.hp
-    stats = np.zeros(1 + state.variance_groups()[1].size)
+    stats = np.zeros(2)
     born = np.zeros(2, dtype=np.int64)
     while lo < hi:
         kmax = min(MAX_BIRTHS_PER_ROW, hp.K_max - state.K) if birth and hp.alpha > 0 else 0
@@ -438,11 +427,12 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     Feature columns used by no other row are forced off; fresh features enter
     through birth_features. Commits updated natural parameters when the row
     changed and returns its final statistics (s, Q), or None when there is no
-    feature column to scan: s = z A z and Q[g] = ||y_g - u_g||^2 summed over
-    the columns of variance group g, under the predictive mean u = z M.
+    feature column to scan: s = z A z and Q = sum_c w_c (y_c - u_c)^2 under
+    the predictive mean u = z M, with w_c = 1/sigma_d^2 on free columns and 0
+    on a categorical attribute's pinned column.
 
     Flipping feature k moves u by +-M_k and s by 2 (+-h_k) + A_kk, with
-    h = A z, so each group's Q moves by D_k = ||M_k||^2 - t_k r.M_k,
+    h = A z, so Q moves by D_k = sum_c w_c (M_kc^2 - t_k r_c M_kc),
     t_k = 2 - 4 z_k. z_k changes only when k is visited, so a candidate is
     scored from its own D_k; only an accepted flip of k computes cross
     products, those of M_k with the features still to be scanned.
@@ -450,8 +440,7 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     lo, hi = _one(state.N, n)
     if state.K == state.n_bias:
         return None
-    stats = _row_loop(rng, state, data, lo, hi, scan=True, birth=False)
-    return float(stats[0]), stats[1:].tolist()
+    return tuple(_row_loop(rng, state, data, lo, hi, scan=True, birth=False).tolist())
 
 
 @lru_cache(maxsize=16)
@@ -468,8 +457,8 @@ def birth_features(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     """Draw how many fresh feature columns row n turns on.
 
     The count follows a truncated Poisson(alpha/N) reweighted by the row's
-    marginal likelihood, where each prospective feature contributes prior
-    weight variance sigma_B^2 on top of the collapsed predictive variance.
+    marginal likelihood, where each prospective feature adds sigma_B^2 to
+    the collapsed predictive variance 1 + s, in units of sigma_d^2.
     The count is read off one uniform by inverse CDF, as Generator.choice
     would. When the uniform falls below a lower bound on the mass of no
     birth, the count is 0 and the candidates are not scored.
@@ -521,7 +510,8 @@ def _attributes(rng: RngState, state: LatentState, data: DataMatrix | None, step
 
 
 def sample_weights(rng: RngState, state: LatentState, d: int):
-    """Draw the weight columns of attribute d from N(P^{-1} lam_r, sigma_d^2 P^{-1}).
+    """Draw the weight columns of attribute d from N(P^{-1} lam_r, sigma_d^2 P^{-1}),
+    the posterior under the prior N(0, sigma_d^2 sigma_B^2 I).
 
     The last column of a categorical attribute is pinned at zero.
     """
@@ -551,7 +541,13 @@ def sample_thresholds(rng: RngState, state: LatentState, data: DataMatrix, d: in
 
 
 def sample_noise_variance(rng: RngState, state: LatentState, data: DataMatrix, d: int):
-    """Conjugate inverse-gamma draw of attribute d's pseudo-observation noise."""
+    """Conjugate inverse-gamma draw of attribute d's pseudo-observation noise.
+
+    sigma_d^2 scales both the residuals Y_d - Z B_d and the prior of the free
+    weights, so the InvGamma(beta1, beta2) prior gains shape (N S_d + K F_d)/2
+    and rate ||Y_d - Z B_d||^2 / 2 + ||B_d,free||^2 / (2 sigma_B^2), with F_d
+    the free columns of d.
+    """
     _attributes(rng, state, data, _kernel.STEP_NOISE, dim=d)
 
 
@@ -631,9 +627,8 @@ def complete_data_log_joint(state: LatentState) -> float:
     total = ibp_lof_log_prior(state.Z[:, nb:][:, active], hp.alpha, N)
 
     Bf = state.B[:, state.free_cols]
-    total += -0.5 * float(
-        Bf.size * (LOG_2PI + math.log(hp.sigma_B2)) + np.sum(Bf * Bf) / hp.sigma_B2
-    )
+    var_B = hp.sigma_B2 * state.sigma2[state.col_dim[state.free_cols]]
+    total += -0.5 * float(np.sum(LOG_2PI + np.log(var_B) + Bf * Bf / var_B))
 
     resid = state.Y - state.Z @ state.B
     col_var = state.sigma2[state.col_dim]
@@ -682,12 +677,14 @@ def collapsed_flip_logodds(state: LatentState, n: int, k: int) -> float:
 
     A = _chol_inverse(P_noN)
     M = A @ lam_noN
-    col_var = state.sigma2[state.col_dim]
+    # column c's predictive variance is sigma_d^2 (1 + s); pinned columns
+    # do not depend on z
+    w = np.where(state.free_cols, 1.0 / state.sigma2[state.col_dim], 0.0)
+    n_free = int(state.free_cols.sum())
 
     def loglik(zz):
-        u = zz @ M
-        v = max(float(zz @ A @ zz), 0.0) + col_var
-        return -0.5 * float(np.sum(np.log(v) + (y - u) ** 2 / v))
+        v = 1.0 + max(float(zz @ A @ zz), 0.0)
+        return -0.5 * (n_free * math.log(v) + float(w @ (y - zz @ M) ** 2) / v)
 
     return prior + loglik(z1) - loglik(z0)
 

@@ -5,19 +5,22 @@ scan from scratch (exact inverse, no incremental algebra) and demands the
 incremental path commit identical decisions from an identical random stream.
 """
 
+import ctypes
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import invgamma, kstest
+from scipy.stats import invgamma, kstest, multivariate_normal, norm
 
 from glfm import _kernel
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix
 from glfm.engine import (
     MAX_BIRTHS_PER_ROW,
     Hyperparams,
+    LatentState,
     _attributes,
     _row_loop,
     birth_features,
@@ -36,6 +39,7 @@ from glfm.engine import (
     sample_weights,
     sample_z_row,
 )
+from glfm.likelihoods import map_forward, map_inverse
 from glfm.randkit import RngState, trunc_normal_sample
 from glfm.synthetic import generate
 
@@ -68,27 +72,40 @@ def assert_natural_params_exact(state, atol=1e-9):
 
 def reference_row_stats(state, n):
     """(s, Q) of row n from an exact inverse: s = z A z with
-    A = (P - z z^T)^{-1}, and Q the squared residuals of y - z M per noise
-    variance, in increasing order of sigma^2."""
+    A = (P - z z^T)^{-1}, and Q the squared residuals of y - z M summed over
+    the free columns, each divided by its attribute's sigma_d^2."""
     z, y = state.Z[n], state.Y[n]
     A = np.linalg.inv(state.P - np.outer(z, z))
     r = y - z @ (A @ (state.lam - np.outer(z, y)))
-    col_var = state.sigma2[state.col_dim]
-    Q = [float(r[col_var == v] @ r[col_var == v]) for v in np.unique(state.sigma2)]
+    free = state.free_cols
+    Q = float(np.sum(r[free] ** 2 / state.sigma2[state.col_dim[free]]))
     return float(z @ A @ z), Q
 
 
-def kernel_row_helper(name, s, Q, sig, widths):
+def kernel_row_helper(name, s, n_free, Q):
     """The kernel's exported row log-likelihood or birth gain bound."""
-    Q, sig, widths = (np.ascontiguousarray(a, dtype=float) for a in (Q, sig, widths))
-    return getattr(_kernel.load(), name)(
-        s, Q.size, Q.ctypes.data, sig.ctypes.data, widths.ctypes.data
-    )
+    return getattr(_kernel.load(), name)(s, n_free, Q)
 
 
 def kernel_inverse_cdf_index(p, u):
     p = np.ascontiguousarray(p, dtype=float)
     return _kernel.load().glfm_inverse_cdf_index(p.size, p.ctypes.data, u)
+
+
+def test_kernel_state_struct_matches_the_c_typedef():
+    # _kernel.State must list glfm_state's fields in order with matching
+    # types; a mismatch shifts every later field and corrupts memory silently
+    source = _kernel.SOURCE.read_text()
+    body = re.search(r"typedef struct \{(.*?)\} glfm_state;", source, re.S).group(1)
+    body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
+    scalar = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    expected = []
+    for decl in filter(None, (d.strip() for d in body.split(";"))):
+        base, rest = re.match(r"(?:const\s+)?(\w+)\s*(.*)", decl, re.S).groups()
+        for part in rest.split(","):
+            name = re.findall(r"\w+", part)[-1]
+            expected.append((name, ctypes.c_void_p if "*" in part else scalar[base]))
+    assert list(_kernel.State._fields_) == expected
 
 
 def test_hyperparams_validation():
@@ -188,9 +205,12 @@ def test_natural_params_stay_exact_across_sweeps():
     np.testing.assert_allclose(ident, np.eye(state.K), atol=1e-8)
 
 
-# noise variances of the six attributes of small_mixed_data: one shared
-# value, six distinct ones, and values repeated across non-adjacent
-# attributes, so that the row scan's variance groups merge attributes
+# noise variances of the six attributes of small_mixed_data (one of them the
+# categorical c1, whose last column is pinned): one shared value, where the
+# weighted residual is the plain one over the free columns; six distinct
+# ones, where every attribute's columns carry their own weight; and values
+# repeated across non-adjacent attributes. sigma2 is edited in place, so each
+# layout also checks that the scan reads the current sigma2
 SIGMA2_LAYOUTS = {
     "shared-sigma2": None,
     "per-attribute-sigma2": tuple(np.geomspace(0.3, 3.0, num=6)),
@@ -201,8 +221,8 @@ SIGMA2_LAYOUTS = {
 @pytest.mark.parametrize("sigma2", SIGMA2_LAYOUTS.values(), ids=SIGMA2_LAYOUTS.keys())
 def test_z_row_replay_matches_from_scratch_logodds(sigma2):
     # replay the exact random stream against the O(K^3) reference route,
-    # which scores every attribute column with its own sigma_d^2; sigma2 is
-    # edited in place after the warm sweeps, so the scan must regroup
+    # which scores every free column with its own sigma_d^2; sigma2 is
+    # edited in place after the warm sweeps, so the scan must reweight
     data = small_mixed_data(30, seed=21)
     hp = Hyperparams(alpha=2.0, K_max=12, K_init=6, bias=True, iterations=0, burn_in=0)
     init_rng = RngState(8)
@@ -248,12 +268,12 @@ def test_z_row_replay_matches_from_scratch_logodds(sigma2):
 
 
 @pytest.mark.parametrize("sigma2", SIGMA2_LAYOUTS.values(), ids=SIGMA2_LAYOUTS.keys())
-def test_z_row_statistics_are_residuals_summed_by_variance_group(sigma2):
+def test_z_row_statistics_are_weighted_residuals(sigma2):
     # (s, Q) from the scan against an exact-inverse reference: squared
-    # residuals of y - z M per attribute, summed over attributes sharing
-    # sigma_d^2. sigma2 is edited in place after the warm sweeps, so the scan
-    # must notice the change and regroup. Q after two accepted flips in one
-    # row has been moved by the first flip's update of the second's change
+    # residuals of y - z M over the free columns, each divided by its
+    # attribute's sigma_d^2. sigma2 is edited in place after the warm sweeps,
+    # so the scan must reweight. Q after two accepted flips in one row has
+    # been moved by the first flip's update of the second's change
     data = small_mixed_data(30, seed=51)
     hp = Hyperparams(alpha=0.0, K_init=6, bias=True, iterations=0, burn_in=0)
     rng = RngState(52)
@@ -270,15 +290,13 @@ def test_z_row_statistics_are_residuals_summed_by_variance_group(sigma2):
         z, y = state.Z[n], state.Y[n]
         A = np.linalg.inv(state.P - np.outer(z, z))
         r = y - z @ (A @ (state.lam - np.outer(z, y)))
-        expected, n_cols = {}, {}
-        for d, v in enumerate(state.sigma2.tolist()):
+        expected = 0.0
+        for d, spec in enumerate(state.specs):
             cs = state.dim_cols(d)
-            expected[v] = expected.get(v, 0.0) + float(r[cs] @ r[cs])
-            n_cols[v] = n_cols.get(v, 0) + cs.stop - cs.start
-        _, sig, widths = state.variance_groups()
-        assert len(Q) == len(sig) == len(expected) == len(set(state.sigma2.tolist()))
-        assert dict(zip(sig, Q)) == pytest.approx(expected, rel=1e-9, abs=1e-12)
-        assert dict(zip(sig, widths)) == n_cols
+            if spec.kind is AttributeKind.CATEGORICAL:
+                cs = slice(cs.start, cs.stop - 1)
+            expected += float(r[cs] @ r[cs]) / state.sigma2[d]
+        assert Q == pytest.approx(expected, rel=1e-9, abs=1e-12)
         assert s == pytest.approx(float(z @ A @ z), rel=1e-9, abs=1e-12)
     assert multi_flip_rows >= 5
 
@@ -533,7 +551,10 @@ def test_threshold_sampler_keeps_order_and_support():
 
 
 def test_noise_variance_conjugate_distribution():
-    # one bias row with residual 2: posterior is InvGamma(1 + 1/2, 1 + 4/2)
+    # one bias row with residual 2 and bias weight 0, under the prior
+    # B ~ N(0, sigma^2 sigma_B^2): the row and the weight each add 1/2 to
+    # the shape, the residual 4/2 to the rate, so the posterior is
+    # InvGamma(1 + 1/2 + 1/2, 1 + 4/2 + 0)
     data = real_only_data(1, seed=0, missing=[[True]])
     hp = Hyperparams(K_init=0, bias=True, beta1=1.0, beta2=1.0,
                      sample_variance=True, iterations=0, burn_in=0)
@@ -546,21 +567,27 @@ def test_noise_variance_conjugate_distribution():
     for i in range(draws.size):
         sample_noise_variance(rng, state, data, 0)
         draws[i] = state.sigma2[0]
-    result = kstest(draws, invgamma(a=1.5, scale=3.0).cdf)
+    result = kstest(draws, invgamma(a=2.0, scale=3.0).cdf)
     assert result.pvalue > 1e-3
-    # E[1/v] = shape/rate = 0.5
-    assert (1.0 / draws).mean() == pytest.approx(0.5, abs=0.02)
+    # E[1/v] = shape/rate = 2/3
+    assert (1.0 / draws).mean() == pytest.approx(2.0 / 3.0, abs=0.02)
 
 
 def test_birth_respects_k_max():
+    # alpha this large fills the cap within every row loop; prune may then
+    # drop columns, so the cap is checked before it, on every sweep
     data = small_mixed_data(12, seed=27)
     hp = Hyperparams(alpha=50.0, K_max=5, K_init=1, bias=True, iterations=0, burn_in=0)
     rng = RngState(28)
     state = init_state(data, hp, rng)
+    steps = (_kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO
+             | _kernel.STEP_THRESHOLDS)
     for _ in range(15):
-        run_iteration(rng, state, data)
+        _row_loop(rng, state, data, 0, state.N, scan=True, birth=True)
+        assert state.K == hp.K_max
+        prune_features(state)
         assert state.K <= hp.K_max
-    assert state.K == hp.K_max  # alpha this large saturates the cap
+        _attributes(rng, state, data, steps)
 
 
 def test_birth_adds_columns_for_row():
@@ -641,18 +668,15 @@ def test_birth_from_scan_statistics_matches_fresh_statistics(seed):
 @settings(max_examples=300, deadline=None)
 @given(
     s=st.floats(-1.0, 5.0),
-    attrs=st.lists(
-        st.tuples(st.floats(0.0, 60.0), st.floats(0.05, 10.0), st.integers(1, 5)),
-        min_size=1, max_size=8,
-    ),
+    n_free=st.integers(1, 40),
+    Q=st.floats(0.0, 500.0),
     sigma_B2=st.floats(1e-3, 10.0),
 )
-def test_birth_gain_bound_dominates_every_birth_count(s, attrs, sigma_B2):
-    Q, sig, widths = (list(col) for col in zip(*attrs))
+def test_birth_gain_bound_dominates_every_birth_count(s, n_free, Q, sigma_B2):
     s0 = max(s, 0.0)
-    ll = [kernel_row_helper("glfm_row_loglik", s0 + k * sigma_B2, Q, sig, widths)
+    ll = [kernel_row_helper("glfm_row_loglik", s0 + k * sigma_B2, n_free, Q)
           for k in range(4)]
-    bound = kernel_row_helper("glfm_birth_gain_bound", s, Q, sig, widths)
+    bound = kernel_row_helper("glfm_birth_gain_bound", s, n_free, Q)
     assert bound >= 0.0
     for k in range(1, 4):
         assert ll[k] - ll[0] <= bound + 1e-9 * (1.0 + abs(ll[0]))
@@ -665,12 +689,11 @@ def reference_birth_count(state, s, Q, u):
     kmax = min(MAX_BIRTHS_PER_ROW, hp.K_max - state.K)
     if hp.alpha == 0.0 or kmax <= 0:
         return 0
-    _, sig, widths = state.variance_groups()
-    Q = np.asarray(Q)
+    n_free = int(state.free_cols.sum())
     lw = []
     for k in range(kmax + 1):
-        v = max(s, 0.0) + k * hp.sigma_B2 + sig
-        ll = -0.5 * float(np.sum(widths * np.log(v) + Q / v))
+        v = 1.0 + max(s, 0.0) + k * hp.sigma_B2
+        ll = -0.5 * (n_free * math.log(v) + Q / v)
         lw.append(k * math.log(hp.alpha / state.N) - math.lgamma(k + 1) + ll)
     w = np.exp(np.array(lw) - max(lw))
     cdf = np.cumsum(w / w.sum())
@@ -799,6 +822,78 @@ def test_collapsed_flip_logodds_rejects_bias_and_out_of_range_columns():
         collapsed_flip_logodds(state, 0, 0)  # bias column is not flippable
 
 
+PINNED_TABLE = (AttributeSpec("c", AttributeKind.CATEGORICAL, R_d=3),
+                AttributeSpec("x", AttributeKind.REAL))
+
+
+def fixed_z_state(specs, sigma2, seed=0):
+    """N = 6 rows and K = 3 features, no bias column, every feature held by
+    at least two rows; random Y and B (pinned columns at 0), ordinal cut
+    points 0, 0.4, 1.1, ... and the given noise variances."""
+    gen = np.random.default_rng(seed)
+    Z = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
+    hp = Hyperparams(alpha=1.5, sigma_B2=0.7, sigma_theta2=2.0, beta1=2.0, beta2=1.5,
+                     K_init=3, sample_variance=True, iterations=0, burn_in=0)
+    S = sum(spec.S_d for spec in specs)
+    theta = {d: np.array([0.0, 0.4, 1.1][: spec.R_d - 1])
+             for d, spec in enumerate(specs) if spec.kind is AttributeKind.ORDINAL}
+    state = LatentState(specs=specs, hp=hp, Z=Z, Y=gen.normal(size=(6, S)),
+                        B=gen.normal(size=(3, S)), theta=theta,
+                        sigma2=np.array(sigma2, dtype=float))
+    state.B[:, ~state.free_cols] = 0.0
+    state.recompute_natural()
+    return state
+
+
+@pytest.mark.parametrize("sigma2", [(1.0, 1.0), (4.0, 0.25), (0.3, 2.5)])
+def test_collapsed_flip_logodds_matches_exact_gaussian_marginal(sigma2):
+    # with B_c ~ N(0, sigma_c^2 sigma_B^2 I) on each free column, the column
+    # y_c ~ N(0, sigma_c^2 (sigma_B^2 Z Z^T + I)); the categorical's pinned
+    # column is N(0, sigma^2 I) whatever Z is, so it drops out of the odds
+    state = fixed_z_state(PINNED_TABLE, sigma2)
+    hp, N = state.hp, state.N
+
+    def log_marginal(Z):
+        cov = hp.sigma_B2 * Z @ Z.T + np.eye(N)
+        return sum(
+            multivariate_normal(np.zeros(N), state.sigma2[state.col_dim[c]] * cov).logpdf(
+                state.Y[:, c])
+            for c in np.flatnonzero(state.free_cols)
+        )
+
+    for n in range(N):
+        for k in range(state.K):
+            m = state.Z[:, k].sum() - state.Z[n, k]
+            Z1, Z0 = state.Z.copy(), state.Z.copy()
+            Z1[n, k], Z0[n, k] = 1.0, 0.0
+            expected = math.log(m / (N - m)) + log_marginal(Z1) - log_marginal(Z0)
+            assert collapsed_flip_logodds(state, n, k) == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("sigma2", [0.25, 4.0])
+def test_log_joint_matches_independent_scipy_computation(sigma2):
+    # IBP prior by direct enumeration, B_d ~ N(0, sigma_d^2 sigma_B^2) on the
+    # free columns, Y ~ N(Z B, sigma_d^2), the free ordinal cut points
+    # ~ N(0, sigma_theta^2) and sigma_d^2 ~ InvGamma(beta1, beta2)
+    specs = (*PINNED_TABLE, AttributeSpec("o", AttributeKind.ORDINAL, R_d=4))
+    state = fixed_z_state(specs, [sigma2] * 3, seed=3)
+    hp, N, Z = state.hp, state.N, state.Z
+
+    H = sum(1.0 / i for i in range(1, N + 1))
+    expected = -hp.alpha * H + Z.shape[1] * math.log(hp.alpha)
+    cols = [tuple(col) for col in Z.T.astype(int)]
+    expected -= sum(math.lgamma(cols.count(c) + 1) for c in set(cols))
+    for m in Z.sum(axis=0):
+        expected += math.lgamma(N - m + 1) + math.lgamma(m) - math.lgamma(N + 1)
+    sd = np.sqrt(state.sigma2[state.col_dim])
+    free = state.free_cols
+    expected += norm.logpdf(state.B[:, free], scale=sd[free] * math.sqrt(hp.sigma_B2)).sum()
+    expected += norm.logpdf(state.Y, loc=Z @ state.B, scale=sd).sum()
+    expected += norm.logpdf(state.theta[2][1:], scale=math.sqrt(hp.sigma_theta2)).sum()
+    expected += invgamma.logpdf(state.sigma2, a=hp.beta1, scale=hp.beta2).sum()
+    assert complete_data_log_joint(state) == pytest.approx(expected, abs=1e-9)
+
+
 def test_prior_recovery_small():
     # no data constraints: the chain must sample the feature-count prior,
     # E[K+] = alpha * H_4 = 1 + 1/2 + 1/3 + 1/4 ~ 2.0833
@@ -843,3 +938,114 @@ def test_natural_params_exact_property(seed, n_rows, iters):
     for _ in range(iters):
         run_iteration(rng, state, data)
     assert_natural_params_exact(state)
+
+
+GEWEKE_SPECS = (
+    AttributeSpec("r", AttributeKind.REAL),
+    AttributeSpec("p", AttributeKind.POSITIVE_REAL),
+    AttributeSpec("n", AttributeKind.COUNT),
+    AttributeSpec("o", AttributeKind.ORDINAL, R_d=4),
+    AttributeSpec("c", AttributeKind.CATEGORICAL, R_d=3),
+)
+GEWEKE_ORDINAL = 3
+
+
+def geweke_prior_draw(gen, state):
+    """Set sigma^2, B, theta and Y of `state` to one draw from the prior at
+    its fixed Z: sigma_d^2 ~ InvGamma(beta1, beta2), free weights
+    ~ N(0, sigma_d^2 sigma_B^2), ordinal cut points 0 < theta_2 < ... iid
+    N(0, sigma_theta^2) conditioned on their order, Y ~ N(Z B, sigma_d^2)."""
+    hp = state.hp
+    state.sigma2 = 1.0 / gen.gamma(hp.beta1, 1.0 / hp.beta2, size=len(state.specs))
+    sd = np.sqrt(state.sigma2[state.col_dim])
+    free = state.free_cols
+    state.B = np.zeros((state.K, state.S))
+    state.B[:, free] = gen.normal(size=(state.K, free.sum())) * sd[free] * math.sqrt(hp.sigma_B2)
+    R = state.specs[GEWEKE_ORDINAL].R_d
+    cuts = np.sort(np.abs(gen.normal(size=R - 2))) * math.sqrt(hp.sigma_theta2)
+    state.theta = {GEWEKE_ORDINAL: np.concatenate([[0.0], cuts])}
+    state.Y = state.Z @ state.B + gen.normal(size=(state.N, state.S)) * sd
+
+
+def geweke_observe(gen, state, data):
+    """Draw X given Y and theta into data.cells and the state's observation
+    caches: a continuous target is y + N(0, sigma_u^2) on the encoded scale;
+    a count, an ordinal level or a category is the one whose interval (or
+    argmax) holds y."""
+    for d, spec in enumerate(state.specs):
+        y = state.Y[:, state.dim_cols(d)]
+        if spec.kind.is_continuous:
+            state.obs_lo[:, d] = y[:, 0] + math.sqrt(state.hp.sigma_u2) * gen.normal(size=state.N)
+            data.cells[:, d] = map_forward(state.obs_lo[:, d], spec, spec.kind)
+        elif spec.kind is AttributeKind.COUNT:
+            x = map_forward(y[:, 0], spec, spec.kind)
+            data.cells[:, d] = x
+            state.obs_lo[:, d] = map_inverse(x, spec, spec.kind)
+            state.obs_hi[:, d] = map_inverse(x + 1.0, spec, spec.kind)
+        elif spec.kind is AttributeKind.ORDINAL:
+            data.cells[:, d] = map_forward(y[:, 0], spec, spec.kind, state.theta[d])
+        else:
+            data.cells[:, d] = np.argmax(y, axis=1) + 1
+
+
+def geweke_moments(state):
+    """The test functions: free weights, log sigma^2, the free ordinal cut
+    points and Y, plus B^2 / sigma_d^2 on the free weights, whose mean
+    (sigma_B^2 under the prior) ties the weights' scale to sigma^2."""
+    free = state.free_cols
+    Bf = state.B[:, free]
+    return np.concatenate([
+        Bf.ravel(), np.log(state.sigma2), state.theta[GEWEKE_ORDINAL][1:], state.Y.ravel(),
+        (Bf * Bf / state.sigma2[state.col_dim[free]]).ravel(),
+    ])
+
+
+def test_geweke_joint_distribution_with_z_held_fixed():
+    # Geweke, "Getting it right" (JASA 2004): plain prior draws of
+    # (B, sigma^2, theta, Y) and a chain that alternates a draw of the data
+    # with the attribute phase (weights, pseudo-observations, thresholds,
+    # noise variances) must agree in the means of every test function. The
+    # data step draws (Y, X) given the parameters, Y ~ N(Z B, sigma^2) and X
+    # from Y: a discrete X is a function of Y and the pseudo-observation step
+    # keeps Y inside X's cell, so drawing X from the current Y alone would
+    # never move it from its start
+    Z = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 0.0]])
+    N, D = Z.shape[0], len(GEWEKE_SPECS)
+    hp = Hyperparams(alpha=0.0, sigma_B2=0.8, sigma_u2=0.5, sigma_theta2=1.5, beta1=3.0,
+                     beta2=2.0, K_init=1, bias=True, sample_variance=True, iterations=0,
+                     burn_in=0)
+    S = sum(spec.S_d for spec in GEWEKE_SPECS)
+    state = LatentState(specs=GEWEKE_SPECS, hp=hp, Z=Z, Y=np.zeros((N, S)),
+                        B=np.zeros((2, S)), theta={}, sigma2=np.ones(D),
+                        obs_lo=np.full((N, D), np.nan), obs_hi=np.full((N, D), np.nan))
+    data = DataMatrix(cells=np.ones((N, D)), missing=np.zeros((N, D), dtype=bool),
+                      specs=GEWEKE_SPECS)
+    gen = np.random.default_rng(60)
+    n_draws, n_batches = 20000, 50
+
+    marginal = []
+    for _ in range(n_draws):
+        geweke_prior_draw(gen, state)
+        marginal.append(geweke_moments(state))
+    marginal = np.array(marginal)
+
+    rng = RngState(61)
+    steps = (_kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO
+             | _kernel.STEP_THRESHOLDS | _kernel.STEP_NOISE)
+    geweke_prior_draw(gen, state)
+    chain = np.empty_like(marginal)
+    for t in range(n_draws):
+        sd = np.sqrt(state.sigma2[state.col_dim])
+        state.Y = Z @ state.B + gen.normal(size=(N, S)) * sd
+        state.recompute_natural()
+        geweke_observe(gen, state, data)
+        _attributes(rng, state, data, steps)
+        chain[t] = geweke_moments(state)
+
+    batch_means = chain.reshape(n_batches, -1, chain.shape[1]).mean(axis=1)
+    se2 = batch_means.var(axis=0, ddof=1) / n_batches + marginal.var(axis=0, ddof=1) / n_draws
+    z = (chain.mean(axis=0) - marginal.mean(axis=0)) / np.sqrt(se2)
+    # 59 test functions; batch means with 50 batches have heavier
+    # tails than a normal, so the bound is wide, and a model mismatch such as
+    # a noise-variance draw that ignores the weights reads |z| > 10
+    assert np.max(np.abs(z)) < 5.0, np.round(z, 2)
