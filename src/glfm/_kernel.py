@@ -24,8 +24,8 @@ import numpy as np
 __all__ = ["KernelBuildError", "State", "call", "check", "load"]
 
 SOURCE = Path(__file__).with_name("_sweep.c")
-# no -ffast-math, -march=native or FMA contraction: the kernel must round as
-# the numpy formulation of the sampler does
+# no -ffast-math, -march=native or FMA contraction: each operation rounds
+# once, as in the numpy references that the tests compare draws with
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 # step mask of glfm_attributes
@@ -130,7 +130,7 @@ def call(rng, name: str, *args):
 
 
 def check(code: int) -> None:
-    """Raise what the numpy formulation raises for a kernel error code."""
+    """Raise the Python exception that a kernel error code stands for."""
     if code >= 0:
         return
     if code == ERR_NOT_PD:

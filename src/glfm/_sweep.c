@@ -3,11 +3,10 @@
  *
  * The Python side (glfm.engine) owns every array; this file reads and
  * writes them in place through the pointers of a glfm_state. Random draws
- * come from numpy's bit generator and libnpyrandom, in exactly the order the
- * numpy formulation of the sampler consumes its stream: one uniform per live
- * flip candidate, one per birth decision, and the truncated-normal draws in
- * the regime and round order of a vectorized accept-reject pass (Robert,
- * "Simulation of truncated normal variables", 1995).
+ * come from numpy's bit generator and libnpyrandom: one uniform per live
+ * flip candidate, one per birth decision, and one accept-reject loop per
+ * truncated-normal draw (Robert, "Simulation of truncated normal variables",
+ * 1995), each in row order.
  *
  * The model: each pseudo-observation column c of attribute d is
  * y_c = z B_c + N(0, sigma_d^2), with weights B_c ~ N(0, sigma_d^2 sigma_B^2 I)
@@ -27,12 +26,13 @@
  *   glfm_attributes    Cholesky of P, the P^{-1} rebuild and, per attribute,
  *                      weights, pseudo-observations, ordinal thresholds and
  *                      noise variance
- *   glfm_trunc_normal  N(mean, std^2) truncated to (lo, hi], vectorized
+ *   glfm_trunc_normal  N(mean, std^2) truncated to (lo, hi], over an array
  *   glfm_inverse_gamma one inverse-gamma draw
  * and three scalar helpers of the birth step, exported for tests.
  *
  * Build: cc -O2 -fPIC -shared, linked with libnpyrandom.a and libm. No
- * -ffast-math and no FMA contraction: the arithmetic must round as numpy's.
+ * -ffast-math and no FMA contraction: each operation rounds once, as the
+ * numpy references in the tests do, so draws match them bit for bit.
  */
 
 #include <float.h>
@@ -161,225 +161,84 @@ static void backward_solve_transposed(int64_t K, const double *L, double *x, int
 }
 
 /* ------------------------------------------------------------------------ */
-/* truncated normal: randkit's vectorized accept-reject, one index at a time */
+/* truncated normal: one accept-reject loop per draw                        */
 
-/* Each rejecter runs rounds over the indices in `idx` (positions into the
- * bound arrays); a round draws for every index still to do, in order, and
- * keeps the rejected ones for the next round. hi == NULL means +inf. */
-
-static void normal_reject(bitgen_t *bg, int64_t cnt, const int64_t *idx, const double *lo,
-                          const double *hi, double *out, int64_t *todo)
+/* Standard normal truncated to (a, b], by Robert's accept-reject ("Simulation
+ * of truncated normal variables", 1995). The interval is mirrored so that lo
+ * is the bound nearer 0. Straddling 0, wide intervals use normal proposals
+ * and narrow ones uniform proposals; in a tail, a one-sided interval uses
+ * normal proposals up to ONE_SIDED_SWITCH and translated-exponential ones
+ * beyond it, and a two-sided one uses exponential proposals when hi passes
+ * Robert's crossover and uniform ones otherwise. The formulas are written so
+ * that no intermediate overflows at bounds near DBL_MAX. */
+static double std_trunc(bitgen_t *bg, double a, double b)
 {
-    memcpy(todo, idx, (size_t)cnt * sizeof(int64_t));
-    while (cnt > 0) {
-        int64_t left = 0;
-        for (int64_t t = 0; t < cnt; t++) {
-            int64_t i = todo[t];
-            double y = random_standard_normal(bg);
-            if (y > lo[i] && (hi == NULL || y <= hi[i]))
-                out[i] = y;
-            else
-                todo[left++] = i;
+    const int flip = fabs(a) > fabs(b);
+    const double lo = flip ? -b : a, hi = flip ? -a : b;
+    /* the exponential rate, (lo + sqrt(lo^2 + 4)) / 2 */
+    const double lam = lo > 0.0 ? 0.5 * lo + 0.5 * hypot(lo, 2.0) : 0.0;
+    enum { NORMAL, UNIFORM, EXPONENTIAL } proposal;
+    if (lo <= 0.0)
+        proposal = hi - lo > sqrt(2.0 * PI) ? NORMAL : UNIFORM;
+    else if (hi == INFINITY)
+        proposal = lo <= ONE_SIDED_SWITCH ? NORMAL : EXPONENTIAL;
+    else
+        proposal = hi > lo + sqrt(EULER) / lam * exp(-0.5 * lo / lam) ? EXPONENTIAL : UNIFORM;
+    double y;
+    for (;;) {
+        if (proposal == NORMAL) {
+            y = random_standard_normal(bg);
+            if (y > lo && y <= hi)
+                break;
+        } else if (proposal == UNIFORM) {
+            /* the density on (lo, hi] peaks at m */
+            const double m = lo > 0.0 ? lo : 0.0;
+            y = lo + (hi - lo) * next_double(bg);
+            if (next_double(bg) <= exp((m - y) * (m + y) / 2.0))
+                break;
+        } else {
+            /* two draws per proposal, in range or not */
+            y = lo + random_standard_exponential(bg) / lam;
+            const double dy = y - lam, u = next_double(bg);
+            if (y <= hi && u <= exp(-0.5 * (dy * dy)))
+                break;
         }
-        cnt = left;
     }
+    return flip ? -y : y;
 }
 
-static void uniform_reject(bitgen_t *bg, int64_t cnt, const int64_t *idx, const double *lo,
-                           const double *hi, double *out, int64_t *todo, double *y)
+/* One N(mean, std^2) draw truncated to (lo, hi] into *out. */
+static int trunc_normal(bitgen_t *bg, double mean, double std, double lo, double hi,
+                        double *out)
 {
-    memcpy(todo, idx, (size_t)cnt * sizeof(int64_t));
-    while (cnt > 0) {
-        for (int64_t t = 0; t < cnt; t++) {
-            int64_t i = todo[t];
-            y[t] = lo[i] + (hi[i] - lo[i]) * next_double(bg);
-        }
-        int64_t left = 0;
-        for (int64_t t = 0; t < cnt; t++) {
-            int64_t i = todo[t];
-            double u = next_double(bg);
-            /* the density peaks at 0 inside the interval, else at the
-             * endpoint nearer 0 */
-            double m = lo[i] > 0.0 ? lo[i] : (hi[i] < 0.0 ? hi[i] : 0.0);
-            double yt = y[t];
-            if (u <= exp((m * m - yt * yt) / 2.0))
-                out[i] = yt;
-            else
-                todo[left++] = i;
-        }
-        cnt = left;
-    }
+    if (!(std > 0.0))
+        return ERR_STD;
+    if (!(lo < hi))
+        return ERR_BOUNDS;
+    const double a = isfinite(lo) ? (lo - mean) / std : lo;
+    const double b = isfinite(hi) ? (hi - mean) / std : hi;
+    /* a standardized bound that overflows puts all the mass at that bound */
+    double x = a == INFINITY ? lo : b == -INFINITY ? hi : mean + std * std_trunc(bg, a, b);
+    /* float rounding can push a sample just outside (lo, hi]; the nearest
+     * double inside is hi, or the one just above lo */
+    if (x > hi)
+        x = hi;
+    if (x <= lo)
+        x = nextafter(lo, INFINITY);
+    *out = x;
+    return 0;
 }
 
-/* translated-exponential proposals for (lo, hi], lo > 0 */
-static void exp_reject(bitgen_t *bg, int64_t cnt, const int64_t *idx, const double *lo,
-                       const double *hi, double *out, int64_t *todo, double *y)
-{
-    memcpy(todo, idx, (size_t)cnt * sizeof(int64_t));
-    while (cnt > 0) {
-        for (int64_t t = 0; t < cnt; t++) {
-            int64_t i = todo[t];
-            double lam = 0.5 * (lo[i] + sqrt(lo[i] * lo[i] + 4.0));
-            y[t] = lo[i] + random_standard_exponential(bg) / lam;
-        }
-        int64_t left = 0;
-        for (int64_t t = 0; t < cnt; t++) {
-            int64_t i = todo[t];
-            double u = next_double(bg);
-            double lam = 0.5 * (lo[i] + sqrt(lo[i] * lo[i] + 4.0));
-            double yt = y[t], dy = yt - lam;
-            if ((hi == NULL || yt <= hi[i]) && u <= exp(-0.5 * (dy * dy)))
-                out[i] = yt;
-            else
-                todo[left++] = i;
-        }
-        cnt = left;
-    }
-}
-
-typedef struct {
-    double *lo, *hi, *y; /* n each */
-    int64_t *list, *sub, *todo;
-} trunc_ws;
-
-/* standard normal truncated to (lo[i], inf) for the listed i */
-static void one_sided(bitgen_t *bg, int64_t cnt, const int64_t *list, const double *lo,
-                      double *out, trunc_ws *w)
-{
-    int64_t k = 0;
-    for (int64_t t = 0; t < cnt; t++)
-        if (lo[list[t]] <= ONE_SIDED_SWITCH)
-            w->sub[k++] = list[t];
-    normal_reject(bg, k, w->sub, lo, NULL, out, w->todo);
-    k = 0;
-    for (int64_t t = 0; t < cnt; t++)
-        if (!(lo[list[t]] <= ONE_SIDED_SWITCH))
-            w->sub[k++] = list[t];
-    exp_reject(bg, k, w->sub, lo, NULL, out, w->todo, w->y);
-}
-
-/* standard normal truncated to (a[i], b[i]], both finite, for the listed i */
-static void two_sided(bitgen_t *bg, int64_t cnt, const int64_t *list, const double *a,
-                      const double *b, double *out, trunc_ws *w)
-{
-    double *lo = w->lo, *hi = w->hi;
-    /* mirror so the interval is centered or right of zero */
-    for (int64_t t = 0; t < cnt; t++) {
-        int64_t i = list[t];
-        int flip = fabs(a[i]) > fabs(b[i]);
-        lo[i] = flip ? -b[i] : a[i];
-        hi[i] = flip ? -a[i] : b[i];
-    }
-    const double wide = sqrt(2.0 * PI);
-    int64_t k;
-    /* straddling 0: plain normals for wide intervals, uniforms otherwise */
-    k = 0;
-    for (int64_t t = 0; t < cnt; t++) {
-        int64_t i = list[t];
-        if (lo[i] <= 0.0 && (hi[i] - lo[i]) > wide)
-            w->sub[k++] = i;
-    }
-    normal_reject(bg, k, w->sub, lo, hi, out, w->todo);
-    k = 0;
-    for (int64_t t = 0; t < cnt; t++) {
-        int64_t i = list[t];
-        if (lo[i] <= 0.0 && !((hi[i] - lo[i]) > wide))
-            w->sub[k++] = i;
-    }
-    uniform_reject(bg, k, w->sub, lo, hi, out, w->todo, w->y);
-    /* in a tail: Robert's crossover between uniform and translated-
-     * exponential proposals */
-    const double c0 = 2.0 * sqrt(EULER);
-    for (int pass = 0; pass < 2; pass++) {
-        k = 0;
-        for (int64_t t = 0; t < cnt; t++) {
-            int64_t i = list[t];
-            if (lo[i] <= 0.0)
-                continue;
-            double tl = lo[i], q = sqrt(tl * tl + 4.0);
-            double cut = tl + c0 / (tl + q) * exp((tl * tl - tl * q) / 4.0);
-            if ((hi[i] > cut) == (pass == 0))
-                w->sub[k++] = i;
-        }
-        if (pass == 0)
-            exp_reject(bg, k, w->sub, lo, hi, out, w->todo, w->y);
-        else
-            uniform_reject(bg, k, w->sub, lo, hi, out, w->todo, w->y);
-    }
-    for (int64_t t = 0; t < cnt; t++) {
-        int64_t i = list[t];
-        if (fabs(a[i]) > fabs(b[i]))
-            out[i] = -out[i];
-    }
-}
-
-/* Standard normal truncated to (a[i], b[i]], i < n, regime by regime. */
-static void std_trunc(bitgen_t *bg, int64_t n, const double *a, const double *b, double *x,
-                      trunc_ws *w)
-{
-    int64_t k = 0;
-    for (int64_t i = 0; i < n; i++)
-        if (a[i] == -INFINITY && b[i] == INFINITY)
-            x[i] = random_standard_normal(bg);
-    /* left truncation only */
-    for (int64_t i = 0; i < n; i++)
-        if (a[i] != -INFINITY && b[i] == INFINITY)
-            w->list[k++] = i;
-    one_sided(bg, k, w->list, a, x, w);
-    /* right truncation only: mirror to (-b, inf) */
-    k = 0;
-    for (int64_t i = 0; i < n; i++)
-        if (a[i] == -INFINITY && b[i] != INFINITY) {
-            w->list[k++] = i;
-            w->lo[i] = -b[i];
-        }
-    one_sided(bg, k, w->list, w->lo, x, w);
-    for (int64_t t = 0; t < k; t++)
-        x[w->list[t]] = -x[w->list[t]];
-    k = 0;
-    for (int64_t i = 0; i < n; i++)
-        if (a[i] != -INFINITY && b[i] != INFINITY)
-            w->list[k++] = i;
-    two_sided(bg, k, w->list, a, b, x, w);
-}
-
-/* N(mean[i], std[i]^2) truncated to (lo[i], hi[i]], i < n, into out. */
+/* N(mean[i], std[i]^2) truncated to (lo[i], hi[i]], i < n, into out: the
+ * draws of n single calls in index order. */
 int glfm_trunc_normal(bitgen_t *bg, int64_t n, const double *mean, const double *std,
                       const double *lo, const double *hi, double *out)
 {
-    for (int64_t i = 0; i < n; i++)
-        if (std[i] <= 0.0)
-            return ERR_STD;
-    for (int64_t i = 0; i < n; i++)
-        if (lo[i] >= hi[i])
-            return ERR_BOUNDS;
-    if (n == 0)
-        return 0;
-    double *buf = malloc((size_t)n * 6 * sizeof(double));
-    int64_t *ibuf = malloc((size_t)n * 3 * sizeof(int64_t));
-    if (buf == NULL || ibuf == NULL) {
-        free(buf);
-        free(ibuf);
-        return ERR_NOMEM;
-    }
-    double *a = buf, *b = buf + n, *t = buf + 2 * n;
-    trunc_ws w = {buf + 3 * n, buf + 4 * n, buf + 5 * n, ibuf, ibuf + n, ibuf + 2 * n};
     for (int64_t i = 0; i < n; i++) {
-        a[i] = isfinite(lo[i]) ? (lo[i] - mean[i]) / std[i] : lo[i];
-        b[i] = isfinite(hi[i]) ? (hi[i] - mean[i]) / std[i] : hi[i];
+        int err = trunc_normal(bg, mean[i], std[i], lo[i], hi[i], &out[i]);
+        if (err)
+            return err;
     }
-    std_trunc(bg, n, a, b, t, &w);
-    for (int64_t i = 0; i < n; i++) {
-        double x = mean[i] + std[i] * t[i];
-        /* float rounding can push a sample just outside (lo, hi] */
-        if (x > hi[i])
-            x = hi[i];
-        if (x <= lo[i])
-            x = isfinite(hi[i]) ? hi[i] : lo[i] + std[i];
-        out[i] = x;
-    }
-    free(buf);
-    free(ibuf);
     return 0;
 }
 
@@ -766,8 +625,6 @@ typedef struct {
     double *L, *E, *eps;                  /* K x K, K x K, K x Smax */
     double *Ynew, *Yold, *mean;           /* rows x Smax */
     double *wmean;                        /* K */
-    double *tm, *ts, *tlo, *thi, *tout;   /* rows */
-    int64_t *sel, *picked;                /* rows each */
 } attr_ws;
 
 /* Draw attribute d's weight columns from N(P^{-1} lam, sigma_d^2 P^{-1}),
@@ -828,15 +685,12 @@ static int sample_pseudo_obs(bitgen_t *bg, const glfm_state *st, int64_t d, int6
             for (int64_t j = 0; j < Sd; j++)
                 Ynew[i * Sd + j] = mean[i * Sd + j] + sd * random_standard_normal(bg);
 
-    int64_t nobs = 0;
-    for (int64_t i = 0; i < rows; i++)
-        if (!st->missing[(r0 + i) * D + d])
-            w->sel[nobs++] = i;
     int err = 0;
-    if (nobs > 0 && kind == KIND_CONTINUOUS) {
+    if (kind == KIND_CONTINUOUS) {
         const double su2 = st->sigma_u2;
-        for (int64_t t = 0; t < nobs; t++) {
-            int64_t i = w->sel[t];
+        for (int64_t i = 0; i < rows; i++) {
+            if (st->missing[(r0 + i) * D + d])
+                continue;
             double target = st->obs_lo[(r0 + i) * D + d];
             if (su2 == 0.0) {
                 Ynew[i * Sd] = target;
@@ -846,55 +700,47 @@ static int sample_pseudo_obs(bitgen_t *bg, const glfm_state *st, int64_t d, int6
                 Ynew[i * Sd] = pm + sqrt(pv) * random_standard_normal(bg);
             }
         }
-    } else if (nobs > 0 && (kind == KIND_COUNT || kind == KIND_ORDINAL)) {
+    } else if (kind == KIND_COUNT || kind == KIND_ORDINAL) {
         const double *th = st->theta[d];
         const int64_t R = st->levels[d];
-        for (int64_t t = 0; t < nobs; t++) {
-            int64_t i = w->sel[t], cell = (r0 + i) * D + d;
-            w->tm[t] = mean[i * Sd];
-            w->ts[t] = sd;
+        for (int64_t i = 0; i < rows && !err; i++) {
+            int64_t cell = (r0 + i) * D + d;
+            if (st->missing[cell])
+                continue;
+            double lo, hi;
             if (kind == KIND_COUNT) {
-                w->tlo[t] = st->obs_lo[cell];
-                w->thi[t] = st->obs_hi[cell];
+                lo = st->obs_lo[cell];
+                hi = st->obs_hi[cell];
             } else {
                 int64_t x = (int64_t)st->cells[cell];
-                w->tlo[t] = x == 1 ? -INFINITY : th[x - 2];
-                w->thi[t] = x == R ? INFINITY : th[x - 1];
+                lo = x == 1 ? -INFINITY : th[x - 2];
+                hi = x == R ? INFINITY : th[x - 1];
             }
+            err = trunc_normal(bg, mean[i * Sd], sd, lo, hi, &Ynew[i * Sd]);
         }
-        err = glfm_trunc_normal(bg, nobs, w->tm, w->ts, w->tlo, w->thi, w->tout);
-        for (int64_t t = 0; !err && t < nobs; t++)
-            Ynew[w->sel[t] * Sd] = w->tout[t];
-    } else if (nobs > 0) {
+    } else {
         for (int64_t j = 0; j < Sd && !err; j++) {
             for (int pass = 0; pass < 2 && !err; pass++) {
                 /* pass 0: rows observed at level j + 1 rise above their
                  * rivals; pass 1: every other row stays below its own level */
-                int64_t cnt = 0;
-                for (int64_t t = 0; t < nobs; t++) {
-                    int64_t i = w->sel[t];
-                    int64_t x = (int64_t)st->cells[(r0 + i) * D + d];
+                for (int64_t i = 0; i < rows && !err; i++) {
+                    int64_t cell = (r0 + i) * D + d;
+                    if (st->missing[cell])
+                        continue;
+                    int64_t x = (int64_t)st->cells[cell];
                     if ((x == j + 1) != (pass == 0))
                         continue;
-                    const double *yi = Ynew + i * Sd;
-                    w->tm[cnt] = mean[i * Sd + j];
-                    w->ts[cnt] = sd;
+                    double *yi = Ynew + i * Sd;
+                    double lo = -INFINITY, hi = INFINITY;
                     if (pass == 0) {
-                        double lo = -INFINITY;
                         for (int64_t c = 0; c < Sd; c++)
                             if (c != j && yi[c] > lo)
                                 lo = yi[c];
-                        w->tlo[cnt] = lo;
-                        w->thi[cnt] = INFINITY;
                     } else {
-                        w->tlo[cnt] = -INFINITY;
-                        w->thi[cnt] = yi[x - 1];
+                        hi = yi[x - 1];
                     }
-                    w->picked[cnt++] = i;
+                    err = trunc_normal(bg, mean[i * Sd + j], sd, lo, hi, &yi[j]);
                 }
-                err = glfm_trunc_normal(bg, cnt, w->tm, w->ts, w->tlo, w->thi, w->tout);
-                for (int64_t t = 0; !err && t < cnt; t++)
-                    Ynew[w->picked[t] * Sd + j] = w->tout[t];
             }
         }
     }
@@ -962,8 +808,7 @@ static int sample_thresholds(bitgen_t *bg, const glfm_state *st, int64_t d, int6
             err_at[1] = r;
             return ERR_EMPTY_SUPPORT;
         }
-        double zero = 0.0;
-        int err = glfm_trunc_normal(bg, 1, &zero, &sd, &lo, &hi, &th[r - 1]);
+        int err = trunc_normal(bg, 0.0, sd, lo, hi, &th[r - 1]);
         if (err)
             return err;
     }
@@ -1013,14 +858,10 @@ int glfm_attributes(bitgen_t *bg, const glfm_state *st, int64_t d_lo, int64_t d_
             Smax = st->offset[d + 1] - st->offset[d];
     /* mean doubles as the K x Smax lam delta */
     int64_t mean_len = rows * Smax > Ku * Smax ? rows * Smax : Ku * Smax;
-    size_t doubles = (size_t)(2 * Ku * Ku + Ku * Smax + Ku + 2 * rows * Smax + mean_len + 5 * rows);
+    size_t doubles = (size_t)(2 * Ku * Ku + Ku * Smax + Ku + 2 * rows * Smax + mean_len);
     double *buf = malloc(doubles * sizeof(double));
-    int64_t *sel = malloc((size_t)(2 * rows) * sizeof(int64_t));
-    if (buf == NULL || sel == NULL) {
-        free(buf);
-        free(sel);
+    if (buf == NULL)
         return ERR_NOMEM;
-    }
     attr_ws w;
     double *p = buf;
     w.L = p; p += Ku * Ku;
@@ -1029,14 +870,7 @@ int glfm_attributes(bitgen_t *bg, const glfm_state *st, int64_t d_lo, int64_t d_
     w.wmean = p; p += Ku;
     w.Ynew = p; p += rows * Smax;
     w.Yold = p; p += rows * Smax;
-    w.mean = p; p += mean_len;
-    w.tm = p; p += rows;
-    w.ts = p; p += rows;
-    w.tlo = p; p += rows;
-    w.thi = p; p += rows;
-    w.tout = p; p += rows;
-    w.sel = sel;
-    w.picked = sel + rows;
+    w.mean = p;
 
     int err = 0;
     if (steps & (STEP_REBUILD | STEP_WEIGHTS))
@@ -1054,6 +888,5 @@ int glfm_attributes(bitgen_t *bg, const glfm_state *st, int64_t d_lo, int64_t d_
             sample_noise_variance(bg, st, d);
     }
     free(buf);
-    free(sel);
     return err;
 }

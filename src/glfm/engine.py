@@ -249,10 +249,9 @@ class ChainResult:
     saved: list[LatentState]
 
 
-def _chol_inverse(P: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
-    """P^{-1} from the lower Cholesky factor L of P (factorized here if not given)."""
-    if L is None:
-        L = np.linalg.cholesky(P)
+def _chol_inverse(P: np.ndarray) -> np.ndarray:
+    """P^{-1} through the lower Cholesky factor of P."""
+    L = np.linalg.cholesky(P)
     E = solve_triangular(L, np.eye(P.shape[0]), lower=True)
     return E.T @ E
 

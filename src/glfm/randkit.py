@@ -2,10 +2,10 @@
 
 Everything flows from one explicit RngState per chain; there is no ambient
 global generator. The draws run in the compiled kernel (glfm._kernel) on
-the generator's own bit stream. The doubly truncated normal sampler follows
+the generator's own bit stream. The truncated normal sampler follows
 Robert's accept-reject constructions (normal, uniform, and translated-
-exponential proposals picked by regime), in the draw order of a pass
-vectorized over mismatched truncation regimes.
+exponential proposals picked by regime), one draw at a time: an array of
+draws equals the same draws made one by one in index order.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ incremental path commit identical decisions from an identical random stream.
 import ctypes
 import math
 import re
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -106,6 +108,19 @@ def test_kernel_state_struct_matches_the_c_typedef():
             name = re.findall(r"\w+", part)[-1]
             expected.append((name, ctypes.c_void_p if "*" in part else scalar[base]))
     assert list(_kernel.State._fields_) == expected
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    flags = (*_kernel.CFLAGS, "-Wall", "-Wextra", "-Werror")
+    proc = subprocess.run(
+        [cc, *flags, f"-I{np.get_include()}", str(_kernel.SOURCE), str(_kernel._npyrandom()),
+         "-lm", "-o", str(tmp_path / "sweep.so")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_hyperparams_validation():

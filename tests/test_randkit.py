@@ -1,6 +1,11 @@
 """Distributional and determinism checks for the seeded variate kit."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +137,8 @@ def test_location_scale():
         (-0.5, 0.3),  # narrow straddle: uniform proposals
         (-3.0, 4.0),  # wide straddle: normal proposals
         (3.0, 3.2),  # off-center tail slice
+        (2.0, 5.0),  # tail slice past the crossover: exponential proposals
+        (-5.0, -2.0),  # two-sided interval left of zero (mirrored)
         (0.2, np.inf),  # one-sided below the proposal switch
         (1.7, np.inf),  # one-sided above the proposal switch
         (-np.inf, -1.2),  # right truncation (mirrored)
@@ -157,6 +164,28 @@ def test_mixed_regimes_in_one_call():
     assert np.all(x <= hi)
 
 
+def test_huge_standardized_bounds_return():
+    # at standardized bounds this large a naive formula overflows (lo * lo in
+    # the exponential rate, inf - inf in the uniform test, or the
+    # standardization itself) and the loop never accepts; a child process
+    # turns such a hang into a failure
+    script = textwrap.dedent("""
+        import numpy as np
+        from glfm.randkit import RngState, trunc_normal_sample
+        inf = np.inf
+        for mean, std, lo, hi in [(0, 1, 1e160, inf), (0, 1, 1e160, 2e160),
+                                  (0, 1, -inf, -1e300), (0, 1, 1e308, inf),
+                                  (0, 1, -inf, -1e308), (0, 1e-310, 1, inf),
+                                  (-1e308, 2, 1e308, inf), (1e308, 1, -inf, -1e308)]:
+            x = trunc_normal_sample(RngState(1), mean, std, lo, hi, size=3)
+            assert np.all(np.isfinite(x)) and np.all(x > lo) and np.all(x <= hi), (lo, hi, x)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     mean=st.floats(-20, 20),
@@ -174,123 +203,58 @@ def test_bounds_always_respected(mean, std, lo, width, seed):
     assert np.all(np.isfinite(x))
 
 
-# --- numpy reference: the vectorized sampler the kernel replaced -------------
+# --- numpy reference: the sampler one draw at a time ------------------------
 
 
 def ref_trunc_normal_sample(rng, mean, std, lo, hi):
-    """randkit's numpy truncated normal, over 1-d arrays of equal length."""
-    a = np.where(np.isfinite(lo), (lo - mean) / std, lo)
-    b = np.where(np.isfinite(hi), (hi - mean) / std, hi)
-    x = mean + std * ref_std_trunc(rng, a, b)
-    bad_hi = x > hi
-    x[bad_hi] = hi[bad_hi]
-    bad_lo = x <= lo
-    x[bad_lo] = np.where(np.isfinite(hi[bad_lo]), hi[bad_lo], lo[bad_lo] + std[bad_lo])
-    return x
+    """Truncated normal draws over 1-d arrays of equal length, in index order."""
+    return np.array([ref_trunc_normal(rng, *entry) for entry in zip(mean, std, lo, hi)])
+
+
+def ref_trunc_normal(rng, mean, std, lo, hi):
+    a = (lo - mean) / std if math.isfinite(lo) else lo
+    b = (hi - mean) / std if math.isfinite(hi) else hi
+    if a == math.inf:
+        x = lo
+    elif b == -math.inf:
+        x = hi
+    else:
+        x = mean + std * ref_std_trunc(rng, a, b)
+    # float rounding can push a sample just outside (lo, hi]
+    x = min(x, hi)
+    return math.nextafter(lo, math.inf) if x <= lo else x
 
 
 def ref_std_trunc(rng, a, b):
-    """Standard normal truncated to (a, b], vectorized over regimes."""
-    x = np.empty(a.size)
-    no_lo = np.isinf(a) & (a < 0)
-    no_hi = np.isinf(b) & (b > 0)
-    free = no_lo & no_hi
-    if np.any(free):
-        x[free] = rng.gen.standard_normal(int(free.sum()))
-    left = ~no_lo & no_hi
-    right = no_lo & ~no_hi
-    if np.any(left):
-        x[left] = ref_one_sided(rng, a[left])
-    if np.any(right):
-        x[right] = -ref_one_sided(rng, -b[right])
-    two = ~no_lo & ~no_hi
-    if np.any(two):
-        x[two] = ref_two_sided(rng, a[two], b[two])
-    return x
-
-
-def ref_one_sided(rng, a):
-    out = np.empty(a.size)
-    easy = a <= 0.45
-    if np.any(easy):
-        out[easy] = ref_normal_reject(rng, a[easy], np.full(int(easy.sum()), np.inf))
-    if np.any(~easy):
-        out[~easy] = ref_exp_reject(rng, a[~easy], np.full(int((~easy).sum()), np.inf))
-    return out
-
-
-def ref_two_sided(rng, a, b):
-    flip = np.abs(a) > np.abs(b)
-    lo = np.where(flip, -b, a)
-    hi = np.where(flip, -a, b)
-    out = np.empty(a.size)
-    straddle = lo <= 0
-    if np.any(straddle):
-        sl, sh = lo[straddle], hi[straddle]
-        sub = np.empty(sl.size)
-        wide = (sh - sl) > math.sqrt(2.0 * math.pi)
-        if np.any(wide):
-            sub[wide] = ref_normal_reject(rng, sl[wide], sh[wide])
-        if np.any(~wide):
-            sub[~wide] = ref_uniform_reject(rng, sl[~wide], sh[~wide])
-        out[straddle] = sub
-    tail = ~straddle
-    if np.any(tail):
-        tl, th = lo[tail], hi[tail]
-        sub = np.empty(tl.size)
-        cut = tl + 2.0 * math.sqrt(math.e) / (tl + np.sqrt(tl * tl + 4.0)) * np.exp(
-            (tl * tl - tl * np.sqrt(tl * tl + 4.0)) / 4.0
-        )
-        use_exp = th > cut
-        if np.any(use_exp):
-            sub[use_exp] = ref_exp_reject(rng, tl[use_exp], th[use_exp])
-        if np.any(~use_exp):
-            sub[~use_exp] = ref_uniform_reject(rng, tl[~use_exp], th[~use_exp])
-        out[tail] = sub
-    return np.where(flip, -out, out)
-
-
-def ref_normal_reject(rng, lo, hi):
-    x = np.empty(lo.size)
-    todo = np.ones(lo.size, dtype=bool)
-    while np.any(todo):
-        y = rng.gen.standard_normal(int(todo.sum()))
-        ok = (y > lo[todo]) & (y <= hi[todo])
-        idx = np.flatnonzero(todo)[ok]
-        x[idx] = y[ok]
-        todo[idx] = False
-    return x
-
-
-def ref_uniform_reject(rng, lo, hi):
-    m = np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))
-    x = np.empty(lo.size)
-    todo = np.ones(lo.size, dtype=bool)
-    while np.any(todo):
-        k = int(todo.sum())
-        l, h = lo[todo], hi[todo]
-        y = l + (h - l) * rng.gen.uniform(size=k)
-        accept = rng.gen.uniform(size=k) <= np.exp((m[todo] ** 2 - y * y) / 2.0)
-        idx = np.flatnonzero(todo)[accept]
-        x[idx] = y[accept]
-        todo[idx] = False
-    return x
-
-
-def ref_exp_reject(rng, lo, hi):
-    lam = 0.5 * (lo + np.sqrt(lo * lo + 4.0))
-    x = np.empty(lo.size)
-    todo = np.ones(lo.size, dtype=bool)
-    while np.any(todo):
-        k = int(todo.sum())
-        y = lo[todo] + rng.gen.exponential(size=k) / lam[todo]
-        accept = (y <= hi[todo]) & (
-            rng.gen.uniform(size=k) <= np.exp(-0.5 * (y - lam[todo]) ** 2)
-        )
-        idx = np.flatnonzero(todo)[accept]
-        x[idx] = y[accept]
-        todo[idx] = False
-    return x
+    """Standard normal truncated to (a, b]: Robert's proposal for the regime,
+    on the interval mirrored so that lo is the bound nearer 0."""
+    flip = abs(a) > abs(b)
+    lo, hi = (-b, -a) if flip else (a, b)
+    # np.hypot, not math.hypot: it calls the C library's hypot, as the kernel does
+    lam = 0.5 * lo + 0.5 * float(np.hypot(lo, 2.0)) if lo > 0 else 0.0
+    if lo <= 0:
+        proposal = "normal" if hi - lo > math.sqrt(2.0 * math.pi) else "uniform"
+    elif math.isinf(hi):
+        proposal = "normal" if lo <= 0.45 else "exponential"
+    else:
+        cut = lo + math.sqrt(math.e) / lam * math.exp(-0.5 * lo / lam)
+        proposal = "exponential" if hi > cut else "uniform"
+    while True:
+        if proposal == "normal":
+            y = rng.gen.standard_normal()
+            if lo < y <= hi:
+                break
+        elif proposal == "uniform":
+            m = max(lo, 0.0)
+            y = lo + (hi - lo) * rng.gen.random()
+            if rng.gen.random() <= math.exp((m - y) * (m + y) / 2.0):
+                break
+        else:
+            y = lo + rng.gen.exponential() / lam
+            dy, u = y - lam, rng.gen.random()
+            if y <= hi and u <= math.exp(-0.5 * (dy * dy)):
+                break
+    return -y if flip else y
 
 
 # one entry per draw: standardized bounds drawn per regime (both sides free,
@@ -305,9 +269,9 @@ ENTRY = st.tuples(
 @given(entries=st.lists(ENTRY, min_size=1, max_size=40), calls=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_trunc_normal_matches_numpy_reference(entries, calls, seed):
-    # the kernel keeps the reference's regime split and round order, so the
-    # same stream gives the same draws and leaves the generator in the same
-    # state after every call
+    # the kernel draws entry by entry as the reference does, so the same
+    # stream gives the same draws and leaves the generator in the same state
+    # after every call
     regime, a, width, mean, std = (np.array(col) for col in zip(*entries))
     lo = np.where(np.isin(regime, ["left", "two"]), mean + std * a, -np.inf)
     hi = np.where(np.isin(regime, ["right", "two"]), mean + std * (a + width), np.inf)
