@@ -66,10 +66,6 @@ _SIGNATURES = {
 }
 
 
-def _npyrandom() -> Path:
-    return Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
-
-
 def _cache_path() -> Path:
     root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
     key = hashlib.sha256()
@@ -79,26 +75,30 @@ def _cache_path() -> Path:
     return Path(root) / "glfm" / f"_sweep-{key.hexdigest()[:16]}.so"
 
 
-def _build(target: Path) -> None:
+def _command(out: str, *extra: str) -> list[str]:
+    """The compiler command that builds the kernel into out, with extra flags."""
     cc = shutil.which("cc")
     if cc is None:
         raise KernelBuildError(
             "no C compiler: glfm builds its sampler kernel with `cc`, which is not on PATH"
         )
+    npyrandom = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+    return [cc, *CFLAGS, *extra, f"-I{np.get_include()}", str(SOURCE), str(npyrandom),
+            "-lm", "-o", out]
+
+
+def _build(target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=target.stem + "-", suffix=".tmp", dir=target.parent)
     os.close(fd)
     try:
-        proc = subprocess.run(
-            [cc, *CFLAGS, f"-I{np.get_include()}", str(SOURCE), str(_npyrandom()), "-lm",
-             "-o", tmp],
-            capture_output=True, text=True,
-        )
+        cmd = _command(tmp)
+        proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             lines = proc.stderr.splitlines()
             first = next((ln for ln in lines if "error" in ln), lines[0] if lines else "")
             raise KernelBuildError(
-                f"cannot build the sampler kernel: {cc} exited with {proc.returncode}: "
+                f"cannot build the sampler kernel: {cmd[0]} exited with {proc.returncode}: "
                 f"{first.strip()}"
             )
         os.replace(tmp, target)

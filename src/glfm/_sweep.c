@@ -191,8 +191,9 @@ static double std_trunc(bitgen_t *bg, double a, double b)
             if (y > lo && y <= hi)
                 break;
         } else if (proposal == UNIFORM) {
-            /* the density on (lo, hi] peaks at m */
-            const double m = lo > 0.0 ? lo : 0.0;
+            /* the density on (lo, hi] peaks at m; hi < 0 only when the
+             * standardized bounds are equal, as a rounded narrow cell can be */
+            const double m = lo > 0.0 ? lo : (hi < 0.0 ? hi : 0.0);
             y = lo + (hi - lo) * next_double(bg);
             if (next_double(bg) <= exp((m - y) * (m + y) / 2.0))
                 break;
@@ -230,10 +231,17 @@ static int trunc_normal(bitgen_t *bg, double mean, double std, double lo, double
 }
 
 /* N(mean[i], std[i]^2) truncated to (lo[i], hi[i]], i < n, into out: the
- * draws of n single calls in index order. */
+ * draws of n single calls in index order. Every entry is checked first, so a
+ * call that fails draws nothing. */
 int glfm_trunc_normal(bitgen_t *bg, int64_t n, const double *mean, const double *std,
                       const double *lo, const double *hi, double *out)
 {
+    for (int64_t i = 0; i < n; i++)
+        if (!(std[i] > 0.0))
+            return ERR_STD;
+    for (int64_t i = 0; i < n; i++)
+        if (!(lo[i] < hi[i]))
+            return ERR_BOUNDS;
     for (int64_t i = 0; i < n; i++) {
         int err = trunc_normal(bg, mean[i], std[i], lo[i], hi[i], &out[i]);
         if (err)

@@ -111,15 +111,10 @@ def test_kernel_state_struct_matches_the_c_typedef():
 
 
 def test_kernel_compiles_without_warnings(tmp_path):
-    cc = shutil.which("cc")
-    if cc is None:
+    if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    flags = (*_kernel.CFLAGS, "-Wall", "-Wextra", "-Werror")
-    proc = subprocess.run(
-        [cc, *flags, f"-I{np.get_include()}", str(_kernel.SOURCE), str(_kernel._npyrandom()),
-         "-lm", "-o", str(tmp_path / "sweep.so")],
-        capture_output=True, text=True,
-    )
+    cmd = _kernel._command(str(tmp_path / "sweep.so"), "-Wall", "-Wextra", "-Werror")
+    proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -103,6 +103,18 @@ def test_trunc_normal_validation():
         trunc_normal_sample(rng, 0.0, 1.0, 2.0, 2.0)
     with pytest.raises(ValueError):
         trunc_normal_sample(rng, 0.0, 1.0, 3.0, -3.0)
+    with pytest.raises(ValueError):
+        trunc_normal_sample(rng, 0.0, np.nan, 0.0, 1.0)
+
+
+def test_failed_call_draws_nothing():
+    # every entry is checked before any draw, so an error leaves the
+    # generator where it was
+    rng = RngState(3)
+    before = rng.get_state()
+    with pytest.raises(ValueError):
+        trunc_normal_sample(rng, 0.0, 1.0, [0.0, 0.0, 2.0], [1.0, 1.0, 2.0])
+    assert rng.get_state() == before
 
 
 def test_half_normal_moments():
@@ -167,8 +179,9 @@ def test_mixed_regimes_in_one_call():
 def test_huge_standardized_bounds_return():
     # at standardized bounds this large a naive formula overflows (lo * lo in
     # the exponential rate, inf - inf in the uniform test, or the
-    # standardization itself) and the loop never accepts; a child process
-    # turns such a hang into a failure
+    # standardization itself) and the loop never accepts; so does a uniform
+    # proposal that does not peak at hi when equal bounds lie far below 0.
+    # A child process turns such a hang into a failure
     script = textwrap.dedent("""
         import numpy as np
         from glfm.randkit import RngState, trunc_normal_sample
@@ -176,7 +189,8 @@ def test_huge_standardized_bounds_return():
         for mean, std, lo, hi in [(0, 1, 1e160, inf), (0, 1, 1e160, 2e160),
                                   (0, 1, -inf, -1e300), (0, 1, 1e308, inf),
                                   (0, 1, -inf, -1e308), (0, 1e-310, 1, inf),
-                                  (-1e308, 2, 1e308, inf), (1e308, 1, -inf, -1e308)]:
+                                  (-1e308, 2, 1e308, inf), (1e308, 1, -inf, -1e308),
+                                  (100, 2.5, 0, 5e-324)]:
             x = trunc_normal_sample(RngState(1), mean, std, lo, hi, size=3)
             assert np.all(np.isfinite(x)) and np.all(x > lo) and np.all(x <= hi), (lo, hi, x)
     """)
@@ -245,7 +259,7 @@ def ref_std_trunc(rng, a, b):
             if lo < y <= hi:
                 break
         elif proposal == "uniform":
-            m = max(lo, 0.0)
+            m = lo if lo > 0 else (hi if hi < 0 else 0.0)
             y = lo + (hi - lo) * rng.gen.random()
             if rng.gen.random() <= math.exp((m - y) * (m + y) / 2.0):
                 break
