@@ -31,7 +31,7 @@ CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # step mask of glfm_attributes
 STEP_REBUILD, STEP_WEIGHTS, STEP_PSEUDO, STEP_THRESHOLDS, STEP_NOISE = 1, 2, 4, 8, 16
 # error codes of the kernel's entry points
-ERR_NOT_PD, ERR_EMPTY_SUPPORT, ERR_BOUNDS, ERR_STD, ERR_NOMEM = -1, -2, -3, -4, -5
+ERR_NOT_PD, ERR_EMPTY_SUPPORT, ERR_BOUNDS, ERR_STD, ERR_NOMEM, ERR_MEAN = -1, -2, -3, -4, -5, -6
 
 
 class KernelBuildError(RuntimeError):
@@ -60,6 +60,9 @@ _SIGNATURES = {
                                        ctypes.c_int, _ptr]),
     "glfm_trunc_normal": (ctypes.c_int, [_ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr]),
     "glfm_inverse_gamma": (_f64, [_ptr, _f64, _f64]),
+    "glfm_chol_inverse": (ctypes.c_int, [_i64, _ptr, _ptr]),
+    "glfm_ndtr": (None, [_i64, _ptr, _ptr]),
+    "glfm_log_ndtr": (None, [_i64, _ptr, _ptr]),
     "glfm_row_loglik": (_f64, [_f64, _f64, _f64]),
     "glfm_birth_gain_bound": (_f64, [_f64, _f64, _f64]),
     "glfm_inverse_cdf_index": (_i64, [_i64, _ptr, _f64]),
@@ -138,7 +141,9 @@ def check(code: int) -> None:
     if code == ERR_BOUNDS:
         raise ValueError("truncation requires lo < hi")
     if code == ERR_STD:
-        raise ValueError("std must be > 0")
+        raise ValueError("std must be finite and > 0")
+    if code == ERR_MEAN:
+        raise ValueError("truncated normal mean must not be NaN")
     if code == ERR_NOMEM:
         raise MemoryError("sampler kernel could not allocate its workspace")
     raise RuntimeError(f"sampler kernel failed with code {code}")

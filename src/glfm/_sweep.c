@@ -28,6 +28,10 @@
  *                      noise variance
  *   glfm_trunc_normal  N(mean, std^2) truncated to (lo, hi], over an array
  *   glfm_inverse_gamma one inverse-gamma draw
+ *   glfm_chol_inverse  P^{-1} through the Cholesky factor of P, as the
+ *                      P^{-1} rebuild takes it
+ *   glfm_ndtr          the standard normal CDF, over an array
+ *   glfm_log_ndtr      its logarithm, over an array
  * and three scalar helpers of the birth step, exported for tests.
  *
  * Build: cc -O2 -fPIC -shared, linked with libnpyrandom.a and libm. No
@@ -62,8 +66,9 @@ enum {
     ERR_NOT_PD = -1,        /* Cholesky: matrix not positive definite */
     ERR_EMPTY_SUPPORT = -2, /* an ordinal threshold has empty support */
     ERR_BOUNDS = -3,        /* truncation with lo >= hi */
-    ERR_STD = -4,           /* truncation with std <= 0 */
+    ERR_STD = -4,           /* truncation with std <= 0 or not finite */
     ERR_NOMEM = -5,
+    ERR_MEAN = -6,          /* truncation with a NaN mean */
 };
 
 /* Mirrors the ctypes Structure in glfm/_kernel.py field for field. Arrays are
@@ -83,6 +88,7 @@ typedef struct {
 
 static const double PI = 3.141592653589793;
 static const double EULER = 2.718281828459045;
+static const double SQRT1_2 = 0.7071067811865476;
 /* one-sided truncation: below this standardized bound plain normal
  * rejection beats the translated-exponential proposal */
 static const double ONE_SIDED_SWITCH = 0.45;
@@ -136,6 +142,20 @@ static void cholesky_inverse(int64_t K, const double *L, double *E, double *out)
             out[j * K + i] = sum;
         }
     }
+}
+
+/* out = P^{-1} for a K x K positive definite P, from its Cholesky factor. */
+int glfm_chol_inverse(int64_t K, const double *P, double *out)
+{
+    const int64_t Ku = K > 0 ? K : 1;
+    double *buf = malloc((size_t)(2 * Ku * Ku) * sizeof(double));
+    if (buf == NULL)
+        return ERR_NOMEM;
+    int err = cholesky(K, P, buf);
+    if (!err)
+        cholesky_inverse(K, buf, buf + Ku * Ku, out);
+    free(buf);
+    return err;
 }
 
 /* Solve L x = b in place, L lower and b strided. */
@@ -208,14 +228,27 @@ static double std_trunc(bitgen_t *bg, double a, double b)
     return flip ? -y : y;
 }
 
+/* The error code of a truncated-normal draw's arguments, or 0. A NaN mean or
+ * bound never lets the accept-reject loop accept, and an infinite std makes
+ * the draw NaN. */
+static int trunc_check(double mean, double std, double lo, double hi)
+{
+    if (isnan(mean))
+        return ERR_MEAN;
+    if (!(std > 0.0 && std < INFINITY))
+        return ERR_STD;
+    if (!(lo < hi))
+        return ERR_BOUNDS;
+    return 0;
+}
+
 /* One N(mean, std^2) draw truncated to (lo, hi] into *out. */
 static int trunc_normal(bitgen_t *bg, double mean, double std, double lo, double hi,
                         double *out)
 {
-    if (!(std > 0.0))
-        return ERR_STD;
-    if (!(lo < hi))
-        return ERR_BOUNDS;
+    int err = trunc_check(mean, std, lo, hi);
+    if (err)
+        return err;
     const double a = isfinite(lo) ? (lo - mean) / std : lo;
     const double b = isfinite(hi) ? (hi - mean) / std : hi;
     /* a standardized bound that overflows puts all the mass at that bound */
@@ -236,12 +269,11 @@ static int trunc_normal(bitgen_t *bg, double mean, double std, double lo, double
 int glfm_trunc_normal(bitgen_t *bg, int64_t n, const double *mean, const double *std,
                       const double *lo, const double *hi, double *out)
 {
-    for (int64_t i = 0; i < n; i++)
-        if (!(std[i] > 0.0))
-            return ERR_STD;
-    for (int64_t i = 0; i < n; i++)
-        if (!(lo[i] < hi[i]))
-            return ERR_BOUNDS;
+    for (int64_t i = 0; i < n; i++) {
+        int err = trunc_check(mean[i], std[i], lo[i], hi[i]);
+        if (err)
+            return err;
+    }
     for (int64_t i = 0; i < n; i++) {
         int err = trunc_normal(bg, mean[i], std[i], lo[i], hi[i], &out[i]);
         if (err)
@@ -256,6 +288,54 @@ double glfm_inverse_gamma(bitgen_t *bg, double shape, double rate)
     double g = (1.0 / rate) * random_standard_gamma(bg, shape);
     /* gamma draws can underflow to 0 for tiny shapes; keep the output finite */
     return 1.0 / (DBL_MIN > g ? DBL_MIN : g);
+}
+
+/* ------------------------------------------------------------------------ */
+/* the standard normal CDF and its logarithm                                */
+
+/* Phi(x), in the cephes form: 1/2 + erf(x / sqrt 2) / 2 near 0, and erfc of
+ * |x| / sqrt 2 beyond, so that neither tail loses digits to cancellation. */
+static double ndtr(double x)
+{
+    const double t = x * SQRT1_2, z = fabs(t);
+    if (z < SQRT1_2)
+        return 0.5 + 0.5 * erf(t);
+    const double y = 0.5 * erfc(z);
+    return t > 0.0 ? 1.0 - y : y;
+}
+
+/* log Phi(x): log1p of the upper tail above -1, the log of the lower tail
+ * down to -20, and below -20, where erfc underflows further out, the
+ * asymptotic series log Phi(x) = -x^2/2 - log(-x) - log(2 pi)/2
+ * + log(1 - 1/x^2 + 3/x^4 - 15/x^6 + ...), summed until it stops moving. */
+static double log_ndtr(double x)
+{
+    if (isnan(x))
+        return x;
+    if (x > -1.0)
+        return log1p(-0.5 * erfc(x * SQRT1_2));
+    if (x > -20.0)
+        return log(0.5 * erfc(-x * SQRT1_2));
+    const double r = 1.0 / (x * x);
+    double sum = 1.0, last = 0.0, term = 1.0;
+    for (int i = 1; fabs(sum - last) > DBL_EPSILON; i++) {
+        last = sum;
+        term *= -(2.0 * i - 1.0) * r;
+        sum += term;
+    }
+    return -0.5 * x * x - log(-x) - 0.5 * log(2.0 * PI) + log(sum);
+}
+
+void glfm_ndtr(int64_t n, const double *x, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = ndtr(x[i]);
+}
+
+void glfm_log_ndtr(int64_t n, const double *x, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = log_ndtr(x[i]);
 }
 
 /* ------------------------------------------------------------------------ */

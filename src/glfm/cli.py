@@ -222,6 +222,28 @@ def _run_chains(data: DataMatrix, hp: Hyperparams, n_chains: int, keep_last: int
     return results[best_i], best_i, summaries
 
 
+def _z_rows(Z: np.ndarray) -> list[str]:
+    """Each row of a 0/1 matrix as a string of '0' and '1' characters."""
+    N, K = Z.shape
+    if K == 0:
+        return [""] * N
+    return (Z.astype(np.uint8) + ord("0")).view(f"S{K}").ravel().astype(str).tolist()
+
+
+def _parse_z_rows(rows: list[str], K: int) -> np.ndarray:
+    """The 0/1 matrix that _z_rows wrote, checked row by row."""
+    short = next((n for n, row in enumerate(rows) if len(row) != K), None)
+    if short is not None:
+        raise ValueError(f"state.json Z row {short} has {len(rows[short])} entries, expected {K}")
+    # a non-ASCII character becomes '?', which the digit check rejects
+    flat = "".join(rows).encode("ascii", "replace")
+    Z = np.frombuffer(flat, dtype=np.uint8).reshape(len(rows), K) - np.uint8(ord("0"))
+    bad = np.flatnonzero((Z > 1).any(axis=1))
+    if bad.size:
+        raise ValueError(f"state.json Z row {bad[0]} holds a value other than 0 and 1")
+    return Z.astype(float)
+
+
 def state_to_json(state: LatentState) -> str:
     attributes = []
     for spec in state.specs:
@@ -243,7 +265,7 @@ def state_to_json(state: LatentState) -> str:
         "K_plus": state.K_plus,
         "hyperparams": hyperparams_to_dict(state.hp),
         "attributes": attributes,
-        "Z": ["".join(str(int(v)) for v in row) for row in state.Z],
+        "Z": _z_rows(state.Z),
         "B": [[float(v) for v in row] for row in state.B],
         "theta": {str(d): [float(v) for v in th] for d, th in state.theta.items()},
         "sigma2": [float(v) for v in state.sigma2],
@@ -276,7 +298,7 @@ def state_from_json(text: str) -> LatentState:
     if hp_dict.pop("birth_prior_only", False):
         raise ValueError("state.json sets birth_prior_only, which is no longer supported")
     hp = hyperparams_from_dict(hp_dict)
-    Z = np.array([[float(c) for c in row] for row in obj["Z"]])
+    Z = _parse_z_rows(obj["Z"], int(obj["K"]))
     B = np.array(obj["B"], dtype=float)
     state = LatentState(
         specs=specs,
@@ -388,6 +410,7 @@ def cmd_explore(args) -> int:
     rows = []
     for pat in patterns:
         z = np.array(pat.bits, dtype=float)
+        label = pat.label
         for d, spec in enumerate(state.specs):
             xs, vals = compute_pdf(state, d, z, n_points=args.grid_points)
             for x, v in zip(xs, vals):
@@ -397,7 +420,7 @@ def cmd_explore(args) -> int:
                     shown = str(int(x))
                 else:
                     shown = repr(float(x))
-                rows.append([spec.name, pat.label, shown, repr(float(v))])
+                rows.append([spec.name, label, shown, repr(float(v))])
     _write_csv(args.out / "pdfs.csv", ["attribute", "pattern", "x", "value"], rows)
 
     print(f"{len(patterns)} patterns over {state.K_plus} active features")

@@ -58,8 +58,6 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln
 
 from glfm import _kernel
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix
@@ -250,10 +248,15 @@ class ChainResult:
 
 
 def _chol_inverse(P: np.ndarray) -> np.ndarray:
-    """P^{-1} through the lower Cholesky factor of P."""
-    L = np.linalg.cholesky(P)
-    E = solve_triangular(L, np.eye(P.shape[0]), lower=True)
-    return E.T @ E
+    """P^{-1} through the lower Cholesky factor of P, by the kernel's P^{-1}
+    rebuild. Raises LinAlgError when P is not positive definite."""
+    P = np.ascontiguousarray(P, dtype=float)
+    K = P.shape[0]
+    if P.shape != (K, K):
+        raise ValueError(f"expected a square matrix, got shape {P.shape}")
+    out = np.empty((K, K))
+    _kernel.check(_kernel.load().glfm_chol_inverse(K, P.ctypes.data, out.ctypes.data))
+    return out
 
 
 def init_state(data: DataMatrix, hp: Hyperparams, rng: RngState) -> LatentState:
@@ -610,9 +613,10 @@ def ibp_lof_log_prior(Z_active: np.ndarray, alpha: float, N: int) -> float:
         return -np.inf
     total += K_plus * math.log(alpha)
     histories = Counter(tuple(col) for col in Z_active.astype(int).T)
-    total -= sum(float(gammaln(c + 1)) for c in histories.values())
-    mk = Z_active.sum(axis=0)
-    total += float(np.sum(gammaln(N - mk + 1) + gammaln(mk) - gammaln(N + 1)))
+    total -= sum(math.lgamma(c + 1) for c in histories.values())
+    mk = Z_active.sum(axis=0).tolist()
+    total += float(np.sum([math.lgamma(N - m + 1) + math.lgamma(m) - math.lgamma(N + 1)
+                           for m in mk]))
     return total
 
 
@@ -647,7 +651,7 @@ def complete_data_log_joint(state: LatentState) -> float:
         for v in state.sigma2:
             total += (
                 hp.beta1 * math.log(hp.beta2)
-                - float(gammaln(hp.beta1))
+                - math.lgamma(hp.beta1)
                 - (hp.beta1 + 1.0) * math.log(v)
                 - hp.beta2 / v
             )

@@ -8,7 +8,9 @@ threshold partition (ordinal), argmax over per-category pseudo-observations
 induced probability of x given m.
 
 All operations are pure functions; `params` is any object carrying scale `w`
-and shift `mu` attributes (TransformParams or an attribute spec).
+and shift `mu` attributes (TransformParams or an attribute spec). The normal
+CDF Phi and log Phi that score ordinal, count and categorical observations
+come from the compiled kernel (glfm._kernel), elementwise over an array.
 """
 
 from __future__ import annotations
@@ -18,19 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import log_ndtr, ndtr
 
+from glfm import _kernel
 from glfm.data import AttributeKind
 
 __all__ = [
     "TransformParams",
     "count_support_limit",
+    "log_ndtr",
     "log_phi_interval",
     "log_prob_count",
     "log_prob_ordinal",
     "loglik_continuous",
     "map_forward",
     "map_inverse",
+    "ndtr",
     "prob_categorical",
     "prob_count",
     "prob_ordinal",
@@ -55,6 +59,24 @@ class TransformParams:
     def __post_init__(self):
         if not self.w > 0:
             raise ValueError(f"transform scale w must be > 0, got {self.w}")
+
+
+def _elementwise(name: str, x):
+    x = np.asarray(x, dtype=float, order="C")
+    out = np.empty_like(x)
+    getattr(_kernel.load(), name)(x.size, x.ctypes.data, out.ctypes.data)
+    return out[()]
+
+
+def ndtr(x):
+    """The standard normal CDF Phi(x), elementwise."""
+    return _elementwise("glfm_ndtr", x)
+
+
+def log_ndtr(x):
+    """log Phi(x), elementwise; finite far into the lower tail, where Phi(x)
+    underflows."""
+    return _elementwise("glfm_log_ndtr", x)
 
 
 def softplus(t):

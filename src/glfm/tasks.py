@@ -317,13 +317,19 @@ def extract_patterns(state: LatentState, top: int | None = None) -> list[Pattern
     Ordering is deterministic: ties keep the lexicographic order of the
     patterns themselves.
     """
-    Zi = state.Z.astype(int)
-    uniq, counts = np.unique(Zi, axis=0, return_counts=True)
+    Z = state.Z.astype(np.uint8)
+    # each row packed into bytes, most significant bit first and zero-padded,
+    # so that comparing the bytes compares the rows lexicographically
+    packed = np.packbits(Z, axis=1)
+    width = packed.shape[1]
+    # a state with no feature column has one, empty, pattern
+    keys = packed.view(f"V{width}").ravel() if width else np.zeros(state.N, dtype=np.uint8)
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     order = np.argsort(-counts, kind="stable")
     N = state.N
     patterns = [
         Pattern(
-            bits=tuple(int(b) for b in uniq[i]),
+            bits=tuple(Z[first[i]].tolist()),
             count=int(counts[i]),
             empirical_prob=float(counts[i] / N),
         )

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,68 @@ def test_state_json_roundtrip(workdir):
     )
     # a second serialization is byte-identical
     assert state_to_json(back) == text
+
+
+@pytest.mark.parametrize("K", [1, 7, 8, 9, 20])
+def test_state_json_z_rows_round_trip(K):
+    rng = np.random.default_rng(K)
+    Z = (rng.random((50, K)) < 0.4).astype(float)
+    Z[:, 0] = 1.0
+    res = run_chain(generate(50, missing_rate=0.1, seed=K)[0],
+                    Hyperparams(alpha=1.0, K_max=K, K_init=1, iterations=0, seed=1))
+    state = res.state
+    state.Z, state.B = Z, np.zeros((K, state.S))
+    state.Y = Z @ state.B
+    state.recompute_natural()
+    obj = json.loads(state_to_json(state))
+    # the per-entry form the rows were written in before
+    assert obj["Z"] == ["".join(str(int(v)) for v in row) for row in Z]
+    back = state_from_json(json.dumps(obj))
+    np.testing.assert_array_equal(back.Z, Z)
+    assert back.Z.dtype == np.float64
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda rows: rows.__setitem__(3, rows[3][:-1] + "2"), "Z row 3 holds a value"),
+    (lambda rows: rows.__setitem__(4, rows[4] + "1"), "Z row 4 has"),
+    (lambda rows: rows.__setitem__(2, rows[2][:-1]), "Z row 2 has"),
+    (lambda rows: rows.__setitem__(5, rows[5][:-1] + "\u00e9"), "Z row 5 holds a value"),
+])
+def test_state_json_rejects_bad_z_rows(workdir, capsys, edit, message):
+    out = workdir / "fit"
+    assert run_cli(["infer", workdir / "data.csv", "--spec", workdir / "cols.spec",
+                    "-o", out] + FAST) == 0
+    obj = json.loads((out / "state.json").read_text())
+    edit(obj["Z"])
+    with pytest.raises(ValueError, match=message):
+        state_from_json(json.dumps(obj))
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run_cli(["explore", "--state", bad, "-o", workdir / "explored"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
+def test_cli_runs_without_loading_scipy(workdir):
+    # scipy is a test-only dependency: fitting, imputing and exploring a
+    # saved state must not import it
+    script = textwrap.dedent(f"""
+        import sys
+        from glfm.cli import main
+        work = {str(workdir)!r}
+        assert main(["complete", work + "/data.csv", "--spec", work + "/cols.spec",
+                     "-o", work + "/out", *{FAST!r}]) == 0
+        assert main(["explore", "--state", work + "/out/state.json",
+                     "-o", work + "/explored"]) == 0
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert (workdir / "explored" / "pdfs.csv").exists()
 
 
 def test_state_json_with_legacy_birth_prior_only_key(workdir):

@@ -24,6 +24,7 @@ from glfm.engine import (
     Hyperparams,
     LatentState,
     _attributes,
+    _chol_inverse,
     _row_loop,
     birth_features,
     collapsed_flip_logodds,
@@ -116,6 +117,29 @@ def test_kernel_compiles_without_warnings(tmp_path):
     cmd = _kernel._command(str(tmp_path / "sweep.so"), "-Wall", "-Wextra", "-Werror")
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 12, 40])
+def test_chol_inverse_matches_numpy_inverse(K):
+    rng = np.random.default_rng(K)
+    A = rng.standard_normal((K, K + 2))
+    P = A @ A.T + np.eye(K)
+    np.testing.assert_allclose(_chol_inverse(P), np.linalg.inv(P), rtol=1e-12, atol=1e-12)
+    # the natural parameters of a state: Z'Z + I / sigma_B^2 on a 0/1 Z
+    Z = (rng.random((30, K)) < 0.4).astype(float)
+    P = Z.T @ Z + np.eye(K) / 0.5
+    np.testing.assert_allclose(_chol_inverse(P), np.linalg.inv(P), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("P", [
+    [[1.0, 2.0], [2.0, 1.0]],                 # indefinite
+    [[1.0, 1.0], [1.0, 1.0]],                 # singular
+    [[-1.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+])
+def test_chol_inverse_rejects_matrices_that_are_not_positive_definite(P):
+    with pytest.raises(np.linalg.LinAlgError):
+        _chol_inverse(np.array(P))
 
 
 def test_hyperparams_validation():

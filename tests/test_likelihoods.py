@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.special import ndtr
 from scipy.stats import norm
 
 from glfm.data import AttributeKind
+from glfm import likelihoods
 from glfm.likelihoods import (
     TransformParams,
     count_support_limit,
@@ -297,3 +299,22 @@ def test_loglik_positive_matches_cdf_derivative():
 def test_count_support_limit():
     assert count_support_limit(10) == 140
     assert count_support_limit(0) == 100
+
+
+@pytest.mark.parametrize("name", ["ndtr", "log_ndtr"])
+def test_normal_cdf_matches_scipy(name):
+    # scipy is the independent reference: 1e-12 relative wherever its value
+    # is a normal float, and exact at the special points
+    ours, ref = getattr(likelihoods, name), getattr(special, name)
+    x = np.linspace(-40.0, 40.0, 160001)
+    got, want = ours(x), ref(x)
+    normal = np.abs(want) >= np.finfo(float).tiny
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0.0)
+    # where scipy's value underflows below the normal range, so does ours
+    assert np.all(np.abs(got[~normal]) < np.finfo(float).tiny)
+    special_points = np.array([-np.inf, np.inf, np.nan, 0.0, -0.0])
+    np.testing.assert_array_equal(ours(special_points), ref(special_points))
+    # shapes pass through, and a scalar gives a scalar
+    assert ours(x[1:].reshape(400, -1)[:, ::2]).shape == (400, 200)
+    assert np.ndim(ours(0.3)) == 0 and ours(0.3) == pytest.approx(float(ref(0.3)), rel=1e-14)
+

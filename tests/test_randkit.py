@@ -200,6 +200,29 @@ def test_huge_standardized_bounds_return():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_nan_mean_and_infinite_std_raise_before_drawing():
+    # a NaN mean never lets the accept-reject loop accept, and an infinite
+    # std returns NaN; both are refused before any draw. A child process
+    # turns a hang into a failure
+    script = textwrap.dedent("""
+        import numpy as np
+        from glfm.randkit import RngState, trunc_normal_sample
+        for mean, std in [(np.nan, 1.0), (0.0, np.inf), ([0.0, np.nan], 1.0)]:
+            rng = RngState(1)
+            before = rng.get_state()
+            try:
+                x = trunc_normal_sample(rng, mean, std, 0.0, 1.0)
+            except ValueError:
+                assert rng.get_state() == before, (mean, std)
+            else:
+                raise AssertionError(f"{mean}, {std} gave {x}")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     mean=st.floats(-20, 20),

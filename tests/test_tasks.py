@@ -286,6 +286,23 @@ def test_as_all_real():
     assert as_all_real(src).specs[0].external_preprocess == "log1p"
 
 
+@pytest.mark.parametrize("K,seed", [(1, 0), (3, 1), (8, 2), (9, 3), (13, 4)])
+def test_extract_patterns_matches_brute_force_sort(K, seed):
+    # few distinct rows, so many counts tie; the reference sorts the distinct
+    # rows by count, descending, then lexicographically
+    rng = np.random.default_rng(seed)
+    pool = (rng.random((6, K)) < 0.5).astype(float)
+    Z = pool[rng.integers(0, len(pool), size=60)]
+    state = manual_state([AttributeSpec("r", AttributeKind.REAL)], Z, np.zeros((K, 1)))
+    rows = [tuple(int(v) for v in row) for row in Z]
+    expected = sorted(set(rows), key=lambda bits: (-rows.count(bits), bits))
+    pats = extract_patterns(state)
+    assert [p.bits for p in pats] == expected
+    assert [p.count for p in pats] == [rows.count(bits) for bits in expected]
+    assert [p.empirical_prob for p in pats] == [rows.count(bits) / 60 for bits in expected]
+    assert all(type(b) is int for p in pats for b in p.bits)
+
+
 def test_extract_patterns_ordering_and_labels():
     spec = AttributeSpec("r", AttributeKind.REAL)
     Z = np.array(
