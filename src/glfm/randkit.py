@@ -61,7 +61,9 @@ def trunc_normal_sample(rng, mean, std, lo, hi, size=None):
     """Draw from N(mean, std^2) restricted to (lo, hi].
 
     mean/std/lo/hi broadcast against each other; lo and hi may be -inf/+inf.
-    Returns a scalar when all inputs are scalars and size is None.
+    Returns a scalar when all inputs are scalars and size is None. A NaN
+    mean, a std that is not finite and > 0, or lo >= hi raises ValueError
+    before any draw, leaving rng as it was.
     """
     args = [np.asarray(a, dtype=float) for a in (mean, std, lo, hi)]
     scalar = size is None and all(a.ndim == 0 for a in args)

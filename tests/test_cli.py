@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from glfm.cli import main, state_from_json, state_to_json
-from glfm.data import AttributeKind
-from glfm.engine import Hyperparams, run_chain
+from glfm.data import AttributeKind, AttributeSpec
+from glfm.engine import Hyperparams, LatentState, run_chain
 from glfm.synthetic import generate, to_csv
 
 CSV_TEXT = (
@@ -138,14 +138,11 @@ def test_state_json_roundtrip(workdir):
 
 @pytest.mark.parametrize("K", [1, 7, 8, 9, 20])
 def test_state_json_z_rows_round_trip(K):
-    rng = np.random.default_rng(K)
-    Z = (rng.random((50, K)) < 0.4).astype(float)
-    Z[:, 0] = 1.0
-    res = run_chain(generate(50, missing_rate=0.1, seed=K)[0],
-                    Hyperparams(alpha=1.0, K_max=K, K_init=1, iterations=0, seed=1))
-    state = res.state
-    state.Z, state.B = Z, np.zeros((K, state.S))
-    state.Y = Z @ state.B
+    Z = (np.random.default_rng(K).random((50, K)) < 0.4).astype(float)
+    state = LatentState(
+        specs=(AttributeSpec("r", AttributeKind.REAL),), hp=Hyperparams(K_max=K, K_init=K),
+        Z=Z, Y=np.zeros((50, 1)), B=np.zeros((K, 1)), theta={}, sigma2=np.ones(1),
+    )
     state.recompute_natural()
     obj = json.loads(state_to_json(state))
     # the per-entry form the rows were written in before
@@ -155,18 +152,18 @@ def test_state_json_z_rows_round_trip(K):
     assert back.Z.dtype == np.float64
 
 
-@pytest.mark.parametrize("edit,message", [
-    (lambda rows: rows.__setitem__(3, rows[3][:-1] + "2"), "Z row 3 holds a value"),
-    (lambda rows: rows.__setitem__(4, rows[4] + "1"), "Z row 4 has"),
-    (lambda rows: rows.__setitem__(2, rows[2][:-1]), "Z row 2 has"),
-    (lambda rows: rows.__setitem__(5, rows[5][:-1] + "\u00e9"), "Z row 5 holds a value"),
+@pytest.mark.parametrize("row,edit,message", [
+    (3, lambda z: z[:-1] + "2", "Z row 3 holds a value"),
+    (5, lambda z: z[:-1] + "\u00e9", "Z row 5 holds a value"),
+    (4, lambda z: z + "1", "Z row 4 has"),
+    (2, lambda z: z[:-1], "Z row 2 has"),
 ])
-def test_state_json_rejects_bad_z_rows(workdir, capsys, edit, message):
+def test_state_json_rejects_bad_z_rows(workdir, capsys, row, edit, message):
     out = workdir / "fit"
     assert run_cli(["infer", workdir / "data.csv", "--spec", workdir / "cols.spec",
                     "-o", out] + FAST) == 0
     obj = json.loads((out / "state.json").read_text())
-    edit(obj["Z"])
+    obj["Z"][row] = edit(obj["Z"][row])
     with pytest.raises(ValueError, match=message):
         state_from_json(json.dumps(obj))
     bad = workdir / "bad.json"
