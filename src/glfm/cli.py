@@ -28,9 +28,9 @@ from glfm.data import (
     AttributeKind,
     AttributeSpec,
     DataMatrix,
-    decode_cell,
+    decode_column,
     fit_transforms,
-    format_cell,
+    format_column,
     load_dataset,
     parse_attribute_spec,
     render_csv,
@@ -413,14 +413,9 @@ def cmd_explore(args) -> int:
         label = pat.label
         for d, spec in enumerate(state.specs):
             xs, vals = compute_pdf(state, d, z, n_points=args.grid_points)
-            for x, v in zip(xs, vals):
-                if spec.kind.is_discrete_finite:
-                    shown = format_cell(spec, decode_cell(spec, float(x)))
-                elif spec.kind is AttributeKind.COUNT:
-                    shown = str(int(x))
-                else:
-                    shown = repr(float(x))
-                rows.append([spec.name, label, shown, repr(float(v))])
+            # continuous pdfs come back in original units, the others encoded
+            shown = format_column(spec, xs if spec.kind.is_continuous else decode_column(spec, xs))
+            rows.extend([spec.name, label, x, repr(v)] for x, v in zip(shown, vals.tolist()))
     _write_csv(args.out / "pdfs.csv", ["attribute", "pattern", "x", "value"], rows)
 
     print(f"{len(patterns)} patterns over {state.K_plus} active features")

@@ -1,10 +1,10 @@
 """Load, type, encode, and preprocess heterogeneous tabular data.
 
-Attribute types are declared, never inferred. Categorical labels are encoded
-to 1..R_d by first appearance and the mapping is kept on the spec so decoding
-is stable. The optional external preprocess offers exactly two transforms,
-g1(x) = log(x + 1) for heavy right tails and g2(x) = log((100 - x) + 1) for
-percentage-like attributes piled up near 100; completed outputs invert them.
+Attribute types are declared, never inferred. One column codec per kind
+(`_encode_column`, `_check_encoded`, `decode_column`, `format_column`) serves
+loading, validation, rendering and the pdf grid. `PREPROCESS` holds the two
+optional transforms, g1(x) = log(x + 1) for heavy right tails and
+g2(x) = log((100 - x) + 1) for percentage-like attributes piled up near 100.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,16 +20,26 @@ __all__ = [
     "AttributeKind",
     "AttributeSpec",
     "DataMatrix",
+    "apply_preprocess",
     "decode_cell",
+    "decode_column",
     "fit_transform_params",
     "fit_transforms",
     "format_cell",
+    "format_column",
+    "invert_preprocess",
     "load_dataset",
     "parse_attribute_spec",
+    "preprocess_jacobian",
     "render_csv",
 ]
 
-PREPROCESS_TAGS = ("log1p", "reflected-log1p")
+# preprocess tag -> (g, inverse of g), over arrays. The Jacobian |dg/dx| is
+# 1/(1 + x) for log1p and 1/(101 - x) for reflected-log1p: exp(-g(x)) in both.
+PREPROCESS = {
+    "log1p": (np.log1p, np.expm1),
+    "reflected-log1p": (lambda x: np.log(101.0 - x), lambda v: 101.0 - np.exp(v)),
+}
 
 
 class AttributeKind(enum.Enum):
@@ -84,7 +93,7 @@ class AttributeSpec:
         elif self.R_d is not None:
             raise ValueError(f"{self.name}: R_d supplied for non-finite kind")
         if self.external_preprocess is not None:
-            if self.external_preprocess not in PREPROCESS_TAGS:
+            if self.external_preprocess not in PREPROCESS:
                 raise ValueError(
                     f"{self.name}: unknown preprocess {self.external_preprocess!r}"
                 )
@@ -122,7 +131,8 @@ class DataMatrix:
             raise ValueError("cells and missing mask shapes differ")
         if self.cells.shape[1] != len(self.specs):
             raise ValueError("column count does not match spec count")
-        self._validate_cells()
+        for d, spec in enumerate(self.specs):
+            _check_encoded(spec, self.cells[~self.missing[:, d], d])
 
     @property
     def n_rows(self) -> int:
@@ -131,24 +141,6 @@ class DataMatrix:
     @property
     def n_cols(self) -> int:
         return self.cells.shape[1]
-
-    def _validate_cells(self):
-        for d, spec in enumerate(self.specs):
-            col = self.cells[~self.missing[:, d], d]
-            if col.size == 0:
-                continue
-            if spec.kind.is_discrete_finite:
-                if np.any(col != np.round(col)) or col.min() < 1 or col.max() > spec.R_d:
-                    raise ValueError(
-                        f"{spec.name}: cells must be integers in 1..{spec.R_d}"
-                    )
-            elif spec.kind is AttributeKind.COUNT:
-                if np.any(col != np.round(col)) or col.min() < 0:
-                    raise ValueError(f"{spec.name}: count cells must be integers >= 0")
-            elif spec.kind is AttributeKind.POSITIVE_REAL:
-                decoded = np.array([decode_cell(spec, v) for v in col])
-                if np.any(decoded <= 0):
-                    raise ValueError(f"{spec.name}: positive-real cells must be > 0")
 
 
 def parse_attribute_spec(text: str) -> list[AttributeSpec]:
@@ -177,7 +169,7 @@ def parse_attribute_spec(text: str) -> list[AttributeSpec]:
         if extra:
             tag = extra.pop(0).lower()
             if tag != "none":
-                if _is_number(tag):
+                if _leading_numbers([tag]):
                     raise ValueError(
                         f"spec line {lineno}: R_d supplied for {kind.value} column"
                     )
@@ -192,35 +184,31 @@ def parse_attribute_spec(text: str) -> list[AttributeSpec]:
     return specs
 
 
-def _is_number(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
+def _leading_numbers(strings) -> list[float]:
+    """float() of each string, up to the first one it cannot parse."""
+    numbers = []
+    for s in strings:
+        try:
+            numbers.append(float(s))
+        except ValueError:
+            break
+    return numbers
 
 
-def _apply_preprocess(spec: AttributeSpec, x: float) -> float:
-    if spec.external_preprocess == "log1p":
-        if x <= -1:
-            raise ValueError(f"{spec.name}: log1p needs values > -1, got {x}")
-        return math.log1p(x)
-    if spec.external_preprocess == "reflected-log1p":
-        limit = 100.0 if spec.kind is AttributeKind.POSITIVE_REAL else 101.0
-        if x >= limit:
-            raise ValueError(
-                f"{spec.name}: reflected-log1p needs values < {limit:g}, got {x}"
-            )
-        return math.log(101.0 - x)
-    return x
+def apply_preprocess(spec: AttributeSpec, x: np.ndarray) -> np.ndarray:
+    """The spec's preprocess applied to original-unit values x."""
+    return x if spec.external_preprocess is None else PREPROCESS[spec.external_preprocess][0](x)
 
 
-def _invert_preprocess(spec: AttributeSpec, v: float) -> float:
-    if spec.external_preprocess == "log1p":
-        return math.expm1(v)
-    if spec.external_preprocess == "reflected-log1p":
-        return 101.0 - math.exp(v)
-    return v
+def invert_preprocess(spec: AttributeSpec, v: np.ndarray) -> np.ndarray:
+    """Original-unit values of preprocessed values v."""
+    return v if spec.external_preprocess is None else PREPROCESS[spec.external_preprocess][1](v)
+
+
+def preprocess_jacobian(spec: AttributeSpec, v: np.ndarray) -> np.ndarray:
+    """|dg/dx| of the preprocess g, at preprocessed values v = g(x)."""
+    # taken from v, it stays finite where x rounds onto the transform's boundary
+    return np.ones_like(v) if spec.external_preprocess is None else np.exp(-v)
 
 
 def load_dataset(
@@ -231,6 +219,7 @@ def load_dataset(
     """Encode an RFC-4180 CSV document (header row required) into a DataMatrix.
 
     A cell is missing when it is empty or equals missing_sentinel exactly.
+    Of several bad cells, the error names the first in row-major order.
     Deterministic: identical inputs produce an identical DataMatrix.
     """
     reader = csv.reader(io.StringIO(csv_text))
@@ -245,66 +234,89 @@ def load_dataset(
     rows = [row for row in reader if row]
     if not rows:
         raise ValueError("CSV contains no data rows")
-    N, D = len(rows), len(specs)
-    cells = np.full((N, D), np.nan)
-    missing = np.zeros((N, D), dtype=bool)
-    label_maps: list[dict[str, int]] = [{} for _ in range(D)]
-
-    for i, row in enumerate(rows):
-        if len(row) != D:
-            raise ValueError(f"row {i + 2}: expected {D} fields, got {len(row)}")
-        for d, cell in enumerate(row):
-            if cell == "" or (missing_sentinel != "" and cell == missing_sentinel):
-                missing[i, d] = True
-                continue
-            cells[i, d] = _encode_cell(specs[d], cell, label_maps[d], i + 2)
-
-    out_specs = tuple(
-        replace(spec, labels=tuple(label_maps[d]) if label_maps[d] else spec.labels)
-        for d, spec in enumerate(specs)
-    )
-    return DataMatrix(cells=cells, missing=missing, specs=out_specs, raw=rows)
+    D = len(specs)
+    short = next((i for i, row in enumerate(rows) if len(row) != D), len(rows))
+    columns, errors = [], []
+    for spec, strings in zip(specs, zip(*rows[:short])):
+        try:
+            columns.append(_encode_column(spec, strings, missing_sentinel))
+        except ValueError as exc:
+            errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda exc: exc.row)
+    if short < len(rows):
+        raise ValueError(f"row {short + 2}: expected {D} fields, got {len(rows[short])}")
+    values, missing, labels = zip(*columns)
+    specs = tuple(replace(spec, labels=seen or spec.labels) for spec, seen in zip(specs, labels))
+    return DataMatrix(np.column_stack(values), np.column_stack(missing), specs, raw=rows)
 
 
-def _encode_cell(spec: AttributeSpec, cell: str, label_map: dict, rowno: int) -> float:
-    kind = spec.kind
-    if kind is AttributeKind.CATEGORICAL:
-        if cell not in label_map:
-            if len(label_map) == spec.R_d:
-                raise ValueError(
-                    f"{spec.name} row {rowno}: label {cell!r} exceeds R_d={spec.R_d}"
-                )
-            label_map[cell] = len(label_map) + 1
-        return float(label_map[cell])
-    if kind is AttributeKind.ORDINAL:
-        v = _parse_number(spec, cell, rowno)
-        if v != int(v) or not 1 <= v <= spec.R_d:
-            raise ValueError(
-                f"{spec.name} row {rowno}: ordinal cells must be integers "
-                f"in 1..{spec.R_d}, got {cell!r}"
-            )
-        return float(int(v))
-    if kind is AttributeKind.COUNT:
-        v = _parse_number(spec, cell, rowno)
-        if v != int(v) or v < 0:
-            raise ValueError(
-                f"{spec.name} row {rowno}: count cells must be integers >= 0, "
-                f"got {cell!r}"
-            )
-        return float(int(v))
-    v = _parse_number(spec, cell, rowno)
-    if kind is AttributeKind.POSITIVE_REAL and v <= 0:
-        raise ValueError(f"{spec.name} row {rowno}: must be > 0, got {cell!r}")
-    return _apply_preprocess(spec, v)
+def _encode_column(spec: AttributeSpec, strings, missing_sentinel: str):
+    """Encode one CSV column as `spec`'s kind: (values, missing mask, labels).
+    Labels are coded 1..R_d by first appearance. The first bad cell raises
+    ValueError, with its index in `strings` as the `row` attribute."""
+    missing = np.array([s == "" or s == missing_sentinel for s in strings], dtype=bool)
+    observed = np.flatnonzero(~missing)
+    present = [strings[r] for r in observed.tolist()]
+    at = "{name} row {row}: "
+    # (mask of bad cells, error), in the order a cell is checked
+    if spec.kind is AttributeKind.CATEGORICAL:
+        codes = {label: k for k, label in enumerate(dict.fromkeys(present), start=1)}
+        labels = tuple(codes)
+        x = np.array([codes[s] for s in present], dtype=float)
+        checks = [(x > spec.R_d, at + "label {cell!r} exceeds R_d={R_d}")]
+    else:
+        labels = ()
+        parsed = _leading_numbers(present)
+        x = np.array(parsed + [np.nan] * (len(present) - len(parsed)))
+        if spec.kind is AttributeKind.COUNT:
+            x = x + 0.0  # "-0" counts as 0, not -0.0
+        out_of_range, rule = _kind_range(spec, x)
+        noun = "" if spec.kind is AttributeKind.POSITIVE_REAL else f"{spec.kind.value} cells "
+        checks = [
+            (np.arange(len(present)) == len(parsed), at + "non-numeric value {cell!r}"),
+            (~np.isfinite(x), at + "non-finite value {cell!r}"),
+            (out_of_range, at + noun + f"must be {rule}, got {{cell!r}}"),
+        ]
+    if spec.external_preprocess == "log1p":
+        checks.append((x <= -1, "{name}: log1p needs values > -1, got {value}"))
+    elif spec.external_preprocess == "reflected-log1p":
+        limit = 100.0 if spec.kind is AttributeKind.POSITIVE_REAL else 101.0
+        checks.append((x >= limit, f"{{name}}: reflected-log1p needs values < {limit:g}, "
+                                   "got {value}"))
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        error = next(error for mask, error in checks if mask[i])
+        exc = ValueError(error.format(name=spec.name, row=observed[i] + 2, R_d=spec.R_d,
+                                      cell=present[i], value=float(x[i])))
+        exc.row = observed[i]  # load_dataset reports the first bad cell in row-major order
+        raise exc
+    values = np.full(len(strings), np.nan)
+    values[observed] = apply_preprocess(spec, x)
+    return values, missing, labels
 
 
-def _parse_number(spec: AttributeSpec, cell: str, rowno: int) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValueError(
-            f"{spec.name} row {rowno}: non-numeric value {cell!r}"
-        ) from None
+def _check_encoded(spec: AttributeSpec, values: np.ndarray) -> None:
+    """Check a column's observed encoded cells: finite and in the kind's range.
+    Positive-real cells must be > 0 on the encoded scale, after any
+    preprocess, as `likelihoods.map_inverse` requires."""
+    out_of_range, rule = _kind_range(spec, values)
+    if out_of_range.any():
+        raise ValueError(f"{spec.name}: {spec.kind.value} cells must be {rule}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{spec.name}: cells must be finite")
+
+
+def _kind_range(spec: AttributeSpec, x: np.ndarray) -> tuple[np.ndarray, str]:
+    """Mask of the values outside the kind's range, and the range in words."""
+    if spec.kind.is_discrete_finite:
+        return (x != np.trunc(x)) | (x < 1) | (x > spec.R_d), f"integers in 1..{spec.R_d}"
+    if spec.kind is AttributeKind.COUNT:
+        return (x != np.trunc(x)) | (x < 0), "integers >= 0"
+    if spec.kind is AttributeKind.POSITIVE_REAL:
+        return x <= 0, "> 0"
+    return np.zeros(x.shape, dtype=bool), ""
 
 
 def fit_transform_params(values, missing_mask, kind: AttributeKind) -> tuple[float, float]:
@@ -331,33 +343,43 @@ def fit_transforms(data: DataMatrix) -> DataMatrix:
     """Return a copy of `data` whose specs carry fitted (w, mu) per column."""
     new_specs = []
     for d, spec in enumerate(data.specs):
-        w, mu = fit_transform_params(data.cells[:, d], data.missing[:, d], spec.kind)
+        try:
+            w, mu = fit_transform_params(data.cells[:, d], data.missing[:, d], spec.kind)
+        except ValueError as exc:
+            raise ValueError(f"{spec.name}: {exc}") from None
         new_specs.append(replace(spec, w=w, mu=mu))
     return DataMatrix(
         cells=data.cells, missing=data.missing, specs=tuple(new_specs), raw=data.raw
     )
 
 
+def decode_column(spec: AttributeSpec, encoded) -> list:
+    """Encoded values in original units: labels (the code where none is
+    known), ints for ordinal and count, floats with the preprocess inverted."""
+    encoded = np.asarray(encoded, dtype=float)
+    if spec.kind is AttributeKind.CATEGORICAL:
+        labels = spec.labels or ()
+        return [labels[i - 1] if 1 <= i <= len(labels) else i for i in map(int, encoded.tolist())]
+    if not spec.kind.is_continuous:
+        return list(map(int, encoded.tolist()))
+    return invert_preprocess(spec, encoded).tolist()
+
+
+def format_column(spec: AttributeSpec, decoded) -> list[str]:
+    """Deterministic CSV strings of decoded values: strings as they are,
+    integers in decimal, floats by repr."""
+    return [v if isinstance(v, str) else str(int(v)) if isinstance(v, (int, np.integer))
+            else repr(float(v)) for v in decoded]
+
+
 def decode_cell(spec: AttributeSpec, encoded: float):
     """Map an encoded cell back to original units/labels."""
-    kind = spec.kind
-    if kind is AttributeKind.CATEGORICAL:
-        idx = int(encoded)
-        if spec.labels is not None and 1 <= idx <= len(spec.labels):
-            return spec.labels[idx - 1]
-        return idx
-    if kind is AttributeKind.ORDINAL or kind is AttributeKind.COUNT:
-        return int(encoded)
-    return _invert_preprocess(spec, float(encoded))
+    return decode_column(spec, [encoded])[0]
 
 
 def format_cell(spec: AttributeSpec, decoded) -> str:
     """Deterministic string form of a decoded value for CSV output."""
-    if isinstance(decoded, str):
-        return decoded
-    if isinstance(decoded, (int, np.integer)):
-        return str(int(decoded))
-    return repr(float(decoded))
+    return format_column(spec, [decoded])[0]
 
 
 def render_csv(data: DataMatrix, fill: np.ndarray | None = None) -> str:
@@ -371,20 +393,19 @@ def render_csv(data: DataMatrix, fill: np.ndarray | None = None) -> str:
         fill = np.asarray(fill, dtype=float)
         if fill.shape != data.cells.shape:
             raise ValueError("fill shape does not match data shape")
+    columns = []
+    for d, spec in enumerate(data.specs):
+        missing = data.missing[:, d]
+        if data.raw is None:
+            col = np.full(data.n_rows, "", dtype=object)
+            col[~missing] = format_column(spec, decode_column(spec, data.cells[~missing, d]))
+        else:
+            col = np.array(["" if m else row[d] for row, m in zip(data.raw, missing)], dtype=object)
+        if fill is not None:
+            col[missing] = format_column(spec, decode_column(spec, fill[missing, d]))
+        columns.append(col)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([s.name for s in data.specs])
-    for i in range(data.n_rows):
-        row = []
-        for d, spec in enumerate(data.specs):
-            if not data.missing[i, d]:
-                if data.raw is not None:
-                    row.append(data.raw[i][d])
-                else:
-                    row.append(format_cell(spec, decode_cell(spec, data.cells[i, d])))
-            elif fill is None:
-                row.append("")
-            else:
-                row.append(format_cell(spec, decode_cell(spec, fill[i, d])))
-        writer.writerow(row)
+    writer.writerows(zip(*columns))
     return buf.getvalue()

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -612,8 +611,11 @@ def ibp_lof_log_prior(Z_active: np.ndarray, alpha: float, N: int) -> float:
     if alpha == 0.0:
         return -np.inf
     total += K_plus * math.log(alpha)
-    histories = Counter(tuple(col) for col in Z_active.astype(int).T)
-    total -= sum(math.lgamma(c + 1) for c in histories.values())
+    # lgamma(K_h + 1) per distinct column history, in order of first appearance
+    packed = np.packbits(Z_active.T.astype(np.uint8, order="C"), axis=1)
+    histories = packed.view(f"V{packed.shape[1]}").ravel()
+    _, first, counts = np.unique(histories, return_index=True, return_counts=True)
+    total -= sum(math.lgamma(c + 1) for c in counts[np.argsort(first)].tolist())
     mk = Z_active.sum(axis=0).tolist()
     total += float(np.sum([math.lgamma(N - m + 1) + math.lgamma(m) - math.lgamma(N + 1)
                            for m in mk]))

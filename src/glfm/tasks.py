@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix, fit_transforms
+from glfm.data import apply_preprocess, invert_preprocess, preprocess_jacobian
 from glfm.engine import ChainResult, Hyperparams, LatentState, run_chain
 from glfm.likelihoods import (
     log_prob_count,
@@ -271,7 +272,10 @@ def heldout_benchmark(
             specs=data.specs,
             raw=data.raw,
         )
-        train = fit_transforms(train)
+        try:
+            train = fit_transforms(train)
+        except ValueError as exc:
+            raise ValueError(f"split {i}: {exc}") from None
         rng = RngState(int(chain_seeds[i]))
         chain = run_chain(train, hp, rng=rng, keep_last=average_last)
         scored = DataMatrix(
@@ -377,31 +381,6 @@ def compute_pdf(
         half = 4.0 * math.sqrt(float(state.sigma2[d]) + state.hp.sigma_u2)
         x_enc = map_forward(np.linspace(m - half, m + half, n_points), spec, kind)
     else:
-        x_enc = _encode_grid(spec, np.asarray(x_values, dtype=float))
+        x_enc = apply_preprocess(spec, np.asarray(x_values, dtype=float))
     dens = np.exp(_log_predictive(state, d, Z, x_enc)[0])
-    return _decode_grid(spec, x_enc), dens * _preprocess_jacobian(spec, x_enc)
-
-
-def _encode_grid(spec: AttributeSpec, x_orig: np.ndarray) -> np.ndarray:
-    if spec.external_preprocess == "log1p":
-        return np.log1p(x_orig)
-    if spec.external_preprocess == "reflected-log1p":
-        return np.log(101.0 - x_orig)
-    return x_orig
-
-
-def _decode_grid(spec: AttributeSpec, x_enc: np.ndarray) -> np.ndarray:
-    if spec.external_preprocess == "log1p":
-        return np.expm1(x_enc)
-    if spec.external_preprocess == "reflected-log1p":
-        return 101.0 - np.exp(x_enc)
-    return x_enc
-
-
-def _preprocess_jacobian(spec: AttributeSpec, x_enc: np.ndarray) -> np.ndarray:
-    # d x_enc / d x_orig is 1/(1 + x) for log1p and 1/(101 - x) for
-    # reflected-log1p: exp(-x_enc) in both. Taken from x_enc, it stays finite
-    # where the decoded value rounds onto the transform's boundary.
-    if spec.external_preprocess is None:
-        return np.ones_like(x_enc)
-    return np.exp(-x_enc)
+    return invert_preprocess(spec, x_enc), dens * preprocess_jacobian(spec, x_enc)

@@ -252,6 +252,30 @@ def test_complete_heldout_writes_scores_only(workdir, capsys):
     assert not (out / "completed.csv").exists()
 
 
+def test_complete_rejects_a_non_finite_cell_in_one_line(workdir, capsys):
+    (workdir / "data.csv").write_text(CSV_TEXT.replace("2.5,0.9", "inf,0.9"))
+    code = run_cli(["complete", workdir / "data.csv", "--spec", workdir / "cols.spec",
+                    "-o", workdir / "out"] + FAST)
+    assert code == 1
+    assert capsys.readouterr().err == "error: r1 row 5: non-finite value 'inf'\n"
+
+
+def test_heldout_transform_fit_error_names_split_and_column(workdir, capsys):
+    # r1 keeps two observed cells, so a split that hides one cannot fit it
+    lines = CSV_TEXT.splitlines()
+    sparse = [lines[0], lines[1]] + [
+        line if line.startswith("2.5") else "," + line.split(",", 1)[1]
+        for line in lines[2:]
+    ]
+    (workdir / "data.csv").write_text("\n".join(sparse) + "\n")
+    code = run_cli(["complete", workdir / "data.csv", "--spec", workdir / "cols.spec",
+                    "-o", workdir / "out", "--heldout", "0.2", "--splits", "2"] + FAST)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: split 0: r1: need at least 2 non-missing values to fit transforms\n"
+    )
+
+
 def test_explore_writes_summaries(workdir):
     out = workdir / "explored"
     code = run_cli(["explore", workdir / "data.csv", "--spec", workdir / "cols.spec",

@@ -10,6 +10,7 @@ import math
 import re
 import shutil
 import subprocess
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -843,6 +844,26 @@ def test_ibp_lof_log_prior_against_direct_enumeration():
     assert np.isfinite(direct)
 
     assert ibp_lof_log_prior(np.zeros((4, 0)), 0.0, 4) == 0.0
+
+
+@pytest.mark.parametrize("N", [1, 9, 1000])
+def test_ibp_lof_log_prior_matches_the_tuple_counter_exactly(N):
+    # the history counts, summed in order of first appearance as a Counter of
+    # column tuples does, give the same float; the input is a strided view
+    rng = np.random.default_rng(N)
+    Z = (rng.random((N, 24)) < 0.3).astype(float)
+    Z[0] = 1.0
+    Z[:, 10] = Z[:, 4]
+    Z[:, 16] = Z[:, 4]
+    Z_active = Z[:, ::2]
+    alpha = 1.3
+    expected = -alpha * float(np.sum(1.0 / np.arange(1, N + 1)))
+    expected += Z_active.shape[1] * math.log(alpha)
+    histories = Counter(tuple(col) for col in Z_active.astype(int).T)
+    expected -= sum(math.lgamma(c + 1) for c in histories.values())
+    expected += float(np.sum([math.lgamma(N - m + 1) + math.lgamma(m) - math.lgamma(N + 1)
+                              for m in Z_active.sum(axis=0).tolist()]))
+    assert ibp_lof_log_prior(Z_active, alpha, N) == expected
     assert ibp_lof_log_prior(np.ones((4, 1)), 0.0, 4) == -np.inf
 
 

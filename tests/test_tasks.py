@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix
+from glfm.data import invert_preprocess as _decode_grid
+from glfm.data import preprocess_jacobian as _preprocess_jacobian
 from glfm.engine import Hyperparams, LatentState
 from glfm.likelihoods import (
     count_support_limit,
@@ -25,8 +27,6 @@ from glfm.tasks import (
     TINY_PROB,
     Pattern,
     _cell_scores,
-    _decode_grid,
-    _preprocess_jacobian,
     as_all_real,
     complete,
     compute_map,
