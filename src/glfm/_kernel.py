@@ -55,7 +55,7 @@ class State(ctypes.Structure):
 
 _SIGNATURES = {
     "glfm_rows": (ctypes.c_int, [_ptr, ctypes.POINTER(State), _i64, _i64, ctypes.c_int, _i64,
-                                 _ptr, _f64, _ptr, _ptr]),
+                                 _i64, _ptr, _ptr, _ptr]),
     "glfm_attributes": (ctypes.c_int, [_ptr, ctypes.POINTER(State), _i64, _i64, _i64, _i64,
                                        ctypes.c_int, _ptr]),
     "glfm_trunc_normal": (ctypes.c_int, [_ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr]),

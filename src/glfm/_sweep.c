@@ -21,8 +21,8 @@
  * and the birth read one scalar statistic at every noise-variance layout.
  *
  * Entry points:
- *   glfm_rows          the Z-row scan and feature-birth decision over a row
- *                      range; returns to the caller when a row draws births
+ *   glfm_rows          the Z-row scan and feature births over a row range;
+ *                      a birth grows the state in the room the caller left
  *   glfm_attributes    Cholesky of P, the P^{-1} rebuild and, per attribute,
  *                      weights, pseudo-observations, ordinal thresholds and
  *                      noise variance
@@ -74,7 +74,7 @@ enum {
 /* Mirrors the ctypes Structure in glfm/_kernel.py field for field. Arrays are
  * C-contiguous float64 unless noted; Z is N x K, Y is N x S, B and lam are
  * K x S, P and P_inv are K x K, sigma2 holds one noise variance per
- * attribute. */
+ * attribute. glfm_rows may raise K, repacking the arrays in place. */
 typedef struct {
     int64_t N, K, S, D, nb;
     double *Z, *Y, *B, *P, *P_inv, *lam, *col_sums, *sigma2;
@@ -391,6 +391,23 @@ static inline double sigmoid(double t)
     return e / (1.0 + e);
 }
 
+/* s = z A z with h = A z, from the current z */
+static double quad_form(int64_t K, const double *A, const double *z, double *h)
+{
+    double s = 0.0;
+    for (int64_t i = 0; i < K; i++) {
+        double sum = 0.0;
+        for (int64_t j = 0; j < K; j++)
+            if (z[j] != 0.0)
+                sum += A[i * K + j] * z[j];
+        h[i] = sum;
+    }
+    for (int64_t i = 0; i < K; i++)
+        if (z[i] != 0.0)
+            s += z[i] * h[i];
+    return s;
+}
+
 /* Take row n out of P and lam: A = (P - z z^T)^{-1}, h = A z, s = z h and
  * M = A (lam - z y^T). One product P^{-1} z gives them all by
  * Sherman-Morrison; an ill-conditioned downdate takes an exact inverse. */
@@ -399,17 +416,7 @@ static int collapse_row(const glfm_state *st, int64_t n, row_ws *w, double *s_ou
     const int64_t K = st->K, S = st->S;
     const double *z = w->z, *y = st->Y + n * S;
     double *A = w->A, *h = w->h, *gv = w->gv;
-    double c = 0.0, s;
-    for (int64_t i = 0; i < K; i++) {
-        double sum = 0.0;
-        for (int64_t j = 0; j < K; j++)
-            if (z[j] != 0.0)
-                sum += st->P_inv[i * K + j] * z[j];
-        gv[i] = sum;
-    }
-    for (int64_t j = 0; j < K; j++)
-        if (z[j] != 0.0)
-            c += z[j] * gv[j];
+    double c = quad_form(K, st->P_inv, z, gv), s;
     if (1.0 - c <= 1e-12) {
         for (int64_t i = 0; i < K; i++)
             for (int64_t j = 0; j < K; j++)
@@ -418,15 +425,7 @@ static int collapse_row(const glfm_state *st, int64_t n, row_ws *w, double *s_ou
         if (err)
             return err;
         cholesky_inverse(K, w->L, w->E, A);
-        s = 0.0;
-        for (int64_t i = 0; i < K; i++) {
-            double sum = 0.0;
-            for (int64_t j = 0; j < K; j++)
-                sum += A[i * K + j] * z[j];
-            h[i] = sum;
-        }
-        for (int64_t i = 0; i < K; i++)
-            s += z[i] * h[i];
+        s = quad_form(K, A, z, h);
     } else {
         for (int64_t i = 0; i < K; i++)
             h[i] = gv[i] / (1.0 - c);
@@ -480,23 +479,6 @@ static void scan_stats(const glfm_state *st, int64_t n, row_ws *w)
         }
         w->D[k] = mm - tr;
     }
-}
-
-/* s = z A z with h = A z, from the current z */
-static double quad_form(int64_t K, const double *A, const double *z, double *h)
-{
-    double s = 0.0;
-    for (int64_t i = 0; i < K; i++) {
-        double sum = 0.0;
-        for (int64_t j = 0; j < K; j++)
-            if (z[j] != 0.0)
-                sum += A[i * K + j] * z[j];
-        h[i] = sum;
-    }
-    for (int64_t i = 0; i < K; i++)
-        if (z[i] != 0.0)
-            s += z[i] * h[i];
-    return s;
 }
 
 /* Resample every non-bias entry of row n with the weights collapsed out.
@@ -626,38 +608,72 @@ static int64_t birth_count(const glfm_state *st, double s, const row_ws *w, int6
     return glfm_inverse_cdf_index(kmax + 1, p, u);
 }
 
-/* The row loop over rows [row_lo, row_hi): the Z-row scan when `scan` (and a
- * feature column exists to scan), then the birth decision when kmax > 0,
- * from the scan's final statistics or, without a scan, from fresh ones.
- * stats receives the last row's (s, Q). Returns 0 when every row is done,
- * 1 when row born[0] drew born[1] > 0 births (the caller grows Z and B and
- * resumes at the next row), or a negative error code. */
-int glfm_rows(bitgen_t *bg, const glfm_state *st, int64_t row_lo, int64_t row_hi, int scan,
-              int64_t kmax, const double *ladder, double log_rest, double *stats,
-              int64_t *born)
+/* Widen a rows x K array to rows x K2 in place, last row first; new entries 0 */
+static void widen(double *a, int64_t rows, int64_t K, int64_t K2)
 {
-    const int64_t K = st->K, S = st->S;
-    const int64_t Ku = K > 0 ? K : 1;
-    size_t doubles = (size_t)(3 * Ku * Ku + 2 * Ku * S + 2 * S + 7 * Ku);
+    for (int64_t i = rows - 1; i >= 0; i--) {
+        memmove(a + i * K2, a + i * K, (size_t)K * sizeof(double));
+        memset(a + i * K2 + K, 0, (size_t)(K2 - K) * sizeof(double));
+    }
+}
+
+/* Append k feature columns that row n alone turns on, z being its committed
+ * pattern, in the room the arrays have for them: P gains the border z 1^T
+ * and the block 1 1^T + I / sigma_B^2, lam k copies of y_n, B k zero rows,
+ * and P^{-1} is rebuilt from P's Cholesky factor. */
+static int add_features(glfm_state *st, int64_t n, int64_t k, const double *z)
+{
+    const int64_t K = st->K, S = st->S, K2 = K + k;
+    widen(st->Z, st->N, K, K2);
+    widen(st->P, K, K, K2);
+    for (int64_t j = K; j < K2; j++) {
+        st->Z[n * K2 + j] = 1.0;
+        for (int64_t i = 0; i < K2; i++)
+            st->P[i * K2 + j] = st->P[j * K2 + i] =
+                i < K ? z[i] : 1.0 + (i == j ? 1.0 / st->sigma_B2 : 0.0);
+        memcpy(st->lam + j * S, st->Y + n * S, (size_t)S * sizeof(double));
+        memset(st->B + j * S, 0, (size_t)S * sizeof(double));
+        st->col_sums[j] = 1.0;
+    }
+    st->K = K2;
+    return glfm_chol_inverse(K2, st->P, st->P_inv);
+}
+
+/* The row loop over rows [row_lo, row_hi): the Z-row scan when `scan` (and a
+ * feature column exists to scan), then, when births are possible, the birth
+ * decision, from the scan's final statistics or, without a scan, from fresh
+ * ones. A row draws at most min(kmax, k_cap - K) births, under the log prior
+ * weights `ladder` (k = 0..kmax) with log_rest[j] the log prior mass of
+ * k = 1..j, and add_features grows the state in place: its arrays must have
+ * room for k_cap columns. stats receives the last row's (s, Q). Returns 0,
+ * or a negative error code. */
+int glfm_rows(bitgen_t *bg, glfm_state *st, int64_t row_lo, int64_t row_hi, int scan,
+              int64_t kmax, int64_t k_cap, const double *ladder, const double *log_rest,
+              double *stats)
+{
+    const int64_t S = st->S;
+    /* room for every column count the loop can reach */
+    const int64_t Kc = k_cap > st->K ? k_cap : st->K > 0 ? st->K : 1;
+    size_t doubles = (size_t)(3 * Kc * Kc + 2 * Kc * S + 2 * S + 7 * Kc);
     double *buf = malloc(doubles * sizeof(double));
     if (buf == NULL)
         return ERR_NOMEM;
     double *p = buf;
     row_ws w;
-    w.A = p; p += Ku * Ku;
-    w.L = p; p += Ku * Ku;
-    w.E = p; p += Ku * Ku;
-    w.M = p; p += Ku * S;
-    w.T = p; p += K * S;
+    w.A = p; p += Kc * Kc;
+    w.L = p; p += Kc * Kc;
+    w.E = p; p += Kc * Kc;
+    w.M = p; p += Kc * S;
+    w.T = p; p += Kc * S;
     w.r = p; p += S;
     w.wt = p; p += S;
-    w.D = p; p += Ku;
-    w.gv = p; p += Ku;
-    w.h = p; p += Ku;
-    w.z = p; p += Ku;
-    w.z0 = p; p += Ku;
-    w.m = p; p += Ku;
-    w.Ad = p; p += Ku;
+    w.D = p; p += Kc;
+    w.gv = p; p += Kc;
+    w.h = p; p += Kc;
+    w.z = p; p += Kc;
+    w.z0 = p; p += Kc;
+    w.m = p; p += Kc;
+    w.Ad = p; p += Kc;
     w.n_free = 0.0;
     for (int64_t d = 0; d < st->D; d++) {
         int64_t c0 = st->offset[d], c1 = st->offset[d + 1];
@@ -668,7 +684,8 @@ int glfm_rows(bitgen_t *bg, const glfm_state *st, int64_t row_lo, int64_t row_hi
         w.n_free += (double)(c1 - c0);
     }
     int ret = 0;
-    for (int64_t n = row_lo; n < row_hi; n++) {
+    for (int64_t n = row_lo; n < row_hi && !ret; n++) {
+        const int64_t K = st->K, births = k_cap - K < kmax ? k_cap - K : kmax;
         double s;
         memcpy(w.z0, st->Z + n * K, (size_t)K * sizeof(double));
         memcpy(w.z, w.z0, (size_t)K * sizeof(double));
@@ -679,7 +696,7 @@ int glfm_rows(bitgen_t *bg, const glfm_state *st, int64_t row_lo, int64_t row_hi
                 break;
             have_stats = 1;
         }
-        if (kmax > 0) {
+        if (births > 0) {
             double u = next_double(bg);
             if (!have_stats) {
                 ret = collapse_row(st, n, &w, &s);
@@ -688,19 +705,14 @@ int glfm_rows(bitgen_t *bg, const glfm_state *st, int64_t row_lo, int64_t row_hi
                 scan_stats(st, n, &w);
                 have_stats = 1;
             }
-            int64_t k_new = birth_count(st, s, &w, kmax, ladder, log_rest, u);
-            if (k_new > 0) {
-                born[0] = n;
-                born[1] = k_new;
-                ret = 1;
-            }
+            int64_t k_new = birth_count(st, s, &w, births, ladder, log_rest[births], u);
+            if (k_new > 0)
+                ret = add_features(st, n, k_new, w.z);
         }
-        if (have_stats && stats != NULL) {
+        if (have_stats) {
             stats[0] = s;
             stats[1] = w.Q;
         }
-        if (ret)
-            break;
     }
     free(buf);
     return ret;

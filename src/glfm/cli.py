@@ -18,7 +18,7 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -184,38 +184,23 @@ def _load_data(args) -> DataMatrix:
     return fit_transforms(data)
 
 
-def _chain_worker(payload):
-    data, hp, keep_last = payload
-    return run_chain(data, hp, keep_last=keep_last)
-
-
-def _final_log_joint(result: ChainResult) -> float:
-    if result.trace:
-        return result.trace[-1]["log_joint"]
-    return complete_data_log_joint(result.state)
-
-
 def _run_chains(data: DataMatrix, hp: Hyperparams, n_chains: int, keep_last: int = 1):
-    """Run chains with seeds spawned from hp.seed.
+    """Run chains with seeds spawned from hp.seed, on threads: the kernel
+    releases the GIL, and each chain draws from its own PCG64 stream.
 
     Returns (best result, best index, per-chain summaries); the best chain is
     the one with the highest final log joint, first such on ties.
     """
     if n_chains < 1:
         raise ValueError("--chains must be >= 1")
-    seeds = spawn_seeds(hp.seed, n_chains)
-    hps = [replace(hp, seed=int(s)) for s in seeds]
-    if n_chains == 1:
-        results = [run_chain(data, hps[0], keep_last=keep_last)]
-    else:
-        payloads = [(data, h, keep_last) for h in hps]
-        with ProcessPoolExecutor(max_workers=min(n_chains, 8)) as pool:
-            results = list(pool.map(_chain_worker, payloads))
+    hps = [replace(hp, seed=int(s)) for s in spawn_seeds(hp.seed, n_chains)]
+    with ThreadPoolExecutor(max_workers=min(n_chains, 8)) as pool:
+        results = list(pool.map(lambda h: run_chain(data, h, keep_last=keep_last), hps))
     best_i = 0
     best_lj = -np.inf
     summaries = []
     for i, res in enumerate(results):
-        lj = _final_log_joint(res)
+        lj = res.trace[-1]["log_joint"] if res.trace else complete_data_log_joint(res.state)
         summaries.append((i, res.state.K_plus, lj))
         if lj > best_lj:
             best_i, best_lj = i, lj
@@ -356,6 +341,8 @@ def cmd_complete(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     if args.heldout is not None:
+        if args.chains != 1:
+            raise ValueError("--heldout runs one chain per split; --chains must be 1")
         scores = heldout_benchmark(
             data,
             hp,

@@ -21,6 +21,7 @@ __all__ = [
     "AttributeSpec",
     "DataMatrix",
     "apply_preprocess",
+    "check_points",
     "decode_cell",
     "decode_column",
     "fit_transform_params",
@@ -271,23 +272,10 @@ def _encode_column(spec: AttributeSpec, strings, missing_sentinel: str):
         x = np.array(parsed + [np.nan] * (len(present) - len(parsed)))
         if spec.kind is AttributeKind.COUNT:
             x = x + 0.0  # "-0" counts as 0, not -0.0
-        out_of_range, rule = _kind_range(spec, x)
-        noun = "" if spec.kind is AttributeKind.POSITIVE_REAL else f"{spec.kind.value} cells "
-        checks = [
-            (np.arange(len(present)) == len(parsed), at + "non-numeric value {cell!r}"),
-            (~np.isfinite(x), at + "non-finite value {cell!r}"),
-            (out_of_range, at + noun + f"must be {rule}, got {{cell!r}}"),
-        ]
-    if spec.external_preprocess == "log1p":
-        checks.append((x <= -1, "{name}: log1p needs values > -1, got {value}"))
-    elif spec.external_preprocess == "reflected-log1p":
-        limit = 100.0 if spec.kind is AttributeKind.POSITIVE_REAL else 101.0
-        checks.append((x >= limit, f"{{name}}: reflected-log1p needs values < {limit:g}, "
-                                   "got {value}"))
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if bad.any():
-        i = int(np.argmax(bad))
-        error = next(error for mask, error in checks if mask[i])
+        checks = [(np.arange(len(present)) == len(parsed), at + "non-numeric value {cell!r}"),
+                  *_number_checks(spec, x, at)]
+    if (bad := _first_bad(checks)) is not None:
+        i, error = bad
         exc = ValueError(error.format(name=spec.name, row=observed[i] + 2, R_d=spec.R_d,
                                       cell=present[i], value=float(x[i])))
         exc.row = observed[i]  # load_dataset reports the first bad cell in row-major order
@@ -295,6 +283,37 @@ def _encode_column(spec: AttributeSpec, strings, missing_sentinel: str):
     values = np.full(len(strings), np.nan)
     values[observed] = apply_preprocess(spec, x)
     return values, missing, labels
+
+
+def _number_checks(spec: AttributeSpec, x: np.ndarray, at: str) -> list[tuple[np.ndarray, str]]:
+    """The rules original-unit numbers x of a non-categorical column must meet,
+    in the order a value is checked: (mask of the values breaking it, error
+    template). `at` starts the templates of the kind's rules."""
+    out_of_range, rule = _kind_range(spec, x)
+    noun = "" if spec.kind is AttributeKind.POSITIVE_REAL else f"{spec.kind.value} cells "
+    checks = [(~np.isfinite(x), at + "non-finite value {cell!r}"),
+              (out_of_range, at + noun + f"must be {rule}, got {{cell!r}}")]
+    if spec.external_preprocess == "log1p":
+        checks.append((x <= -1, "{name}: log1p needs values > -1, got {value}"))
+    elif spec.external_preprocess == "reflected-log1p":
+        limit = 100.0 if spec.kind is AttributeKind.POSITIVE_REAL else 101.0
+        checks.append((x >= limit, f"{{name}}: reflected-log1p needs values < {limit:g}, "
+                                   "got {value}"))
+    return checks
+
+
+def _first_bad(checks: list[tuple[np.ndarray, str]]) -> tuple[int, str] | None:
+    """The index of the first value some check rejects, with that check's error."""
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+    return None if bad.size == 0 else (int(bad[0]), next(e for m, e in checks if m[bad[0]]))
+
+
+def check_points(spec: AttributeSpec, x: np.ndarray) -> None:
+    """Raise ValueError, naming the attribute, at the first original-unit point
+    of x outside the column's domain, by the rules that loading applies."""
+    if (bad := _first_bad(_number_checks(spec, x, "{name} point {i}: "))) is not None:
+        i, error = bad
+        raise ValueError(error.format(name=spec.name, i=i, cell=float(x[i]), value=float(x[i])))
 
 
 def _check_encoded(spec: AttributeSpec, values: np.ndarray) -> None:

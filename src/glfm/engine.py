@@ -40,13 +40,12 @@ birth, which holds on nearly every row.
 
 The sweep runs as compiled C (_sweep.c, built and loaded by glfm._kernel) on
 the chain's own PCG64 stream, in two calls per sweep: the row loop (collapse,
-scan, commit and birth decision), then, after prune, the per-attribute phase
+scan, commit, and births), then, after prune, the per-attribute phase
 (Cholesky of P and the P^{-1} rebuild; per attribute the weights, the
-pseudo-observations, the ordinal thresholds and the noise variance). Python
-keeps the rest: regrowing Z and B when a row draws births (the kernel returns
-there and resumes at the next row), prune, init, and the log joint. The
-public per-step functions below are thin calls into the same two entry
-points.
+pseudo-observations, the ordinal thresholds and the noise variance). Births
+grow the state inside the row loop, in arrays with room for K_max columns.
+Python keeps prune, init and the log joint. The public per-step functions
+below are thin calls into the same two entry points.
 """
 
 from __future__ import annotations
@@ -398,27 +397,35 @@ def _bind(state: LatentState, data: DataMatrix | None) -> _kernel.State:
 def _row_loop(rng: RngState, state: LatentState, data: DataMatrix, lo: int, hi: int,
               scan: bool, birth: bool) -> np.ndarray:
     """The kernel's row loop over rows [lo, hi): the Z-row scan when `scan`,
-    then the birth decision when `birth` (and alpha > 0 and K < K_max). The
-    kernel returns when a row draws births; the columns are added here and
-    the loop resumes at the next row. Returns the last row's statistics
-    (s, Q)."""
-    hp = state.hp
+    then the birth decision when `birth` (and alpha > 0 and K < K_max). A
+    birth grows Z, B, P, P^{-1}, lam and the column counts inside the kernel,
+    in buffers with room for K_max columns, of which the state keeps views at
+    the live K. Returns the last row's statistics (s, Q)."""
+    hp, N, S = state.hp, state.N, state.S
+    kmax = MAX_BIRTHS_PER_ROW if birth and hp.alpha > 0 and state.K < hp.K_max else 0
+    ladder, log_rest = map(np.array, _birth_ladder(hp.alpha, N, kmax))
+
+    def shapes(K):
+        return {"Z": (N, K), "B": (K, S), "P": (K, K), "P_inv": (K, K), "lam": (K, S),
+                "col_sums": (K,)}
+
+    room = {}
+    if kmax:
+        for name, shape in shapes(hp.K_max).items():
+            a = getattr(state, name)
+            room[name] = np.empty(math.prod(shape))
+            room[name][: a.size] = a.ravel()
+            setattr(state, name, room[name][: a.size].reshape(a.shape))
+    st = _bind(state, data)
     stats = np.zeros(2)
-    born = np.zeros(2, dtype=np.int64)
-    while lo < hi:
-        kmax = min(MAX_BIRTHS_PER_ROW, hp.K_max - state.K) if birth and hp.alpha > 0 else 0
-        ladder, log_rest = _birth_ladder(hp.alpha, state.N, kmax) if kmax > 0 else ((), 0.0)
-        ladder = np.array(ladder, dtype=float)
-        code = _kernel.call(
-            rng, "glfm_rows", ctypes.byref(_bind(state, data)), lo, hi, scan, kmax,
-            ladder.ctypes.data, log_rest, stats.ctypes.data, born.ctypes.data,
-        )
-        _kernel.check(code)
-        if code == 0:
-            break
-        n, k_new = born.tolist()
-        _add_features(state, n, k_new)
-        lo = n + 1
+    code = _kernel.call(
+        rng, "glfm_rows", ctypes.byref(st), lo, hi, scan, kmax, hp.K_max if kmax else state.K,
+        ladder.ctypes.data, log_rest.ctypes.data, stats.ctypes.data,
+    )
+    if st.K != state.K:
+        for name, shape in shapes(st.K).items():
+            setattr(state, name, room[name][: math.prod(shape)].reshape(shape))
+    _kernel.check(code)
     return stats
 
 
@@ -445,13 +452,18 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
 
 
 @lru_cache(maxsize=16)
-def _birth_ladder(alpha: float, N: int, kmax: int) -> tuple[tuple[float, ...], float]:
-    """Log prior weights k log(alpha/N) - log k! of k = 0..kmax births, and
-    the log of the summed prior weight of k >= 1."""
-    log_rate = math.log(alpha / N)
+def _birth_ladder(alpha: float, N: int, kmax: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Log prior weights k log(alpha/N) - log k! of k = 0..kmax births, and for
+    each truncation j = 1..kmax (at index j) the log of the summed prior
+    weight of k = 1..j. Without births (kmax = 0) both are (0,)."""
+    log_rate = math.log(alpha / N) if kmax else 0.0
     ladder = tuple(k * log_rate - math.lgamma(k + 1) for k in range(kmax + 1))
-    top = max(ladder[1:])
-    return ladder, top + math.log(sum(math.exp(x - top) for x in ladder[1:]))
+
+    def log_sum(xs):
+        top = max(xs)
+        return top + math.log(sum(math.exp(x - top) for x in xs))
+
+    return ladder, (0.0, *(log_sum(ladder[1 : j + 1]) for j in range(1, kmax + 1)))
 
 
 def birth_features(rng: RngState, state: LatentState, data: DataMatrix, n: int):
@@ -465,19 +477,6 @@ def birth_features(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     birth, the count is 0 and the candidates are not scored.
     """
     _row_loop(rng, state, data, *_one(state.N, n), scan=False, birth=True)
-
-
-def _add_features(state: LatentState, n: int, k_new: int):
-    """Append k_new feature columns that row n alone turns on."""
-    N, K = state.N, state.K
-    Z = np.zeros((N, K + k_new))
-    Z[:, :K] = state.Z
-    Z[n, K:] = 1.0
-    B = np.zeros((K + k_new, state.S))
-    B[:K] = state.B
-    state.Z = Z
-    state.B = B
-    state.recompute_natural()
 
 
 def prune_features(state: LatentState):
@@ -602,15 +601,19 @@ def run_chain(
 
 def ibp_lof_log_prior(Z_active: np.ndarray, alpha: float, N: int) -> float:
     """Log prior mass of the active feature columns under the Indian buffet
-    process, in left-ordered-form parameterization."""
+    process, in left-ordered-form parameterization. At alpha = 0, where the
+    prior has all its mass at K+ = 0 but a chain keeps its K_init features,
+    it is the prior given K+, which does not depend on alpha: the full prior
+    minus log Poisson(K+; alpha H_N), that is log K+! - K+ log H_N
+    - sum_h log K_h! + sum_k log((N - m_k)! (m_k - 1)! / N!)."""
     harmonic = float(np.sum(1.0 / np.arange(1, N + 1)))
-    total = -alpha * harmonic
     K_plus = Z_active.shape[1]
     if K_plus == 0:
-        return total
+        return -alpha * harmonic
     if alpha == 0.0:
-        return -np.inf
-    total += K_plus * math.log(alpha)
+        total = math.lgamma(K_plus + 1) - K_plus * math.log(harmonic)
+    else:
+        total = -alpha * harmonic + K_plus * math.log(alpha)
     # lgamma(K_h + 1) per distinct column history, in order of first appearance
     packed = np.packbits(Z_active.T.astype(np.uint8, order="C"), axis=1)
     histories = packed.view(f"V{packed.shape[1]}").ravel()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix, fit_transforms
-from glfm.data import apply_preprocess, invert_preprocess, preprocess_jacobian
+from glfm.data import apply_preprocess, check_points, invert_preprocess, preprocess_jacobian
 from glfm.engine import ChainResult, Hyperparams, LatentState, run_chain
 from glfm.likelihoods import (
     log_prob_count,
@@ -360,7 +360,8 @@ def compute_pdf(
     kinds return (values in original units, density in original units):
     densities include the mapping change of variables and, when the attribute
     was loaded through a preprocess transform, that transform's Jacobian.
-    x_values, when given for a continuous attribute, are original-unit points.
+    x_values, when given for a continuous attribute, are original-unit points;
+    one outside the column's domain, as loading checks it, raises ValueError.
     """
     spec = state.specs[d]
     kind = spec.kind
@@ -381,6 +382,8 @@ def compute_pdf(
         half = 4.0 * math.sqrt(float(state.sigma2[d]) + state.hp.sigma_u2)
         x_enc = map_forward(np.linspace(m - half, m + half, n_points), spec, kind)
     else:
-        x_enc = apply_preprocess(spec, np.asarray(x_values, dtype=float))
+        x_values = np.asarray(x_values, dtype=float)
+        check_points(spec, x_values)
+        x_enc = apply_preprocess(spec, x_values)
     dens = np.exp(_log_predictive(state, d, Z, x_enc)[0])
     return invert_preprocess(spec, x_enc), dens * preprocess_jacobian(spec, x_enc)

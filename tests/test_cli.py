@@ -11,8 +11,15 @@ import numpy as np
 import pytest
 
 from glfm.cli import main, state_from_json, state_to_json
-from glfm.data import AttributeKind, AttributeSpec
+from glfm.data import (
+    AttributeKind,
+    AttributeSpec,
+    fit_transforms,
+    load_dataset,
+    parse_attribute_spec,
+)
 from glfm.engine import Hyperparams, LatentState, run_chain
+from glfm.randkit import spawn_seeds
 from glfm.synthetic import generate, to_csv
 
 CSV_TEXT = (
@@ -370,6 +377,52 @@ def test_multichain_keeps_best(workdir, capsys):
     captured = capsys.readouterr().out
     assert "chain 0:" in captured and "chain 1:" in captured
     assert "kept chain" in captured
+
+
+def chain_summaries(stdout):
+    """(index, log joint) of each `chain i: ...` line, and the kept index."""
+    chains = [(int(line.split()[1].rstrip(":")), float(line.rsplit("=", 1)[1]))
+              for line in stdout.splitlines() if line.startswith("chain ")]
+    kept = [int(line.split()[-1]) for line in stdout.splitlines() if line.startswith("kept")]
+    return chains, kept[0]
+
+
+def test_multichain_at_zero_alpha_keeps_the_larger_log_joint(workdir, capsys):
+    # at alpha = 0 the log joint is finite, so the chains are compared; at
+    # this seed chain 1 ends higher
+    code = run_cli(["infer", workdir / "data.csv", "--spec", workdir / "cols.spec",
+                    "-o", workdir / "zero"] + FAST + ["--alpha", "0", "--chains", "2",
+                                                       "--seed", "13"])
+    assert code == 0
+    chains, kept = chain_summaries(capsys.readouterr().out)
+    assert all(np.isfinite(lj) for _, lj in chains)
+    assert kept == max(chains, key=lambda c: c[1])[0] == 1
+
+
+def test_multichain_runs_are_deterministic_and_keep_a_lone_chain(workdir, capsys):
+    # chains run on threads: reruns are byte-identical, and the kept chain is
+    # the chain its spawned seed runs alone
+    args = ["infer", workdir / "data.csv", "--spec", workdir / "cols.spec"] + FAST
+    outputs = []
+    for rerun in range(2):
+        assert run_cli(args + ["-o", workdir / f"three{rerun}", "--chains", "3"]) == 0
+        outputs.append([(workdir / f"three{rerun}" / name).read_bytes()
+                        for name in ("state.json", "trace.ndjson")])
+    assert outputs[0] == outputs[1]
+    _, kept = chain_summaries(capsys.readouterr().out)
+    data = fit_transforms(load_dataset(CSV_TEXT, parse_attribute_spec(SPEC_TEXT)))
+    hp = Hyperparams(iterations=4, burn_in=1, K_max=6, K_init=1, alpha=1.5, bias=True,
+                     seed=spawn_seeds(11, 3)[kept])
+    assert state_to_json(run_chain(data, hp).state).encode() == outputs[0][0]
+
+
+def test_heldout_rejects_several_chains(workdir, capsys):
+    code = run_cli(["complete", workdir / "data.csv", "--spec", workdir / "cols.spec",
+                    "-o", workdir / "held", "--heldout", "0.2", "--chains", "2"] + FAST)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: --heldout runs one chain per split; --chains must be 1\n")
+    assert not (workdir / "held" / "scores.json").exists()
 
 
 def test_synthetic_csv_runs_through_cli(workdir):

@@ -6,11 +6,16 @@ incremental path commit identical decisions from an identical random stream.
 """
 
 import ctypes
+import itertools
 import math
+import os
 import re
 import shutil
 import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +123,46 @@ def test_kernel_compiles_without_warnings(tmp_path):
     cmd = _kernel._command(str(tmp_path / "sweep.so"), "-Wall", "-Wextra", "-Werror")
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_path, monkeypatch):
+    # births repack Z, P, lam and B inside the kernel; a build with ASan and
+    # UBSan, cached where the loader looks, runs a births-heavy chain and a
+    # two-chain CLI run in a child process, which a memory or UB fault aborts
+    cc = shutil.which("cc")
+    runtime = cc and subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
+                                    text=True).stdout.strip()
+    if not runtime or not Path(runtime).is_absolute() or not Path(runtime).exists():
+        pytest.skip("no AddressSanitizer runtime for cc")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    target = _kernel._cache_path()
+    target.parent.mkdir(parents=True)
+    cmd = _kernel._command(str(target), "-fsanitize=address,undefined",
+                           "-fno-sanitize-recover=all", "-fno-omit-frame-pointer")
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    script = textwrap.dedent("""
+        import sys
+        from glfm.cli import main
+        from glfm.engine import Hyperparams, run_chain
+        from glfm.synthetic import generate, to_csv
+        data, _ = generate(30, missing_rate=0.1, seed=3)
+        hp = Hyperparams(alpha=20.0, K_max=6, K_init=1, bias=True, sample_variance=True,
+                         iterations=30, burn_in=0, seed=4)
+        assert max(t["K_plus"] for t in run_chain(data, hp).trace) >= 4
+        work = sys.argv[1]
+        open(work + "/data.csv", "w").write(to_csv(data))
+        open(work + "/cols.spec", "w").write(
+            "r1,real\\np1,positivereal\\nc1,categorical,3\\no1,ordinal,3\\nn1,count\\nr2,real\\n")
+        assert main(["complete", work + "/data.csv", "--spec", work + "/cols.spec",
+                     "-o", work + "/out", "--chains", "2", "--iters", "10", "--alpha", "20",
+                     "--kmax", "6", "--bias"]) == 0
+    """)
+    env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
 
 
 @pytest.mark.parametrize("K", [1, 2, 5, 12, 40])
@@ -644,6 +689,46 @@ def test_birth_adds_columns_for_row():
     assert_natural_params_exact(state)
 
 
+@pytest.mark.parametrize("sigma_B2", [0.2, 1.0, 1e6])
+def test_in_kernel_births_keep_natural_params_exact(sigma_B2):
+    # a birth borders P, extends lam and the counts and rebuilds P^{-1} inside
+    # the kernel. Row by row, every birth is checked against Z and Y; the
+    # same stream through one row loop call must grow the same state. Wide
+    # real columns at unit noise make births likely even at sigma_B^2 = 1e6
+    cells = np.random.default_rng(82).normal(scale=10.0, size=(30, 3))
+    data = DataMatrix(cells=cells, missing=np.zeros(cells.shape, dtype=bool),
+                      specs=[AttributeSpec(f"x{i}", AttributeKind.REAL) for i in range(3)])
+    hp = Hyperparams(alpha=20.0, sigma_B2=sigma_B2, K_max=12, K_init=1, bias=True,
+                     iterations=0, burn_in=0)
+    rng = RngState(83)
+    state = init_state(data, hp, rng)
+    births, at_cap = 0, 0
+    for _ in range(6):
+        fused, fused_rng = state.copy(), RngState(0)
+        fused_rng.set_state(rng.get_state())
+        for n in range(state.N):
+            K_before = state.K
+            _row_loop(rng, state, data, n, n + 1, scan=True, birth=True)
+            if state.K > K_before:
+                births += 1
+                assert np.all(state.Z[n, K_before:] == 1.0)
+                assert np.all(np.delete(state.Z, n, axis=0)[:, K_before:] == 0.0)
+                assert np.all(state.B[K_before:] == 0.0)
+                assert_natural_params_exact(state)
+                P_inv = _chol_inverse(state.P)
+                np.testing.assert_allclose(state.P_inv, P_inv, rtol=1e-10,
+                                           atol=1e-10 * np.abs(P_inv).max())
+        at_cap += state.K == hp.K_max
+        _row_loop(fused_rng, fused, data, 0, fused.N, scan=True, birth=True)
+        for name in ("Z", "B", "P", "P_inv", "lam", "col_sums"):
+            np.testing.assert_array_equal(getattr(fused, name), getattr(state, name))
+        assert fused_rng.get_state() == rng.get_state()
+        prune_features(state)
+        _attributes(rng, state, data, _kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS
+                    | _kernel.STEP_PSEUDO)
+    assert births >= 3 and at_cap >= 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).filter(lambda w: sum(w) > 0),
@@ -864,7 +949,35 @@ def test_ibp_lof_log_prior_matches_the_tuple_counter_exactly(N):
     expected += float(np.sum([math.lgamma(N - m + 1) + math.lgamma(m) - math.lgamma(N + 1)
                               for m in Z_active.sum(axis=0).tolist()]))
     assert ibp_lof_log_prior(Z_active, alpha, N) == expected
-    assert ibp_lof_log_prior(np.ones((4, 1)), 0.0, 4) == -np.inf
+    # at alpha = 0, the prior given K+: log 1! - log H_4 + log(0! 3! / 4!)
+    assert ibp_lof_log_prior(np.ones((4, 1)), 0.0, 4) == pytest.approx(
+        -math.log(25 / 12) + math.log(0.25), abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_ibp_lof_log_prior_at_zero_alpha_is_the_prior_given_k_plus(alpha):
+    # the full prior factors as Poisson(K+; alpha H_N) times a term free of
+    # alpha, which is what alpha = 0 returns
+    rng = np.random.default_rng(7)
+    N = 9
+    Z = (rng.random((N, 6)) < 0.4).astype(float)
+    Z[:, 3] = Z[:, 1]
+    Z = Z[:, Z.sum(axis=0) > 0]
+    K_plus = Z.shape[1]
+    rate = alpha * sum(1.0 / i for i in range(1, N + 1))
+    log_poisson = K_plus * math.log(rate) - rate - math.lgamma(K_plus + 1)
+    full = ibp_lof_log_prior(Z, alpha, N)
+    assert full - log_poisson == pytest.approx(ibp_lof_log_prior(Z, 0.0, N), abs=1e-12)
+
+
+@pytest.mark.parametrize("K_plus", [1, 2])
+def test_ibp_lof_log_prior_at_zero_alpha_sums_to_one_over_classes(K_plus):
+    # a left-ordered class is a multiset of K+ nonzero column histories
+    N = 3
+    histories = [h for h in itertools.product([0.0, 1.0], repeat=N) if any(h)]
+    total = sum(math.exp(ibp_lof_log_prior(np.array(cols).T, 0.0, N))
+                for cols in itertools.combinations_with_replacement(histories, K_plus))
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_collapsed_flip_logodds_rejects_bias_and_out_of_range_columns():
