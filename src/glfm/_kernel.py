@@ -28,8 +28,9 @@ SOURCE = Path(__file__).with_name("_sweep.c")
 # once, as in the numpy references that the tests compare draws with
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-# step mask of glfm_attributes
+# step mask of glfm_sweep
 STEP_REBUILD, STEP_WEIGHTS, STEP_PSEUDO, STEP_THRESHOLDS, STEP_NOISE = 1, 2, 4, 8, 16
+STEP_SCAN, STEP_BIRTH, STEP_PRUNE = 32, 64, 128
 # error codes of the kernel's entry points
 ERR_NOT_PD, ERR_EMPTY_SUPPORT, ERR_BOUNDS, ERR_STD, ERR_NOMEM, ERR_MEAN = -1, -2, -3, -4, -5, -6
 
@@ -54,10 +55,8 @@ class State(ctypes.Structure):
 
 
 _SIGNATURES = {
-    "glfm_rows": (ctypes.c_int, [_ptr, ctypes.POINTER(State), _i64, _i64, ctypes.c_int, _i64,
-                                 _i64, _ptr, _ptr, _ptr]),
-    "glfm_attributes": (ctypes.c_int, [_ptr, ctypes.POINTER(State), _i64, _i64, _i64, _i64,
-                                       ctypes.c_int, _ptr]),
+    "glfm_sweep": (ctypes.c_int, [_ptr, ctypes.POINTER(State), ctypes.c_int, _i64, _i64, _i64,
+                                  _i64, _i64, _i64, _ptr, _ptr, _ptr]),
     "glfm_trunc_normal": (ctypes.c_int, [_ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr]),
     "glfm_inverse_gamma": (_f64, [_ptr, _f64, _f64]),
     "glfm_chol_inverse": (ctypes.c_int, [_i64, _ptr, _ptr]),
@@ -125,8 +124,11 @@ def load() -> ctypes.CDLL:
 
 
 def call(rng, name: str, *args):
-    """Call kernel entry `name` on rng's bit generator, holding its lock."""
+    """Call kernel entry `name` on rng's bit generator, holding its lock; with
+    rng None, on no generator, for calls that draw nothing."""
     fn = getattr(load(), name)
+    if rng is None:
+        return fn(None, *args)
     bit_generator = rng.gen.bit_generator
     with bit_generator.lock:
         return fn(bit_generator.ctypes.bit_generator, *args)

@@ -21,11 +21,10 @@
  * and the birth read one scalar statistic at every noise-variance layout.
  *
  * Entry points:
- *   glfm_rows          the Z-row scan and feature births over a row range;
- *                      a birth grows the state in the room the caller left
- *   glfm_attributes    Cholesky of P, the P^{-1} rebuild and, per attribute,
- *                      weights, pseudo-observations, ordinal thresholds and
- *                      noise variance
+ *   glfm_sweep         a sweep's steps in one call: the Z-row scan and births
+ *                      over a row range, the prune, Cholesky of P, the P^{-1}
+ *                      rebuild and, per attribute, weights, pseudo-observations,
+ *                      ordinal thresholds and noise variance
  *   glfm_trunc_normal  N(mean, std^2) truncated to (lo, hi], over an array
  *   glfm_inverse_gamma one inverse-gamma draw
  *   glfm_chol_inverse  P^{-1} through the Cholesky factor of P, as the
@@ -60,6 +59,9 @@ enum {
     STEP_PSEUDO = 4,
     STEP_THRESHOLDS = 8,
     STEP_NOISE = 16,
+    STEP_SCAN = 32,     /* the Z-row scan */
+    STEP_BIRTH = 64,
+    STEP_PRUNE = 128,   /* drop dead feature columns; P^{-1} waits for the rebuild */
 };
 
 enum {
@@ -74,7 +76,8 @@ enum {
 /* Mirrors the ctypes Structure in glfm/_kernel.py field for field. Arrays are
  * C-contiguous float64 unless noted; Z is N x K, Y is N x S, B and lam are
  * K x S, P and P_inv are K x K, sigma2 holds one noise variance per
- * attribute. glfm_rows may raise K, repacking the arrays in place. */
+ * attribute. glfm_sweep may raise K on a birth and lower it on the prune,
+ * repacking the arrays in place. */
 typedef struct {
     int64_t N, K, S, D, nb;
     double *Z, *Y, *B, *P, *P_inv, *lam, *col_sums, *sigma2;
@@ -376,12 +379,15 @@ int64_t glfm_inverse_cdf_index(int64_t n, const double *p, double u)
     return idx;
 }
 
+/* The workspace of one glfm_sweep call: the row steps' arrays, then those of
+ * the attribute steps, which also use L and E. */
 typedef struct {
     double *A, *L, *E, *gv, *h, *M, *T, *r, *D, *z, *z0, *m, *Ad;
     double *wt;    /* S: residual weight of each column, 1/sigma_d^2 or 0 */
     double n_free; /* free columns: the weights' count */
     double Q;      /* the row's weighted squared residual */
-} row_ws;
+    double *eps, *wmean, *Ynew, *Yold, *mean; /* K x Smax, K, rows x Smax */
+} sweep_ws;
 
 static inline double sigmoid(double t)
 {
@@ -411,7 +417,7 @@ static double quad_form(int64_t K, const double *A, const double *z, double *h)
 /* Take row n out of P and lam: A = (P - z z^T)^{-1}, h = A z, s = z h and
  * M = A (lam - z y^T). One product P^{-1} z gives them all by
  * Sherman-Morrison; an ill-conditioned downdate takes an exact inverse. */
-static int collapse_row(const glfm_state *st, int64_t n, row_ws *w, double *s_out)
+static int collapse_row(const glfm_state *st, int64_t n, sweep_ws *w, double *s_out)
 {
     const int64_t K = st->K, S = st->S;
     const double *z = w->z, *y = st->Y + n * S;
@@ -454,7 +460,7 @@ static int collapse_row(const glfm_state *st, int64_t n, row_ws *w, double *s_ou
 /* The weighted squared residual Q of r = y - z M, and for every feature k
  * the change D_k = sum_c wt_c (M_kc^2 - t_k r_c M_kc) that flipping k makes
  * to Q, with t_k = 2 - 4 z_k; also T_k = t_k (wt o M_k). */
-static void scan_stats(const glfm_state *st, int64_t n, row_ws *w)
+static void scan_stats(const glfm_state *st, int64_t n, sweep_ws *w)
 {
     const int64_t K = st->K, S = st->S;
     const double *y = st->Y + n * S, *z = w->z, *M = w->M, *wt = w->wt;
@@ -487,7 +493,7 @@ static void scan_stats(const glfm_state *st, int64_t n, row_ws *w)
  * an earlier accepted flip moves it by a cross product. Features no other
  * row uses are forced off. Commits P, P^{-1}, lam and the counts only when
  * the row changed. */
-static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, row_ws *w, double *s_out)
+static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, sweep_ws *w, double *s_out)
 {
     const int64_t K = st->K, S = st->S, nb = st->nb;
     const double N = (double)st->N, n_free = w->n_free;
@@ -582,7 +588,7 @@ static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, row_ws *w, do
  * log_rest the log prior mass of k >= 1) reweighted by the row's marginal
  * likelihood with s + k sigma_B^2 in place of s. When u falls below a lower
  * bound on the mass of no birth the candidates are not scored. */
-static int64_t birth_count(const glfm_state *st, double s, const row_ws *w, int64_t kmax,
+static int64_t birth_count(const glfm_state *st, double s, const sweep_ws *w, int64_t kmax,
                            const double *ladder, double log_rest, double u)
 {
     double lw[kmax + 1], p[kmax + 1];
@@ -639,98 +645,53 @@ static int add_features(glfm_state *st, int64_t n, int64_t k, const double *z)
     return glfm_chol_inverse(K2, st->P, st->P_inv);
 }
 
-/* The row loop over rows [row_lo, row_hi): the Z-row scan when `scan` (and a
- * feature column exists to scan), then, when births are possible, the birth
- * decision, from the scan's final statistics or, without a scan, from fresh
- * ones. A row draws at most min(kmax, k_cap - K) births, under the log prior
- * weights `ladder` (k = 0..kmax) with log_rest[j] the log prior mass of
- * k = 1..j, and add_features grows the state in place: its arrays must have
- * room for k_cap columns. stats receives the last row's (s, Q). Returns 0,
- * or a negative error code. */
-int glfm_rows(bitgen_t *bg, glfm_state *st, int64_t row_lo, int64_t row_hi, int scan,
-              int64_t kmax, int64_t k_cap, const double *ladder, const double *log_rest,
-              double *stats)
+/* Whether feature column k is live: a bias column, or one some row uses. */
+static inline int live(const glfm_state *st, int64_t k)
 {
-    const int64_t S = st->S;
-    /* room for every column count the loop can reach */
-    const int64_t Kc = k_cap > st->K ? k_cap : st->K > 0 ? st->K : 1;
-    size_t doubles = (size_t)(3 * Kc * Kc + 2 * Kc * S + 2 * S + 7 * Kc);
-    double *buf = malloc(doubles * sizeof(double));
-    if (buf == NULL)
-        return ERR_NOMEM;
-    double *p = buf;
-    row_ws w;
-    w.A = p; p += Kc * Kc;
-    w.L = p; p += Kc * Kc;
-    w.E = p; p += Kc * Kc;
-    w.M = p; p += Kc * S;
-    w.T = p; p += Kc * S;
-    w.r = p; p += S;
-    w.wt = p; p += S;
-    w.D = p; p += Kc;
-    w.gv = p; p += Kc;
-    w.h = p; p += Kc;
-    w.z = p; p += Kc;
-    w.z0 = p; p += Kc;
-    w.m = p; p += Kc;
-    w.Ad = p; p += Kc;
-    w.n_free = 0.0;
-    for (int64_t d = 0; d < st->D; d++) {
-        int64_t c0 = st->offset[d], c1 = st->offset[d + 1];
-        if (st->kind[d] == KIND_CATEGORICAL)
-            c1--; /* the pinned column carries no dependence on z */
-        for (int64_t col = c0; col < st->offset[d + 1]; col++)
-            w.wt[col] = col < c1 ? 1.0 / st->sigma2[d] : 0.0;
-        w.n_free += (double)(c1 - c0);
-    }
-    int ret = 0;
-    for (int64_t n = row_lo; n < row_hi && !ret; n++) {
-        const int64_t K = st->K, births = k_cap - K < kmax ? k_cap - K : kmax;
-        double s;
-        memcpy(w.z0, st->Z + n * K, (size_t)K * sizeof(double));
-        memcpy(w.z, w.z0, (size_t)K * sizeof(double));
-        int have_stats = 0;
-        if (scan && K > st->nb) {
-            ret = scan_row(bg, st, n, &w, &s);
-            if (ret)
-                break;
-            have_stats = 1;
-        }
-        if (births > 0) {
-            double u = next_double(bg);
-            if (!have_stats) {
-                ret = collapse_row(st, n, &w, &s);
-                if (ret)
-                    break;
-                scan_stats(st, n, &w);
-                have_stats = 1;
-            }
-            int64_t k_new = birth_count(st, s, &w, births, ladder, log_rest[births], u);
-            if (k_new > 0)
-                ret = add_features(st, n, k_new, w.z);
-        }
-        if (have_stats) {
-            stats[0] = s;
-            stats[1] = w.Q;
-        }
-    }
-    free(buf);
-    return ret;
+    return k < st->nb || st->col_sums[k] != 0.0;
+}
+
+/* Pack in place the entries of a rows x cols array whose row, when `by_row`,
+ * and column, when `by_col`, is a live feature: the reverse of widen. Each
+ * kept entry moves to an index no larger than its own and below every entry
+ * still to be read. */
+static void pack(const glfm_state *st, double *a, int64_t rows, int64_t cols, int by_row,
+                 int by_col)
+{
+    for (int64_t i = 0, j = 0; i < rows; i++)
+        for (int64_t c = 0; c < cols; c++)
+            if ((!by_row || live(st, i)) && (!by_col || live(st, c)))
+                a[j++] = a[i * cols + c];
+}
+
+/* Drop the dead feature columns, non-bias columns no row uses, in place: Z
+ * keeps its live columns, P its live rows and columns, B, lam and the counts
+ * their live rows, and K falls to the live count. The kept entries of P, lam
+ * and the counts do not depend on the dropped columns, so they stay exact;
+ * P^{-1} is left for the rebuild. The counts go last, as live() reads them. */
+static void prune(glfm_state *st)
+{
+    const int64_t K = st->K;
+    int64_t K2 = 0;
+    for (int64_t k = 0; k < K; k++)
+        K2 += live(st, k);
+    if (K2 == K)
+        return;
+    pack(st, st->Z, st->N, K, 0, 1);
+    pack(st, st->P, K, K, 1, 1);
+    pack(st, st->B, K, st->S, 1, 0);
+    pack(st, st->lam, K, st->S, 1, 0);
+    pack(st, st->col_sums, K, 1, 1, 0);
+    st->K = K2;
 }
 
 /* ------------------------------------------------------------------------ */
-/* the per-attribute phase                                                  */
-
-typedef struct {
-    double *L, *E, *eps;                  /* K x K, K x K, K x Smax */
-    double *Ynew, *Yold, *mean;           /* rows x Smax */
-    double *wmean;                        /* K */
-} attr_ws;
+/* the per-attribute steps, and the sweep                                   */
 
 /* Draw attribute d's weight columns from N(P^{-1} lam, sigma_d^2 P^{-1}),
  * given the Cholesky factor L of P. A categorical attribute's last column
  * is pinned at zero. */
-static void sample_weights(bitgen_t *bg, const glfm_state *st, int64_t d, attr_ws *w)
+static void sample_weights(bitgen_t *bg, const glfm_state *st, int64_t d, sweep_ws *w)
 {
     const int64_t K = st->K, S = st->S, c0 = st->offset[d];
     const int64_t Sd = st->offset[d + 1] - c0;
@@ -763,7 +724,7 @@ static void sample_weights(bitgen_t *bg, const glfm_state *st, int64_t d, attr_w
  * order, keeping the observed level's column the maximum. Draw order: the
  * missing cells, then the observed ones, each in row order. */
 static int sample_pseudo_obs(bitgen_t *bg, const glfm_state *st, int64_t d, int64_t r0,
-                             int64_t r1, attr_ws *w)
+                             int64_t r1, sweep_ws *w)
 {
     const int64_t K = st->K, S = st->S, D = st->D, c0 = st->offset[d];
     const int64_t Sd = st->offset[d + 1] - c0, rows = r1 - r0, kind = st->kind[d];
@@ -870,7 +831,7 @@ static int sample_pseudo_obs(bitgen_t *bg, const glfm_state *st, int64_t d, int6
 /* Resample the free ordinal cut points theta_2..theta_{R-1}; theta_1 stays
  * pinned at 0. Each is a N(0, sigma_theta^2) draw truncated between its
  * neighbours and the pseudo-observations of the two levels it separates. */
-static int sample_thresholds(bitgen_t *bg, const glfm_state *st, int64_t d, int64_t *err_at)
+static int sample_thresholds(bitgen_t *bg, const glfm_state *st, int64_t d, double *err_at)
 {
     const int64_t N = st->N, S = st->S, D = st->D, R = st->levels[d];
     const int64_t col = st->offset[d];
@@ -904,8 +865,8 @@ static int sample_thresholds(bitgen_t *bg, const glfm_state *st, int64_t d, int6
         if (seen[r + 1] && bottom[r + 1] < hi)
             hi = bottom[r + 1];
         if (!(lo < hi)) {
-            err_at[0] = d;
-            err_at[1] = r;
+            err_at[0] = (double)d;
+            err_at[1] = (double)r;
             return ERR_EMPTY_SUPPORT;
         }
         int err = trunc_normal(bg, 0.0, sd, lo, hi, &th[r - 1]);
@@ -944,46 +905,99 @@ static void sample_noise_variance(bitgen_t *bg, const glfm_state *st, int64_t d)
     st->sigma2[d] = glfm_inverse_gamma(bg, shape, rate);
 }
 
-/* The per-attribute phase for attributes [d_lo, d_hi) and rows [r0, r1) of
- * the pseudo-observation step. `steps` is a mask of STEP_*; the Cholesky
- * factor of P is taken once for the P^{-1} rebuild and every weight draw.
- * err_at receives (attribute, threshold) of an empty threshold support. */
-int glfm_attributes(bitgen_t *bg, const glfm_state *st, int64_t d_lo, int64_t d_hi,
-                    int64_t r0, int64_t r1, int steps, int64_t *err_at)
+/* The steps of `steps`, a mask of STEP_*, in sweep order, on one workspace:
+ * - the row loop over rows [r0, r1): on STEP_SCAN the Z-row scan (when a
+ *   feature column exists to scan), then on STEP_BIRTH the birth decision,
+ *   from the scan's statistics or fresh ones: at most min(kmax, k_cap - K)
+ *   births a row, under the log prior weights `ladder` (k = 0..kmax), with
+ *   log_rest[j] the log prior mass of k = 1..j. Births grow the state in
+ *   place, so its arrays need room for k_cap columns;
+ * - the prune, which shrinks the state in place;
+ * - the Cholesky factor of P, taken once for the P^{-1} rebuild and every
+ *   weight draw, and the rebuild;
+ * - per attribute in [d_lo, d_hi): the weights, the pseudo-observations of
+ *   rows [r0, r1), the ordinal thresholds and the noise variance.
+ * out receives the last row's (s, Q), or the (attribute, threshold) of an
+ * empty threshold support. bg may be NULL when no step draws. Returns 0, or
+ * a negative error code. */
+int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, int64_t d_lo,
+               int64_t d_hi, int64_t kmax, int64_t k_cap, const double *ladder,
+               const double *log_rest, double *out)
 {
-    const int64_t K = st->K, Ku = K > 0 ? K : 1;
-    int64_t Smax = 1, rows = r1 - r0 > 0 ? r1 - r0 : 1;
+    const int64_t S = st->S, rows = r1 - r0 > 0 ? r1 - r0 : 1;
+    /* room for every column count the row loop can reach */
+    const int64_t Kc = k_cap > st->K ? k_cap : st->K > 0 ? st->K : 1;
+    int64_t Smax = 1;
     for (int64_t d = d_lo; d < d_hi; d++)
         if (st->offset[d + 1] - st->offset[d] > Smax)
             Smax = st->offset[d + 1] - st->offset[d];
-    /* mean doubles as the K x Smax lam delta */
-    int64_t mean_len = rows * Smax > Ku * Smax ? rows * Smax : Ku * Smax;
-    size_t doubles = (size_t)(2 * Ku * Ku + Ku * Smax + Ku + 2 * rows * Smax + mean_len);
-    double *buf = malloc(doubles * sizeof(double));
+    sweep_ws w;
+    /* mean doubles as the K x Smax lam delta of the pseudo-observations */
+    struct { double **at; int64_t len; } blocks[] = {
+        {&w.A, Kc * Kc}, {&w.L, Kc * Kc}, {&w.E, Kc * Kc}, {&w.M, Kc * S}, {&w.T, Kc * S},
+        {&w.r, S}, {&w.wt, S}, {&w.D, Kc}, {&w.gv, Kc}, {&w.h, Kc}, {&w.z, Kc}, {&w.z0, Kc},
+        {&w.m, Kc}, {&w.Ad, Kc}, {&w.eps, Kc * Smax}, {&w.wmean, Kc}, {&w.Ynew, rows * Smax},
+        {&w.Yold, rows * Smax}, {&w.mean, (rows > Kc ? rows : Kc) * Smax},
+    };
+    const size_t n_blocks = sizeof blocks / sizeof blocks[0];
+    size_t doubles = 0;
+    for (size_t i = 0; i < n_blocks; i++)
+        doubles += (size_t)blocks[i].len;
+    double *buf = malloc(doubles * sizeof(double)), *p = buf;
     if (buf == NULL)
         return ERR_NOMEM;
-    attr_ws w;
-    double *p = buf;
-    w.L = p; p += Ku * Ku;
-    w.E = p; p += Ku * Ku;
-    w.eps = p; p += Ku * Smax;
-    w.wmean = p; p += Ku;
-    w.Ynew = p; p += rows * Smax;
-    w.Yold = p; p += rows * Smax;
-    w.mean = p;
+    for (size_t i = 0; i < n_blocks; i++) {
+        *blocks[i].at = p;
+        p += blocks[i].len;
+    }
+    w.n_free = 0.0;
+    for (int64_t d = 0; d < st->D; d++) {
+        int64_t c0 = st->offset[d], c1 = st->offset[d + 1];
+        if (st->kind[d] == KIND_CATEGORICAL)
+            c1--; /* the pinned column carries no dependence on z */
+        for (int64_t col = c0; col < st->offset[d + 1]; col++)
+            w.wt[col] = col < c1 ? 1.0 / st->sigma2[d] : 0.0;
+        w.n_free += (double)(c1 - c0);
+    }
 
     int err = 0;
-    if (steps & (STEP_REBUILD | STEP_WEIGHTS))
-        err = cholesky(K, st->P, w.L);
+    for (int64_t n = r0; n < r1 && (steps & (STEP_SCAN | STEP_BIRTH)); n++) {
+        const int64_t K = st->K;
+        const int64_t births = !(steps & STEP_BIRTH) ? 0 : k_cap - K < kmax ? k_cap - K : kmax;
+        const int scan = (steps & STEP_SCAN) && K > st->nb;
+        double s;
+        memcpy(w.z0, st->Z + n * K, (size_t)K * sizeof(double));
+        memcpy(w.z, w.z0, (size_t)K * sizeof(double));
+        if (scan && (err = scan_row(bg, st, n, &w, &s)))
+            break;
+        if (births > 0) {
+            double u = next_double(bg);
+            if (!scan && (err = collapse_row(st, n, &w, &s)))
+                break;
+            if (!scan)
+                scan_stats(st, n, &w);
+            int64_t k_new = birth_count(st, s, &w, births, ladder, log_rest[births], u);
+            if (k_new > 0 && (err = add_features(st, n, k_new, w.z)))
+                break;
+        }
+        if (scan || births > 0) {
+            out[0] = s;
+            out[1] = w.Q;
+        }
+    }
+    if (!err && (steps & STEP_PRUNE))
+        prune(st);
+    if (!err && (steps & (STEP_REBUILD | STEP_WEIGHTS)))
+        err = cholesky(st->K, st->P, w.L);
     if (!err && (steps & STEP_REBUILD))
-        cholesky_inverse(K, w.L, w.E, st->P_inv);
+        cholesky_inverse(st->K, w.L, w.E, st->P_inv);
     for (int64_t d = d_lo; d < d_hi && !err; d++) {
         if (steps & STEP_WEIGHTS)
             sample_weights(bg, st, d, &w);
         if (steps & STEP_PSEUDO)
             err = sample_pseudo_obs(bg, st, d, r0, r1, &w);
         if (!err && (steps & STEP_THRESHOLDS) && st->kind[d] == KIND_ORDINAL)
-            err = sample_thresholds(bg, st, d, err_at);
+            err = sample_thresholds(bg, st, d, out);
         if (!err && (steps & STEP_NOISE))
             sample_noise_variance(bg, st, d);
     }

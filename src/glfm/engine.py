@@ -39,13 +39,14 @@ only when its uniform lies above a lower bound on the probability of no
 birth, which holds on nearly every row.
 
 The sweep runs as compiled C (_sweep.c, built and loaded by glfm._kernel) on
-the chain's own PCG64 stream, in two calls per sweep: the row loop (collapse,
-scan, commit, and births), then, after prune, the per-attribute phase
-(Cholesky of P and the P^{-1} rebuild; per attribute the weights, the
+the chain's own PCG64 stream, in one call per sweep: the row loop (collapse,
+scan, commit, and births), the prune, then the per-attribute phase (Cholesky
+of P and the P^{-1} rebuild; per attribute the weights, the
 pseudo-observations, the ordinal thresholds and the noise variance). Births
-grow the state inside the row loop, in arrays with room for K_max columns.
-Python keeps prune, init and the log joint. The public per-step functions
-below are thin calls into the same two entry points.
+grow the state inside the row loop, in arrays with room for the columns the
+rows can add, and the prune compacts it in place, so P and lam stay exact
+without a refit. Python keeps init and the log joint. The public per-step
+functions below are thin calls into the same entry point.
 """
 
 from __future__ import annotations
@@ -116,6 +117,10 @@ class Hyperparams:
     sample_variance: bool = False
 
     def __post_init__(self):
+        for name in ("alpha", "sigma_B2", "sigma_y2", "sigma_u2", "sigma_theta2", "beta1",
+                     "beta2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         for name in ("sigma_B2", "sigma_y2", "sigma_theta2", "beta1", "beta2"):
@@ -339,13 +344,6 @@ def _interval_seed(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _one(size: int, i: int) -> tuple[int, int]:
-    """The one-element range [i, i + 1) of index i into a sequence of `size`,
-    with Python's rules for negative and out-of-range indices."""
-    i = range(size)[i]
-    return i, i + 1
-
-
 def _bind(state: LatentState, data: DataMatrix | None) -> _kernel.State:
     """The kernel's view of the state and, when given, of the data: pointers
     to the arrays it reads and writes in place. Shapes are checked here, and
@@ -394,15 +392,24 @@ def _bind(state: LatentState, data: DataMatrix | None) -> _kernel.State:
     return st
 
 
-def _row_loop(rng: RngState, state: LatentState, data: DataMatrix, lo: int, hi: int,
-              scan: bool, birth: bool) -> np.ndarray:
-    """The kernel's row loop over rows [lo, hi): the Z-row scan when `scan`,
-    then the birth decision when `birth` (and alpha > 0 and K < K_max). A
-    birth grows Z, B, P, P^{-1}, lam and the column counts inside the kernel,
-    in buffers with room for K_max columns, of which the state keeps views at
-    the live K. Returns the last row's statistics (s, Q)."""
-    hp, N, S = state.hp, state.N, state.S
-    kmax = MAX_BIRTHS_PER_ROW if birth and hp.alpha > 0 and state.K < hp.K_max else 0
+def _sweep(rng: RngState | None, state: LatentState, data: DataMatrix | None, steps: int,
+           row: int | None = None, dim: int | None = None) -> np.ndarray:
+    """One kernel call of the _kernel.STEP_* in `steps`, in sweep order: the
+    row loop (Z-row scan, then births when alpha > 0 and K < K_max), prune,
+    the P^{-1} rebuild, then per attribute the weights, pseudo-observations,
+    thresholds and noise variance; over row `row` and attribute `dim`, all by
+    default, each indexed as a Python sequence is (IndexError when out of
+    range). rng may be None when no step draws. Births grow Z, B, P, P^{-1},
+    lam and the counts in buffers with room for every column the rows can
+    add, prune shrinks them in place, and the state keeps views at the live
+    K. Returns the last row's statistics (s, Q)."""
+    hp, N, S, D = state.hp, state.N, state.S, len(state.specs)
+    r0, r1 = (0, N) if row is None else (range(N)[row], range(N)[row] + 1)
+    d_lo, d_hi = (0, D) if dim is None else (range(D)[dim], range(D)[dim] + 1)
+    birth = steps & _kernel.STEP_BIRTH and hp.alpha > 0 and state.K < hp.K_max
+    kmax = MAX_BIRTHS_PER_ROW if birth else 0
+    # room for kmax births on every row, up to K_max
+    k_cap = min(hp.K_max, state.K + kmax * (r1 - r0))
     ladder, log_rest = map(np.array, _birth_ladder(hp.alpha, N, kmax))
 
     def shapes(K):
@@ -410,23 +417,27 @@ def _row_loop(rng: RngState, state: LatentState, data: DataMatrix, lo: int, hi: 
                 "col_sums": (K,)}
 
     room = {}
-    if kmax:
-        for name, shape in shapes(hp.K_max).items():
+    if k_cap > state.K:
+        for name, shape in shapes(k_cap).items():
             a = getattr(state, name)
             room[name] = np.empty(math.prod(shape))
             room[name][: a.size] = a.ravel()
             setattr(state, name, room[name][: a.size].reshape(a.shape))
     st = _bind(state, data)
-    stats = np.zeros(2)
+    out = np.zeros(2)
     code = _kernel.call(
-        rng, "glfm_rows", ctypes.byref(st), lo, hi, scan, kmax, hp.K_max if kmax else state.K,
-        ladder.ctypes.data, log_rest.ctypes.data, stats.ctypes.data,
+        rng, "glfm_sweep", ctypes.byref(st), steps, r0, r1, d_lo, d_hi, kmax, k_cap,
+        ladder.ctypes.data, log_rest.ctypes.data, out.ctypes.data,
     )
     if st.K != state.K:
         for name, shape in shapes(st.K).items():
-            setattr(state, name, room[name][: math.prod(shape)].reshape(shape))
+            buf = room[name] if room else getattr(state, name).reshape(-1)
+            setattr(state, name, buf[: math.prod(shape)].reshape(shape))
+    if code == _kernel.ERR_EMPTY_SUPPORT:
+        d, r = map(int, out)
+        raise RuntimeError(f"threshold {r} of attribute {state.specs[d].name} has empty support")
     _kernel.check(code)
-    return stats
+    return out
 
 
 def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
@@ -445,10 +456,8 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     scored from its own D_k; only an accepted flip of k computes cross
     products, those of M_k with the features still to be scanned.
     """
-    lo, hi = _one(state.N, n)
-    if state.K == state.n_bias:
-        return None
-    return tuple(_row_loop(rng, state, data, lo, hi, scan=True, birth=False).tolist())
+    stats = _sweep(rng, state, data, _kernel.STEP_SCAN, row=n)
+    return tuple(stats.tolist()) if state.K > state.n_bias else None
 
 
 @lru_cache(maxsize=16)
@@ -476,37 +485,13 @@ def birth_features(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     would. When the uniform falls below a lower bound on the mass of no
     birth, the count is 0 and the candidates are not scored.
     """
-    _row_loop(rng, state, data, *_one(state.N, n), scan=False, birth=True)
+    _sweep(rng, state, data, _kernel.STEP_BIRTH, row=n)
 
 
 def prune_features(state: LatentState):
-    """Drop feature columns no row uses. The bias column is never dropped."""
-    keep = state.col_sums > 0
-    keep[: state.n_bias] = True
-    if np.all(keep):
-        return
-    state.Z = state.Z[:, keep]
-    state.B = state.B[keep]
-    state.recompute_natural()
-
-
-def _attributes(rng: RngState, state: LatentState, data: DataMatrix | None, steps: int,
-                dim: int | None = None, row: int | None = None):
-    """The kernel's per-attribute phase: the _kernel.STEP_* in `steps`, for
-    attribute `dim` (all by default) and, for pseudo-observations, row `row`
-    (all by default). An index out of range raises IndexError; a negative
-    one counts from the end."""
-    d_lo, d_hi = (0, len(state.specs)) if dim is None else _one(len(state.specs), dim)
-    r_lo, r_hi = (0, state.N) if row is None else _one(state.N, row)
-    where = np.zeros(2, dtype=np.int64)
-    code = _kernel.call(
-        rng, "glfm_attributes", ctypes.byref(_bind(state, data)), d_lo, d_hi, r_lo, r_hi,
-        steps, where.ctypes.data,
-    )
-    if code == _kernel.ERR_EMPTY_SUPPORT:
-        d, r = where.tolist()
-        raise RuntimeError(f"threshold {r} of attribute {state.specs[d].name} has empty support")
-    _kernel.check(code)
+    """Drop feature columns no row uses, in place, and rebuild P^{-1}. The
+    bias column is never dropped."""
+    _sweep(None, state, None, _kernel.STEP_PRUNE | _kernel.STEP_REBUILD)
 
 
 def sample_weights(rng: RngState, state: LatentState, d: int):
@@ -515,7 +500,7 @@ def sample_weights(rng: RngState, state: LatentState, d: int):
 
     The last column of a categorical attribute is pinned at zero.
     """
-    _attributes(rng, state, None, _kernel.STEP_WEIGHTS, dim=d)
+    _sweep(rng, state, None, _kernel.STEP_WEIGHTS, dim=d)
 
 
 def sample_pseudo_obs(rng: RngState, state: LatentState, data: DataMatrix, n: int, d: int):
@@ -527,7 +512,7 @@ def sample_pseudo_obs(rng: RngState, state: LatentState, data: DataMatrix, n: in
     truncated to the interval their value maps to. Categorical cells sweep the
     R_d columns in order, keeping the observed category's column the maximum.
     """
-    _attributes(rng, state, data, _kernel.STEP_PSEUDO, dim=d, row=n)
+    _sweep(rng, state, data, _kernel.STEP_PSEUDO, row=n, dim=d)
 
 
 def sample_thresholds(rng: RngState, state: LatentState, data: DataMatrix, d: int):
@@ -537,7 +522,7 @@ def sample_thresholds(rng: RngState, state: LatentState, data: DataMatrix, d: in
     truncated between its neighbours and the pseudo-observations of the two
     levels it separates. Attributes that are not ordinal are left alone.
     """
-    _attributes(rng, state, data, _kernel.STEP_THRESHOLDS, dim=d)
+    _sweep(rng, state, data, _kernel.STEP_THRESHOLDS, dim=d)
 
 
 def sample_noise_variance(rng: RngState, state: LatentState, data: DataMatrix, d: int):
@@ -548,20 +533,19 @@ def sample_noise_variance(rng: RngState, state: LatentState, data: DataMatrix, d
     and rate ||Y_d - Z B_d||^2 / 2 + ||B_d,free||^2 / (2 sigma_B^2), with F_d
     the free columns of d.
     """
-    _attributes(rng, state, data, _kernel.STEP_NOISE, dim=d)
+    _sweep(rng, state, data, _kernel.STEP_NOISE, dim=d)
 
 
 def run_iteration(rng: RngState, state: LatentState, data: DataMatrix):
-    """One full Gibbs sweep: the row loop (Z-row scan and births), prune, then
-    the per-attribute phase. P^{-1} is rebuilt from one Cholesky factorization
-    after the row loop, which also serves every weight draw."""
-    _row_loop(rng, state, data, 0, state.N, scan=True, birth=True)
-    prune_features(state)
-    steps = (_kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO
-             | _kernel.STEP_THRESHOLDS)
+    """One full Gibbs sweep in one kernel call: the row loop (Z-row scan and
+    births), prune, then the per-attribute phase. P^{-1} is rebuilt from one
+    Cholesky factorization after the prune, which also serves every weight
+    draw."""
+    steps = (_kernel.STEP_SCAN | _kernel.STEP_BIRTH | _kernel.STEP_PRUNE | _kernel.STEP_REBUILD
+             | _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO | _kernel.STEP_THRESHOLDS)
     if state.hp.sample_variance:
         steps |= _kernel.STEP_NOISE
-    _attributes(rng, state, data, steps)
+    _sweep(rng, state, data, steps)
 
 
 def run_chain(

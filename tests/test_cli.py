@@ -88,6 +88,14 @@ def test_missing_spec_exits_1(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_hyperparameter_exits_1_in_one_line(workdir, capsys):
+    code = run_cli(["infer", workdir / "data.csv", "--spec", workdir / "cols.spec",
+                    "-o", workdir / "out", "--iters", "3", "--alpha", "nan"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: alpha must be finite, got nan\n"
+    assert not (workdir / "out" / "trace.ndjson").exists()
+
+
 def test_infer_writes_state_and_trace(workdir, capsys):
     out = workdir / "out"
     code = run_cli(["infer", workdir / "data.csv", "--spec", workdir / "cols.spec",

@@ -29,9 +29,8 @@ from glfm.engine import (
     MAX_BIRTHS_PER_ROW,
     Hyperparams,
     LatentState,
-    _attributes,
     _chol_inverse,
-    _row_loop,
+    _sweep,
     birth_features,
     collapsed_flip_logodds,
     complete_data_log_joint,
@@ -126,9 +125,10 @@ def test_kernel_compiles_without_warnings(tmp_path):
 
 
 def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_path, monkeypatch):
-    # births repack Z, P, lam and B inside the kernel; a build with ASan and
-    # UBSan, cached where the loader looks, runs a births-heavy chain and a
-    # two-chain CLI run in a child process, which a memory or UB fault aborts
+    # births and the prune repack Z, P, lam and B inside the kernel; a build
+    # with ASan and UBSan, cached where the loader looks, runs a births-heavy
+    # chain, a chain whose K falls and a two-chain CLI run in a child
+    # process, which a memory or UB fault aborts
     cc = shutil.which("cc")
     runtime = cc and subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
                                     text=True).stdout.strip()
@@ -150,6 +150,9 @@ def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_pa
         hp = Hyperparams(alpha=20.0, K_max=6, K_init=1, bias=True, sample_variance=True,
                          iterations=30, burn_in=0, seed=4)
         assert max(t["K_plus"] for t in run_chain(data, hp).trace) >= 4
+        hp = Hyperparams(alpha=0.5, K_max=10, K_init=8, bias=True, sample_variance=True,
+                         iterations=30, burn_in=0, seed=4)
+        assert min(t["K_plus"] for t in run_chain(data, hp).trace) < 8
         work = sys.argv[1]
         open(work + "/data.csv", "w").write(to_csv(data))
         open(work + "/cols.spec", "w").write(
@@ -206,6 +209,14 @@ def test_hyperparams_validation():
     # iterations=0 with burn_in=0 is the inspect-the-init configuration
     Hyperparams(iterations=0, burn_in=0)
     Hyperparams(K_init=0, bias=True)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["alpha", "sigma_B2", "sigma_y2", "sigma_u2", "sigma_theta2",
+                                  "beta1", "beta2"])
+def test_hyperparams_reject_non_finite_floats(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        Hyperparams(**{name: value})
 
 
 def test_hyperparams_dict_roundtrip():
@@ -602,7 +613,7 @@ def test_pseudo_obs_match_numpy_reference():
         reference = state.copy()
         replay = RngState(0)
         replay.set_state(rng.get_state())
-        _attributes(rng, state, data, _kernel.STEP_PSEUDO, dim=d)
+        _sweep(rng, state, data, _kernel.STEP_PSEUDO, dim=d)
         ref_sample_pseudo_obs(replay, reference, data, d)
         np.testing.assert_allclose(state.Y, reference.Y, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(state.lam, reference.lam, rtol=1e-12, atol=1e-9)
@@ -663,11 +674,25 @@ def test_birth_respects_k_max():
     steps = (_kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO
              | _kernel.STEP_THRESHOLDS)
     for _ in range(15):
-        _row_loop(rng, state, data, 0, state.N, scan=True, birth=True)
+        _sweep(rng, state, data, _kernel.STEP_SCAN | _kernel.STEP_BIRTH)
         assert state.K == hp.K_max
         prune_features(state)
         assert state.K <= hp.K_max
-        _attributes(rng, state, data, steps)
+        _sweep(rng, state, data, steps)
+
+
+def test_birth_room_is_sized_by_the_rows_not_by_k_max():
+    # a row loop adds at most MAX_BIRTHS_PER_ROW columns per row, so 40 rows
+    # need room for 120 more, whatever K_max is; each row sees the same
+    # birth truncation, so the draws do not depend on the cap
+    data = small_mixed_data(40, seed=84)
+    runs = [run_chain(data, Hyperparams(alpha=5.0, K_max=k_max, K_init=2, bias=True,
+                                        sample_variance=True, iterations=5, burn_in=0,
+                                        seed=85))
+            for k_max in (200, 10**6)]
+    np.testing.assert_array_equal(runs[1].state.Z, runs[0].state.Z)
+    np.testing.assert_array_equal(runs[1].state.B, runs[0].state.B)
+    assert runs[1].trace == runs[0].trace
 
 
 def test_birth_adds_columns_for_row():
@@ -708,7 +733,7 @@ def test_in_kernel_births_keep_natural_params_exact(sigma_B2):
         fused_rng.set_state(rng.get_state())
         for n in range(state.N):
             K_before = state.K
-            _row_loop(rng, state, data, n, n + 1, scan=True, birth=True)
+            _sweep(rng, state, data, _kernel.STEP_SCAN | _kernel.STEP_BIRTH, row=n)
             if state.K > K_before:
                 births += 1
                 assert np.all(state.Z[n, K_before:] == 1.0)
@@ -719,13 +744,13 @@ def test_in_kernel_births_keep_natural_params_exact(sigma_B2):
                 np.testing.assert_allclose(state.P_inv, P_inv, rtol=1e-10,
                                            atol=1e-10 * np.abs(P_inv).max())
         at_cap += state.K == hp.K_max
-        _row_loop(fused_rng, fused, data, 0, fused.N, scan=True, birth=True)
+        _sweep(fused_rng, fused, data, _kernel.STEP_SCAN | _kernel.STEP_BIRTH)
         for name in ("Z", "B", "P", "P_inv", "lam", "col_sums"):
             np.testing.assert_array_equal(getattr(fused, name), getattr(state, name))
         assert fused_rng.get_state() == rng.get_state()
         prune_features(state)
-        _attributes(rng, state, data, _kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS
-                    | _kernel.STEP_PSEUDO)
+        _sweep(rng, state, data, _kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS
+               | _kernel.STEP_PSEUDO)
     assert births >= 3 and at_cap >= 1
 
 
@@ -778,7 +803,7 @@ def test_birth_from_scan_statistics_matches_fresh_statistics(seed):
         K_before = state.K
         birth_features(rng, state, data, n)
         births += state.K > K_before
-    _row_loop(fused_rng, fused, data, 0, fused.N, scan=True, birth=True)
+    _sweep(fused_rng, fused, data, _kernel.STEP_SCAN | _kernel.STEP_BIRTH)
     np.testing.assert_array_equal(state.Z, fused.Z)
     assert rng.get_state() == fused_rng.get_state()
     assert_natural_params_exact(state)
@@ -843,8 +868,8 @@ def test_birth_shortcut_matches_full_scoring(alpha):
             assert state.K - K_before == expected
             births += expected > 0
         prune_features(state)
-        _attributes(rng, state, data, _kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS
-                    | _kernel.STEP_PSEUDO | _kernel.STEP_THRESHOLDS | _kernel.STEP_NOISE)
+        _sweep(rng, state, data, _kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS
+               | _kernel.STEP_PSEUDO | _kernel.STEP_THRESHOLDS | _kernel.STEP_NOISE)
     assert births >= 3
 
 
@@ -869,6 +894,37 @@ def test_prune_drops_dead_columns_keeps_bias():
     assert state.K == K0 - 1
     np.testing.assert_array_equal(state.Z[:, 0], 1.0)
     assert_natural_params_exact(state)
+
+
+@pytest.mark.parametrize("sigma_B2", [0.2, 1.0])
+def test_in_kernel_prune_keeps_the_state_exact(sigma_B2, monkeypatch):
+    # the prune compacts Z, P, B, lam and the counts inside the sweep's one
+    # kernel call: the kept entries must stay those of Z'Z + I / sigma_B^2
+    # and Z'Y, and P^{-1} must be rebuilt at the new K, with no refit
+    data = small_mixed_data(20, seed=11)
+    hp = Hyperparams(alpha=5.0, sigma_B2=sigma_B2, K_max=30, K_init=2, bias=True,
+                     sample_variance=True, iterations=0, burn_in=0)
+    rng = RngState(11)
+    state = init_state(data, hp, rng)
+
+    def refit(self):
+        raise AssertionError("a sweep refit the natural parameters")
+
+    monkeypatch.setattr(LatentState, "recompute_natural", refit)
+    pruned = 0
+    for _ in range(300):
+        K_before = state.K
+        run_iteration(rng, state, data)
+        if state.K < K_before:  # only the prune lowers K
+            pruned += 1
+            assert_natural_params_exact(state)
+            P_inv = _chol_inverse(state.P)
+            np.testing.assert_allclose(state.P_inv, P_inv, rtol=1e-10,
+                                       atol=1e-10 * np.abs(P_inv).max())
+    assert pruned >= 20
+    # lam is never refreshed from Z'Y, and its rounding must not build up
+    lam_ref = state.Z.T @ state.Y
+    assert np.max(np.abs(state.lam - lam_ref)) <= 1e-9 * np.abs(lam_ref).max()
 
 
 def test_run_chain_reproducible_and_snapshots():
@@ -1207,7 +1263,7 @@ def test_geweke_joint_distribution_with_z_held_fixed():
         state.Y = Z @ state.B + gen.normal(size=(N, S)) * sd
         state.recompute_natural()
         geweke_observe(gen, state, data)
-        _attributes(rng, state, data, steps)
+        _sweep(rng, state, data, steps)
         chain[t] = geweke_moments(state)
 
     batch_means = chain.reshape(n_batches, -1, chain.shape[1]).mean(axis=1)
