@@ -33,9 +33,12 @@
  *   glfm_log_ndtr      its logarithm, over an array
  * and three scalar helpers of the birth step, exported for tests.
  *
- * Build: cc -O2 -fPIC -shared, linked with libnpyrandom.a and libm. No
- * -ffast-math and no FMA contraction: each operation rounds once, as the
- * numpy references in the tests do, so draws match them bit for bit.
+ * Build: cc -O3 -fPIC -shared -ffp-contract=off, linked with libnpyrandom.a
+ * and libm. No -ffast-math and no FMA contraction: each operation rounds
+ * once, as the numpy references in the tests do, so draws match them bit for
+ * bit. -O3 vectorizes the loops over columns (M, T_k, the commit), whose
+ * lanes are separate entries; without -fassociative-math it never splits or
+ * reorders a sum, so every sum still adds its terms in order.
  */
 
 #include <float.h>
@@ -383,6 +386,8 @@ int64_t glfm_inverse_cdf_index(int64_t n, const double *p, double u)
  * the attribute steps, which also use L and E. */
 typedef struct {
     double *A, *L, *E, *gv, *h, *M, *T, *r, *D, *z, *z0, *m, *Ad;
+    int64_t *act;  /* the active columns of a binary row, in increasing k */
+    int64_t n_act; /* ... and their count, for the row scan's z */
     double *wt;    /* S: residual weight of each column, 1/sigma_d^2 or 0 */
     double n_free; /* free columns: the weights' count */
     double Q;      /* the row's weighted squared residual */
@@ -397,20 +402,37 @@ static inline double sigmoid(double t)
     return e / (1.0 + e);
 }
 
-/* s = z A z with h = A z, from the current z */
-static double quad_form(int64_t K, const double *A, const double *z, double *h)
+/* The columns k < K where the binary row z is nonzero, into idx in
+ * increasing k; returns their count. Every k is written and the count steps
+ * past it only when z_k is set, so random rows cost no mispredicted branch.
+ * A product with z over these columns adds the same nonzero terms in the
+ * same order as one over all K, so it rounds the same. */
+static int64_t active(int64_t K, const double *z, int64_t *idx)
 {
-    double s = 0.0;
+    int64_t n = 0;
+    for (int64_t k = 0; k < K; k++) {
+        idx[n] = k;
+        n += z[k] != 0.0;
+    }
+    return n;
+}
+
+/* s = z A z with h = A z, from the current z and its active columns */
+static double quad_form(int64_t K, const double *A, const sweep_ws *w, double *h)
+{
+    const double *z = w->z;
+    const int64_t *act = w->act;
+    const int64_t na = w->n_act;
     for (int64_t i = 0; i < K; i++) {
+        const double *Ai = A + i * K;
         double sum = 0.0;
-        for (int64_t j = 0; j < K; j++)
-            if (z[j] != 0.0)
-                sum += A[i * K + j] * z[j];
+        for (int64_t t = 0; t < na; t++)
+            sum += Ai[act[t]] * z[act[t]];
         h[i] = sum;
     }
-    for (int64_t i = 0; i < K; i++)
-        if (z[i] != 0.0)
-            s += z[i] * h[i];
+    double s = 0.0;
+    for (int64_t t = 0; t < na; t++)
+        s += z[act[t]] * h[act[t]];
     return s;
 }
 
@@ -422,7 +444,8 @@ static int collapse_row(const glfm_state *st, int64_t n, sweep_ws *w, double *s_
     const int64_t K = st->K, S = st->S;
     const double *z = w->z, *y = st->Y + n * S;
     double *A = w->A, *h = w->h, *gv = w->gv;
-    double c = quad_form(K, st->P_inv, z, gv), s;
+    w->n_act = active(K, z, w->act);
+    double c = quad_form(K, st->P_inv, w, gv), s;
     if (1.0 - c <= 1e-12) {
         for (int64_t i = 0; i < K; i++)
             for (int64_t j = 0; j < K; j++)
@@ -431,7 +454,7 @@ static int collapse_row(const glfm_state *st, int64_t n, sweep_ws *w, double *s_
         if (err)
             return err;
         cholesky_inverse(K, w->L, w->E, A);
-        s = quad_form(K, A, z, h);
+        s = quad_form(K, A, w, h);
     } else {
         for (int64_t i = 0; i < K; i++)
             h[i] = gv[i] / (1.0 - c);
@@ -459,18 +482,23 @@ static int collapse_row(const glfm_state *st, int64_t n, sweep_ws *w, double *s_
 
 /* The weighted squared residual Q of r = y - z M, and for every feature k
  * the change D_k = sum_c wt_c (M_kc^2 - t_k r_c M_kc) that flipping k makes
- * to Q, with t_k = 2 - 4 z_k; also T_k = t_k (wt o M_k). */
+ * to Q, with t_k = 2 - 4 z_k; also T_k = t_k (wt o M_k). z M is summed over
+ * z's active columns, in increasing k for every column at once. */
 static void scan_stats(const glfm_state *st, int64_t n, sweep_ws *w)
 {
     const int64_t K = st->K, S = st->S;
     const double *y = st->Y + n * S, *z = w->z, *M = w->M, *wt = w->wt;
     double *r = w->r, Q = 0.0;
+    for (int64_t col = 0; col < S; col++)
+        r[col] = 0.0;
+    for (int64_t t = 0; t < w->n_act; t++) {
+        const int64_t k = w->act[t];
+        const double *Mk = M + k * S;
+        for (int64_t col = 0; col < S; col++)
+            r[col] += z[k] * Mk[col];
+    }
     for (int64_t col = 0; col < S; col++) {
-        double zm = 0.0;
-        for (int64_t k = 0; k < K; k++)
-            if (z[k] != 0.0)
-                zm += z[k] * M[k * S + col];
-        r[col] = y[col] - zm;
+        r[col] = y[col] - r[col];
         Q += wt[col] * (r[col] * r[col]);
     }
     w->Q = Q;
@@ -522,7 +550,8 @@ static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, sweep_ws *w, 
                 /* forced off: A_kk = sigma_B^2 here, and an update would
                  * cancel terms of that size, so recompute from the new z */
                 z[k] = 0.0;
-                s = quad_form(K, A, z, h);
+                w->n_act = active(K, z, w->act);
+                s = quad_form(K, A, w, h);
                 scan_stats(st, n, w);
                 ll = glfm_row_loglik(s, n_free, w->Q);
                 changed = 1;
@@ -558,7 +587,8 @@ static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, sweep_ws *w, 
     }
     /* an unchanged row leaves P, P^{-1}, lam and the counts as they are */
     if (changed) {
-        quad_form(K, A, z, h);
+        w->n_act = active(K, z, w->act);
+        quad_form(K, A, w, h);
         for (int64_t i = 0; i < K; i++)
             for (int64_t j = 0; j < K; j++) {
                 double *p = st->P + i * K + j;
@@ -732,11 +762,11 @@ static int sample_pseudo_obs(bitgen_t *bg, const glfm_state *st, int64_t d, int6
     double *Ynew = w->Ynew, *Yold = w->Yold, *mean = w->mean;
     for (int64_t i = 0; i < rows; i++) {
         const double *zi = st->Z + (r0 + i) * K;
+        const int64_t na = active(K, zi, w->act);
         for (int64_t j = 0; j < Sd; j++) {
             double sum = 0.0;
-            for (int64_t k = 0; k < K; k++)
-                if (zi[k] != 0.0)
-                    sum += zi[k] * st->B[k * S + c0 + j];
+            for (int64_t t = 0; t < na; t++)
+                sum += zi[w->act[t]] * st->B[w->act[t] * S + c0 + j];
             mean[i * Sd + j] = sum;
             Yold[i * Sd + j] = Ynew[i * Sd + j] = st->Y[(r0 + i) * S + c0 + j];
         }
@@ -815,10 +845,12 @@ static int sample_pseudo_obs(bitgen_t *bg, const glfm_state *st, int64_t d, int6
             delta[k * Sd + j] = 0.0;
     for (int64_t i = 0; i < rows; i++) {
         const double *zi = st->Z + (r0 + i) * K;
-        for (int64_t k = 0; k < K; k++)
-            if (zi[k] != 0.0)
-                for (int64_t j = 0; j < Sd; j++)
-                    delta[k * Sd + j] += zi[k] * (Ynew[i * Sd + j] - Yold[i * Sd + j]);
+        const int64_t na = active(K, zi, w->act);
+        for (int64_t t = 0; t < na; t++) {
+            const int64_t k = w->act[t];
+            for (int64_t j = 0; j < Sd; j++)
+                delta[k * Sd + j] += zi[k] * (Ynew[i * Sd + j] - Yold[i * Sd + j]);
+        }
     }
     for (int64_t k = 0; k < K; k++)
         for (int64_t j = 0; j < Sd; j++)
@@ -839,8 +871,14 @@ static int sample_thresholds(bitgen_t *bg, const glfm_state *st, int64_t d, doub
     const double sd = sqrt(st->sigma_theta2);
     if (R < 3)
         return 0;
-    double top[R + 2], bottom[R + 2];
-    int seen[R + 2];
+    /* per level: the highest and lowest pseudo-observation, and whether any
+     * row holds it; on the heap, since R has no bound */
+    double *top = malloc((size_t)(R + 2) * (2 * sizeof(double) + 1));
+    if (top == NULL)
+        return ERR_NOMEM;
+    double *bottom = top + (R + 2);
+    unsigned char *seen = (unsigned char *)(bottom + (R + 2));
+    int err = 0;
     for (int64_t r = 0; r < R + 2; r++) {
         seen[r] = 0;
         top[r] = -INFINITY;
@@ -857,7 +895,7 @@ static int sample_thresholds(bitgen_t *bg, const glfm_state *st, int64_t d, doub
             bottom[x] = y;
         seen[x] = 1;
     }
-    for (int64_t r = 2; r < R; r++) {
+    for (int64_t r = 2; r < R && !err; r++) {
         double lo = th[r - 2];
         if (seen[r] && top[r] > lo)
             lo = top[r];
@@ -867,18 +905,18 @@ static int sample_thresholds(bitgen_t *bg, const glfm_state *st, int64_t d, doub
         if (!(lo < hi)) {
             err_at[0] = (double)d;
             err_at[1] = (double)r;
-            return ERR_EMPTY_SUPPORT;
+            err = ERR_EMPTY_SUPPORT;
+        } else {
+            err = trunc_normal(bg, 0.0, sd, lo, hi, &th[r - 1]);
         }
-        int err = trunc_normal(bg, 0.0, sd, lo, hi, &th[r - 1]);
-        if (err)
-            return err;
     }
-    return 0;
+    free(top);
+    return err;
 }
 
 /* Conjugate inverse-gamma draw of attribute d's pseudo-observation noise,
  * which scales both the residuals of Y and the prior of the free weights. */
-static void sample_noise_variance(bitgen_t *bg, const glfm_state *st, int64_t d)
+static void sample_noise_variance(bitgen_t *bg, const glfm_state *st, int64_t d, sweep_ws *w)
 {
     const int64_t N = st->N, K = st->K, S = st->S, c0 = st->offset[d];
     const int64_t Sd = st->offset[d + 1] - c0;
@@ -886,11 +924,11 @@ static void sample_noise_variance(bitgen_t *bg, const glfm_state *st, int64_t d)
     double ss = 0.0, bb = 0.0;
     for (int64_t n = 0; n < N; n++) {
         const double *zn = st->Z + n * K;
+        const int64_t na = active(K, zn, w->act);
         for (int64_t j = 0; j < Sd; j++) {
             double u = 0.0;
-            for (int64_t k = 0; k < K; k++)
-                if (zn[k] != 0.0)
-                    u += zn[k] * st->B[k * S + c0 + j];
+            for (int64_t t = 0; t < na; t++)
+                u += zn[w->act[t]] * st->B[w->act[t] * S + c0 + j];
             double e = st->Y[n * S + c0 + j] - u;
             ss += e * e;
         }
@@ -943,13 +981,15 @@ int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, 
     size_t doubles = 0;
     for (size_t i = 0; i < n_blocks; i++)
         doubles += (size_t)blocks[i].len;
-    double *buf = malloc(doubles * sizeof(double)), *p = buf;
+    /* the Kc-entry active-column list follows the doubles */
+    double *buf = malloc(doubles * sizeof(double) + (size_t)Kc * sizeof(int64_t)), *p = buf;
     if (buf == NULL)
         return ERR_NOMEM;
     for (size_t i = 0; i < n_blocks; i++) {
         *blocks[i].at = p;
         p += blocks[i].len;
     }
+    w.act = (int64_t *)p;
     w.n_free = 0.0;
     for (int64_t d = 0; d < st->D; d++) {
         int64_t c0 = st->offset[d], c1 = st->offset[d + 1];
@@ -999,7 +1039,7 @@ int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, 
         if (!err && (steps & STEP_THRESHOLDS) && st->kind[d] == KIND_ORDINAL)
             err = sample_thresholds(bg, st, d, out);
         if (!err && (steps & STEP_NOISE))
-            sample_noise_variance(bg, st, d);
+            sample_noise_variance(bg, st, d, &w);
     }
     free(buf);
     return err;

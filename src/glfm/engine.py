@@ -8,8 +8,11 @@ attribute's last column pinned at 0. The sampler keeps the natural parameters
 
     P = Z^T Z + I / sigma_B^2        lam = Z^T Y
 
-up to date across single-row edits, so a full sweep costs O(N (K^2 + K S))
-instead of refitting the weight posterior from scratch per row. Weights B are
+up to date across single-row edits instead of refitting the weight posterior
+from scratch per row. A row step still forms its downdated weight mean
+M = A (lam - z y^T) in O(K^2 S), so a full sweep costs O(N K^2 S); every
+product with the row's binary pattern z runs over its active columns only,
+in O(K |z|) or O(|z| S), and a changed row commits in O(K^2). Weights B are
 drawn in closed form once per sweep, pseudo-observations are redrawn from
 truncated normals that respect each attribute's observed value, and feature
 columns are born and pruned per row under the usual Indian buffet prior.

@@ -48,7 +48,7 @@ from glfm.engine import (
     sample_z_row,
 )
 from glfm.likelihoods import map_forward, map_inverse
-from glfm.randkit import RngState, trunc_normal_sample
+from glfm.randkit import RngState, inverse_gamma_sample, trunc_normal_sample
 from glfm.synthetic import generate
 
 
@@ -127,8 +127,8 @@ def test_kernel_compiles_without_warnings(tmp_path):
 def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_path, monkeypatch):
     # births and the prune repack Z, P, lam and B inside the kernel; a build
     # with ASan and UBSan, cached where the loader looks, runs a births-heavy
-    # chain, a chain whose K falls and a two-chain CLI run in a child
-    # process, which a memory or UB fault aborts
+    # chain, a chain whose K falls, a chain with no bias column and a
+    # two-chain CLI run in a child process, which a memory or UB fault aborts
     cc = shutil.which("cc")
     runtime = cc and subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
                                     text=True).stdout.strip()
@@ -144,7 +144,8 @@ def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_pa
     script = textwrap.dedent("""
         import sys
         from glfm.cli import main
-        from glfm.engine import Hyperparams, run_chain
+        from glfm.engine import Hyperparams, init_state, run_chain, run_iteration
+        from glfm.randkit import RngState
         from glfm.synthetic import generate, to_csv
         data, _ = generate(30, missing_rate=0.1, seed=3)
         hp = Hyperparams(alpha=20.0, K_max=6, K_init=1, bias=True, sample_variance=True,
@@ -153,6 +154,19 @@ def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_pa
         hp = Hyperparams(alpha=0.5, K_max=10, K_init=8, bias=True, sample_variance=True,
                          iterations=30, burn_in=0, seed=4)
         assert min(t["K_plus"] for t in run_chain(data, hp).trace) < 8
+        # no bias column: a sweep meets rows with no active column, and its
+        # births index the active-column list past the K it entered with
+        hp = Hyperparams(alpha=5.0, K_max=12, K_init=1, bias=False, sample_variance=True,
+                         iterations=0, burn_in=0)
+        rng = RngState(5)
+        state = init_state(data, hp, rng)
+        empty = grew = False
+        for _ in range(15):
+            K = state.K
+            empty |= bool((state.Z.sum(axis=1) == 0).any())
+            run_iteration(rng, state, data)
+            grew |= state.K > K
+        assert empty and grew
         work = sys.argv[1]
         open(work + "/data.csv", "w").write(to_csv(data))
         open(work + "/cols.spec", "w").write(
@@ -309,13 +323,22 @@ SIGMA2_LAYOUTS = {
 }
 
 
-@pytest.mark.parametrize("sigma2", SIGMA2_LAYOUTS.values(), ids=SIGMA2_LAYOUTS.keys())
-def test_z_row_replay_matches_from_scratch_logodds(sigma2):
+# the replay's inputs: each sigma2 layout with a bias column, and one state
+# without, where some rows hold no feature and one holds every feature, so
+# the scan sees empty and full lists of active columns
+REPLAY_CASES = {
+    **{name: (sigma2, True) for name, sigma2 in SIGMA2_LAYOUTS.items()},
+    "no-bias-empty-and-full-rows": (None, False),
+}
+
+
+@pytest.mark.parametrize(("sigma2", "bias"), REPLAY_CASES.values(), ids=REPLAY_CASES.keys())
+def test_z_row_replay_matches_from_scratch_logodds(sigma2, bias):
     # replay the exact random stream against the O(K^3) reference route,
     # which scores every free column with its own sigma_d^2; sigma2 is
     # edited in place after the warm sweeps, so the scan must reweight
     data = small_mixed_data(30, seed=21)
-    hp = Hyperparams(alpha=2.0, K_max=12, K_init=6, bias=True, iterations=0, burn_in=0)
+    hp = Hyperparams(alpha=2.0, K_max=12, K_init=6, bias=bias, iterations=0, burn_in=0)
     init_rng = RngState(8)
     state = init_state(data, hp, init_rng)
     warm = RngState(97)
@@ -323,6 +346,10 @@ def test_z_row_replay_matches_from_scratch_logodds(sigma2):
         run_iteration(warm, state, data)
     if sigma2 is not None:
         state.sigma2[:] = sigma2
+    if not bias:
+        state.Z[:4] = 0.0
+        state.Z[4] = 1.0
+        state.recompute_natural()
 
     # rows where a candidate is scored after an accepted flip, so that the
     # scan's update of the later candidates' statistics decides the outcome
@@ -619,6 +646,33 @@ def test_pseudo_obs_match_numpy_reference():
         np.testing.assert_allclose(state.lam, reference.lam, rtol=1e-12, atol=1e-9)
         assert rng.get_state() == replay.get_state(), spec.name
 
+    # with no bias column and some rows that hold no feature, the
+    # pseudo-observations again, then the noise step: its shape and rate from
+    # numpy, and the kernel's inverse-gamma draw on the replayed stream
+    hp = Hyperparams(alpha=2.0, K_init=3, bias=False, sigma_u2=0.3,
+                     sample_variance=True, iterations=0, burn_in=0)
+    state = init_state(data, hp, rng)
+    for _ in range(2):
+        run_iteration(rng, state, data)
+    state.Z[::3] = 0.0
+    state.recompute_natural()
+    for d, spec in enumerate(data.specs):
+        reference = state.copy()
+        replay = RngState(0)
+        replay.set_state(rng.get_state())
+        _sweep(rng, state, data, _kernel.STEP_PSEUDO | _kernel.STEP_NOISE, dim=d)
+        ref_sample_pseudo_obs(replay, reference, data, d)
+        np.testing.assert_allclose(state.Y, reference.Y, rtol=1e-12, atol=1e-12)
+        cs = reference.dim_cols(d)
+        n_free = spec.S_d - 1 if spec.kind is AttributeKind.CATEGORICAL else spec.S_d
+        ss = float(np.sum((reference.Y[:, cs] - reference.Z @ reference.B[:, cs]) ** 2))
+        bb = float(np.sum(reference.B[:, cs][:, :n_free] ** 2))
+        shape = hp.beta1 + (state.N * spec.S_d + state.K * n_free) / 2
+        rate = hp.beta2 + ss / 2 + bb / (2 * hp.sigma_B2)
+        expected = inverse_gamma_sample(replay, shape, rate)
+        assert state.sigma2[d] == pytest.approx(expected, rel=1e-12, abs=0), spec.name
+        assert rng.get_state() == replay.get_state(), spec.name
+
 
 def test_threshold_sampler_keeps_order_and_support():
     specs = [AttributeSpec("o", AttributeKind.ORDINAL, R_d=5)]
@@ -639,6 +693,25 @@ def test_threshold_sampler_keeps_order_and_support():
         y = state.Y[:, state.dim_cols(0).start]
         assert np.all(y > pad[xi - 1])
         assert np.all(y <= pad[xi])
+
+
+def test_thresholds_of_a_million_level_ordinal_run_to_completion():
+    # the threshold step keeps three numbers per level of R_d, which has no
+    # upper bound; a child process keeps a crash from ending the test run
+    script = textwrap.dedent("""
+        import numpy as np
+        from glfm.data import AttributeKind, AttributeSpec, DataMatrix
+        from glfm.engine import Hyperparams, run_chain
+        cells = np.random.default_rng(0).integers(1, 4, size=(20, 1)).astype(float)
+        data = DataMatrix(cells=cells, missing=np.zeros((20, 1), dtype=bool),
+                          specs=[AttributeSpec("o1", AttributeKind.ORDINAL, R_d=10**6)])
+        hp = Hyperparams(K_init=1, bias=True, iterations=2, burn_in=0, seed=1)
+        assert np.all(np.diff(run_chain(data, hp).state.theta[0]) > 0)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
 
 
 def test_noise_variance_conjugate_distribution():
