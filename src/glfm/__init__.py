@@ -25,30 +25,19 @@ from glfm.engine import (
 )
 from glfm.likelihoods import TransformParams
 from glfm.randkit import RngState
-from glfm.tasks import (
-    CompletionResult,
-    Pattern,
-    complete,
-    compute_map,
-    compute_pdf,
-    extract_patterns,
-    predictive_loglik,
-)
+from glfm.tasks import Pattern, compute_pdf, extract_patterns
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttributeKind",
     "AttributeSpec",
-    "CompletionResult",
     "DataMatrix",
     "Hyperparams",
     "LatentState",
     "Pattern",
     "RngState",
     "TransformParams",
-    "complete",
-    "compute_map",
     "compute_pdf",
     "extract_patterns",
     "fit_transform_params",
@@ -56,7 +45,6 @@ __all__ = [
     "init_state",
     "load_dataset",
     "parse_attribute_spec",
-    "predictive_loglik",
     "run_chain",
     "run_iteration",
 ]

@@ -125,7 +125,6 @@ def _add_common(p: argparse.ArgumentParser, data_required: bool):
         "data",
         type=Path,
         nargs=None if data_required else "?",
-        default=None if data_required else None,
         help="CSV table (header row, empty cells missing)",
     )
     p.add_argument(
@@ -378,22 +377,7 @@ def cmd_explore(args) -> int:
         best, _, _ = _run_chains(data, hp, args.chains)
         state = best.state
 
-    args.out.mkdir(parents=True, exist_ok=True)
     patterns = extract_patterns(state, top=args.top)
-
-    _write_csv(
-        args.out / "patterns.csv",
-        ["pattern", "count", "empirical_prob"],
-        [[pat.label, str(pat.count), repr(pat.empirical_prob)] for pat in patterns],
-    )
-
-    probs = feature_activation_probs(state)
-    _write_csv(
-        args.out / "feature_probs.csv",
-        ["feature", "prob"],
-        [[f"feature_{i}", repr(float(p))] for i, p in enumerate(probs, start=1)],
-    )
-
     rows = []
     for pat in patterns:
         z = np.array(pat.bits, dtype=float)
@@ -403,6 +387,21 @@ def cmd_explore(args) -> int:
             # continuous pdfs come back in original units, the others encoded
             shown = format_column(spec, xs if spec.kind.is_continuous else decode_column(spec, xs))
             rows.extend([spec.name, label, x, repr(v)] for x, v in zip(shown, vals.tolist()))
+
+    # every table is computed before the first is written, so a bad --top or
+    # --grid-points leaves no partial output
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_csv(
+        args.out / "patterns.csv",
+        ["pattern", "count", "empirical_prob"],
+        [[pat.label, str(pat.count), repr(pat.empirical_prob)] for pat in patterns],
+    )
+    probs = feature_activation_probs(state)
+    _write_csv(
+        args.out / "feature_probs.csv",
+        ["feature", "prob"],
+        [[f"feature_{i}", repr(float(p))] for i, p in enumerate(probs, start=1)],
+    )
     _write_csv(args.out / "pdfs.csv", ["attribute", "pattern", "x", "value"], rows)
 
     print(f"{len(patterns)} patterns over {state.K_plus} active features")

@@ -22,11 +22,9 @@ __all__ = [
     "DataMatrix",
     "apply_preprocess",
     "check_points",
-    "decode_cell",
     "decode_column",
     "fit_transform_params",
     "fit_transforms",
-    "format_cell",
     "format_column",
     "invert_preprocess",
     "load_dataset",
@@ -389,16 +387,6 @@ def format_column(spec: AttributeSpec, decoded) -> list[str]:
     integers in decimal, floats by repr."""
     return [v if isinstance(v, str) else str(int(v)) if isinstance(v, (int, np.integer))
             else repr(float(v)) for v in decoded]
-
-
-def decode_cell(spec: AttributeSpec, encoded: float):
-    """Map an encoded cell back to original units/labels."""
-    return decode_column(spec, [encoded])[0]
-
-
-def format_cell(spec: AttributeSpec, decoded) -> str:
-    """Deterministic string form of a decoded value for CSV output."""
-    return format_column(spec, [decoded])[0]
 
 
 def render_csv(data: DataMatrix, fill: np.ndarray | None = None) -> str:

@@ -48,8 +48,11 @@ of P and the P^{-1} rebuild; per attribute the weights, the
 pseudo-observations, the ordinal thresholds and the noise variance). Births
 grow the state inside the row loop, in arrays with room for the columns the
 rows can add, and the prune compacts it in place, so P and lam stay exact
-without a refit. Python keeps init and the log joint. The public per-step
-functions below are thin calls into the same entry point.
+without a refit. Python keeps init and the log joint. The per-step functions
+below (a row's scan or births, the prune, an attribute's weights, a cell's
+pseudo-observations) run one step through the same entry point, so a step can
+be checked on its own; `_sweep` runs any other set of steps, such as one
+attribute's thresholds or noise variance.
 """
 
 from __future__ import annotations
@@ -77,9 +80,7 @@ __all__ = [
     "prune_features",
     "run_chain",
     "run_iteration",
-    "sample_noise_variance",
     "sample_pseudo_obs",
-    "sample_thresholds",
     "sample_weights",
     "sample_z_row",
 ]
@@ -516,27 +517,6 @@ def sample_pseudo_obs(rng: RngState, state: LatentState, data: DataMatrix, n: in
     R_d columns in order, keeping the observed category's column the maximum.
     """
     _sweep(rng, state, data, _kernel.STEP_PSEUDO, row=n, dim=d)
-
-
-def sample_thresholds(rng: RngState, state: LatentState, data: DataMatrix, d: int):
-    """Resample the free ordinal cut points theta_2..theta_{R_d - 1}.
-
-    theta_1 stays pinned at 0. Each cut point is a N(0, sigma_theta^2) draw
-    truncated between its neighbours and the pseudo-observations of the two
-    levels it separates. Attributes that are not ordinal are left alone.
-    """
-    _sweep(rng, state, data, _kernel.STEP_THRESHOLDS, dim=d)
-
-
-def sample_noise_variance(rng: RngState, state: LatentState, data: DataMatrix, d: int):
-    """Conjugate inverse-gamma draw of attribute d's pseudo-observation noise.
-
-    sigma_d^2 scales both the residuals Y_d - Z B_d and the prior of the free
-    weights, so the InvGamma(beta1, beta2) prior gains shape (N S_d + K F_d)/2
-    and rate ||Y_d - Z B_d||^2 / 2 + ||B_d,free||^2 / (2 sigma_B^2), with F_d
-    the free columns of d.
-    """
-    _sweep(rng, state, data, _kernel.STEP_NOISE, dim=d)
 
 
 def run_iteration(rng: RngState, state: LatentState, data: DataMatrix):

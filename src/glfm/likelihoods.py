@@ -107,7 +107,7 @@ def map_forward(y, params, kind: AttributeKind, theta=None):
     Real -> w*y + mu; PositiveReal -> softplus(w*y + mu); Count -> floor of the
     PositiveReal map; Ordinal -> smallest r with y <= theta_r (theta_0 = -inf,
     theta_{R_d} = +inf). Categorical is an argmax over R_d pseudo-observations
-    and is not a scalar map (see tasks.compute_map).
+    and is not a scalar map (see tasks._map_values).
     """
     if kind is AttributeKind.REAL:
         return params.w * y + params.mu

@@ -1,26 +1,28 @@
-"""Model-backed tasks: fill in missing cells, score held-out cells, and
-summarize the feature patterns a fitted state assigns to rows.
+"""Model-backed tasks on fitted states: fill in missing cells, score
+held-out cells, and summarize the feature patterns a state assigns to rows.
 
-All three prediction tasks read one batched predictive, `_log_predictive`:
-log p(x | z) of one attribute under one state, for a block of feature rows
-and encoded values at once. Each task makes one array pass per attribute.
-Imputation takes the mapped mean or the argmax of the predictive mass,
-held-out scoring evaluates every cell-state pair once and aggregates the
-same per-cell scores per attribute and per split, and a pdf evaluates the
-whole support or grid in one call.
+The states come from `engine.run_chain` (`heldout_benchmark` runs one chain
+per split itself): completing a table is
+`impute_from_states(run_chain(data, hp, keep_last=m).saved, data)`, the path
+the CLI runs. All three prediction tasks read one batched predictive,
+`_log_predictive`: log p(x | z) of one attribute under one state, for a block
+of feature rows and encoded values at once. Each task makes one array pass
+per attribute. Imputation takes the mapped mean or the argmax of the
+predictive mass, held-out scoring evaluates every cell-state pair once and
+aggregates the same per-cell scores per attribute and per split, and a pdf
+evaluates the whole support or grid in one call.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix, fit_transforms
 from glfm.data import apply_preprocess, check_points, invert_preprocess, preprocess_jacobian
-from glfm.engine import ChainResult, Hyperparams, LatentState, run_chain
+from glfm.engine import Hyperparams, LatentState, run_chain
 from glfm.likelihoods import (
     log_prob_count,
     log_prob_ordinal,
@@ -31,31 +33,18 @@ from glfm.likelihoods import (
 from glfm.randkit import RngState, spawn_seeds
 
 __all__ = [
-    "CompletionResult",
     "Pattern",
     "as_all_real",
-    "complete",
-    "compute_map",
     "compute_pdf",
     "extract_patterns",
     "feature_activation_probs",
     "heldout_benchmark",
     "impute_from_states",
     "make_heldout_masks",
-    "predictive_loglik",
     "predictive_loglik_by_dim",
 ]
 
 TINY_PROB = 1e-300
-
-
-@dataclass
-class CompletionResult:
-    """Encoded cell values with missing entries imputed, plus the chain that
-    produced them."""
-
-    cells: np.ndarray
-    chain: ChainResult
 
 
 @dataclass(frozen=True)
@@ -116,17 +105,6 @@ def _map_values(state: LatentState, d: int, Z: np.ndarray) -> np.ndarray:
     return xs[np.arange(len(xs)), np.argmax(ll, axis=1)]
 
 
-def compute_map(z: np.ndarray, state: LatentState, d: int):
-    """Most likely value of attribute d for a row with feature vector z.
-
-    Returns an encoded value (category index, level, count, or transformed
-    continuous value). Discrete ties resolve to the lowest value. For counts
-    the search covers the neighbourhood of the density peak.
-    """
-    value = _map_values(state, d, np.asarray(z, dtype=float)[None])[0]
-    return float(value) if state.specs[d].kind.is_continuous else int(value)
-
-
 def _impute(states: list[LatentState], d: int, rows: np.ndarray) -> np.ndarray:
     """Encoded completions of attribute d at `rows`, averaging over states:
     one state gives its most likely values; several give the mean of their
@@ -165,24 +143,6 @@ def impute_from_states(states: list[LatentState], data: DataMatrix) -> np.ndarra
     return filled
 
 
-def complete(
-    data: DataMatrix,
-    hp: Hyperparams,
-    rng: RngState | None = None,
-    average_last: int = 1,
-) -> CompletionResult:
-    """Fit a chain to `data` and impute every missing cell.
-
-    Specs on `data` must already carry transform parameters (fit_transforms).
-    average_last > 1 averages the predictive over that many trailing states.
-    """
-    if not data.missing.any():
-        warnings.warn("no missing cells to complete", stacklevel=2)
-    chain = run_chain(data, hp, rng=rng, keep_last=average_last)
-    filled = impute_from_states(chain.saved, data)
-    return CompletionResult(cells=filled, chain=chain)
-
-
 def _cell_scores(
     states: list[LatentState], data: DataMatrix, mask: np.ndarray
 ) -> dict[int, np.ndarray]:
@@ -204,20 +164,13 @@ def _cell_scores(
     return scores
 
 
-def predictive_loglik(states: list[LatentState], data: DataMatrix, mask: np.ndarray) -> float:
-    """Total log predictive of the encoded cells selected by `mask`,
-    averaging per-cell probabilities over the given states."""
-    scores = _cell_scores(states, data, np.asarray(mask, dtype=bool))
-    if not scores:
-        raise ValueError("mask selects no cells")
-    return sum(float(v.sum()) for v in scores.values())
-
-
 def predictive_loglik_by_dim(
     states: list[LatentState], data: DataMatrix, mask: np.ndarray
 ) -> dict[str, dict]:
-    """Per-attribute breakdown of predictive_loglik: sum, cell count, mean.
-    The sums add up to predictive_loglik exactly, in attribute order."""
+    """Log predictive of the encoded cells selected by `mask`, averaging
+    per-cell probabilities over the states, per attribute in attribute order:
+    sum, cell count, mean and kind. Attributes with no selected cell are
+    left out."""
     out = {}
     for d, scores in _cell_scores(states, data, np.asarray(mask, dtype=bool)).items():
         spec = data.specs[d]
@@ -319,8 +272,10 @@ def extract_patterns(state: LatentState, top: int | None = None) -> list[Pattern
     """Distinct rows of Z with empirical frequencies, most common first.
 
     Ordering is deterministic: ties keep the lexicographic order of the
-    patterns themselves.
+    patterns themselves. `top`, when given, keeps that many of the first.
     """
+    if top is not None and top < 0:
+        raise ValueError(f"top must be >= 0, got {top}")
     Z = state.Z.astype(np.uint8)
     # each row packed into bytes, most significant bit first and zero-padded,
     # so that comparing the bytes compares the rows lexicographically
@@ -362,7 +317,11 @@ def compute_pdf(
     was loaded through a preprocess transform, that transform's Jacobian.
     x_values, when given for a continuous attribute, are original-unit points;
     one outside the column's domain, as loading checks it, raises ValueError.
+    Otherwise a continuous attribute is evaluated on n_points >= 2 points
+    spanning 4 predictive standard deviations either side of the mean.
     """
+    if n_points < 2:
+        raise ValueError(f"n_points must be >= 2, got {n_points}")
     spec = state.specs[d]
     kind = spec.kind
     Z = np.asarray(z, dtype=float)[None]

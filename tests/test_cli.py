@@ -254,6 +254,20 @@ def test_complete_fills_missing_cells(workdir, capsys):
     assert (out / "trace.ndjson").exists()
 
 
+def test_complete_warns_on_a_fully_observed_table(workdir, capsys):
+    full = "".join(line + "\n" for line in CSV_TEXT.splitlines()
+                   if ",," not in line and not line.startswith(",") and not line.endswith(","))
+    (workdir / "data.csv").write_text(full)
+    out = workdir / "out"
+    code = run_cli(["complete", workdir / "data.csv", "--spec", workdir / "cols.spec",
+                    "-o", out] + FAST)
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: no missing cells to complete\n"
+    assert "imputed 0 cells" in captured.out
+    assert (out / "completed.csv").read_text() == full
+
+
 def test_complete_heldout_writes_scores_only(workdir, capsys):
     out = workdir / "scored"
     code = run_cli(["complete", workdir / "data.csv", "--spec", workdir / "cols.spec",
@@ -322,6 +336,23 @@ def test_explore_from_saved_state(workdir):
     assert code == 0
     assert (out2 / "patterns.csv").exists()
     assert (out2 / "pdfs.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--top", "-1"], "error: top must be >= 0, got -1\n"),
+    (["--grid-points", "0"], "error: n_points must be >= 2, got 0\n"),
+    (["--grid-points", "1"], "error: n_points must be >= 2, got 1\n"),
+])
+def test_explore_rejects_bad_top_and_grid_in_one_line(workdir, capsys, flags, message):
+    fit = workdir / "fit"
+    assert run_cli(["infer", workdir / "data.csv", "--spec", workdir / "cols.spec",
+                    "-o", fit] + FAST) == 0
+    capsys.readouterr()
+    out = workdir / "explored"
+    code = run_cli(["explore", "--state", fit / "state.json", "-o", out] + flags)
+    assert code == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_explore_without_data_or_state_exits_1(workdir, capsys):

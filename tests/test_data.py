@@ -13,10 +13,10 @@ from glfm.data import (
     AttributeKind,
     AttributeSpec,
     DataMatrix,
-    decode_cell,
+    decode_column,
     fit_transform_params,
     fit_transforms,
-    format_cell,
+    format_column,
     load_dataset,
     parse_attribute_spec,
     render_csv,
@@ -231,20 +231,20 @@ def test_data_matrix_validation():
 
 def test_decode_and_format_cell():
     cat = AttributeSpec("c", AttributeKind.CATEGORICAL, R_d=3, labels=("x", "y", "z"))
-    assert decode_cell(cat, 2.0) == "y"
-    assert format_cell(cat, "y") == "y"
+    assert decode_column(cat, [2.0]) == ["y"]
+    assert format_column(cat, ["y"]) == ["y"]
     bare = AttributeSpec("c", AttributeKind.CATEGORICAL, R_d=3)
-    assert decode_cell(bare, 2.0) == 2
+    assert decode_column(bare, [2.0]) == [2]
 
     cnt = AttributeSpec("n", AttributeKind.COUNT)
-    assert decode_cell(cnt, 7.0) == 7
-    assert format_cell(cnt, 7) == "7"
+    assert decode_column(cnt, [7.0]) == [7]
+    assert format_column(cnt, [7]) == ["7"]
 
     pre = AttributeSpec("a", AttributeKind.REAL, external_preprocess="log1p")
-    assert decode_cell(pre, math.log(2.0)) == pytest.approx(1.0)
+    assert decode_column(pre, [math.log(2.0)]) == [pytest.approx(1.0)]
 
     real = AttributeSpec("r", AttributeKind.REAL)
-    assert format_cell(real, 0.5) == "0.5"
+    assert format_column(real, [0.5]) == ["0.5"]
 
 
 def test_render_csv_roundtrip_preserves_raw():
@@ -488,6 +488,11 @@ def test_load_dataset_matches_the_per_cell_encoder(table):
             np.testing.assert_array_max_ulp(data.cells[:, d], cells[:, d], maxulp=1)
 
 
+def cell_text(spec, encoded):
+    """One encoded cell decoded and formatted on its own."""
+    return format_column(spec, decode_column(spec, [encoded]))[0]
+
+
 def reference_render(data, fill):
     rows = []
     for i in range(data.n_rows):
@@ -497,11 +502,11 @@ def reference_render(data, fill):
                 if data.raw is not None:
                     row.append(data.raw[i][d])
                 else:
-                    row.append(format_cell(spec, decode_cell(spec, data.cells[i, d])))
+                    row.append(cell_text(spec, data.cells[i, d]))
             elif fill is None:
                 row.append("")
             else:
-                row.append(format_cell(spec, decode_cell(spec, fill[i, d])))
+                row.append(cell_text(spec, fill[i, d]))
         rows.append(row)
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([[s.name for s in data.specs]] + rows)

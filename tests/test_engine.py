@@ -41,9 +41,7 @@ from glfm.engine import (
     prune_features,
     run_chain,
     run_iteration,
-    sample_noise_variance,
     sample_pseudo_obs,
-    sample_thresholds,
     sample_weights,
     sample_z_row,
 )
@@ -729,7 +727,7 @@ def test_noise_variance_conjugate_distribution():
     rng = RngState(26)
     draws = np.empty(20000)
     for i in range(draws.size):
-        sample_noise_variance(rng, state, data, 0)
+        _sweep(rng, state, data, _kernel.STEP_NOISE, dim=0)
         draws[i] = state.sigma2[0]
     result = kstest(draws, invgamma(a=2.0, scale=3.0).cdf)
     assert result.pvalue > 1e-3

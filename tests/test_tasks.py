@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix
 from glfm.data import invert_preprocess as _decode_grid
 from glfm.data import preprocess_jacobian as _preprocess_jacobian
-from glfm.engine import Hyperparams, LatentState
+from glfm.engine import Hyperparams, LatentState, run_chain
 from glfm.likelihoods import (
     count_support_limit,
     log_prob_count,
@@ -27,16 +27,14 @@ from glfm.tasks import (
     TINY_PROB,
     Pattern,
     _cell_scores,
+    _map_values,
     as_all_real,
-    complete,
-    compute_map,
     compute_pdf,
     extract_patterns,
     feature_activation_probs,
     heldout_benchmark,
     impute_from_states,
     make_heldout_masks,
-    predictive_loglik,
     predictive_loglik_by_dim,
 )
 
@@ -60,33 +58,38 @@ def manual_state(specs, Z, B, theta=None, sigma2=1.0, hp=HP0, count_xmax=None):
     return state
 
 
+def map_value(z, state, d):
+    """Most likely encoded value of attribute d for the one feature row z."""
+    return _map_values(state, d, np.asarray(z, dtype=float)[None])[0]
+
+
 def test_compute_map_continuous():
     spec = AttributeSpec("r", AttributeKind.REAL, w=2.0, mu=-1.0)
     state = manual_state([spec], [[1.0]], [[0.7]])
-    assert compute_map(np.array([1.0]), state, 0) == pytest.approx(2.0 * 0.7 - 1.0)
+    assert map_value(np.array([1.0]), state, 0) == pytest.approx(2.0 * 0.7 - 1.0)
 
     pos = AttributeSpec("p", AttributeKind.POSITIVE_REAL)
     state2 = manual_state([pos], [[1.0]], [[0.4]])
-    assert compute_map(np.array([1.0]), state2, 0) == pytest.approx(float(softplus(0.4)))
+    assert map_value(np.array([1.0]), state2, 0) == pytest.approx(float(softplus(0.4)))
 
 
 def test_compute_map_categorical_ties_to_lowest():
     spec = AttributeSpec("c", AttributeKind.CATEGORICAL, R_d=3)
     state = manual_state([spec], [[1.0]], [[0.2, 0.9, 0.0]])
-    assert compute_map(np.array([1.0]), state, 0) == 2
+    assert map_value(np.array([1.0]), state, 0) == 2
     tied = manual_state([spec], [[1.0]], [[0.5, 0.5, 0.0]])
-    assert compute_map(np.array([1.0]), tied, 0) == 1
+    assert map_value(np.array([1.0]), tied, 0) == 1
 
 
 def test_compute_map_ordinal():
     spec = AttributeSpec("o", AttributeKind.ORDINAL, R_d=3)
     theta = {0: [0.0, 1.5]}
     low = manual_state([spec], [[1.0]], [[-0.2]], theta=theta)
-    assert compute_map(np.array([1.0]), low, 0) == 1
+    assert map_value(np.array([1.0]), low, 0) == 1
     mid = manual_state([spec], [[1.0]], [[0.7]], theta=theta)
-    assert compute_map(np.array([1.0]), mid, 0) == 2
+    assert map_value(np.array([1.0]), mid, 0) == 2
     high = manual_state([spec], [[1.0]], [[2.5]], theta=theta)
-    assert compute_map(np.array([1.0]), high, 0) == 3
+    assert map_value(np.array([1.0]), high, 0) == 3
 
 
 def test_compute_map_count_matches_full_search():
@@ -94,7 +97,7 @@ def test_compute_map_count_matches_full_search():
     for m in (-3.0, -0.4, 0.0, 0.55, 1.3, 2.0, 4.7):
         for sigma2 in (1.0, 0.25):
             state = manual_state([spec], [[1.0]], [[m]], sigma2=sigma2)
-            got = compute_map(np.array([1.0]), state, 0)
+            got = map_value(np.array([1.0]), state, 0)
             sd = math.sqrt(sigma2)
             lls = [
                 log_prob_count(x, m, spec, sd)
@@ -107,13 +110,13 @@ def test_impute_fills_only_missing_cells():
     data, _ = generate(20, missing_rate=0.25, seed=50)
     hp = Hyperparams(alpha=2.0, K_max=6, K_init=1, bias=True,
                      iterations=8, burn_in=1, seed=51)
-    result = complete(data, hp)
+    cells = impute_from_states(run_chain(data, hp).saved, data)
     obs = ~data.missing
-    np.testing.assert_array_equal(result.cells[obs], data.cells[obs])
-    assert not np.any(np.isnan(result.cells))
+    np.testing.assert_array_equal(cells[obs], data.cells[obs])
+    assert not np.any(np.isnan(cells))
     # filled values live in each kind's encoded domain
     for d, spec in enumerate(data.specs):
-        filled = result.cells[data.missing[:, d], d]
+        filled = cells[data.missing[:, d], d]
         if spec.kind is AttributeKind.CATEGORICAL or spec.kind is AttributeKind.ORDINAL:
             assert np.all((filled >= 1) & (filled <= spec.R_d))
             assert np.all(filled == filled.astype(int))
@@ -122,14 +125,6 @@ def test_impute_fills_only_missing_cells():
             assert np.all(filled == filled.astype(int))
         elif spec.kind is AttributeKind.POSITIVE_REAL:
             assert np.all(filled > 0)
-
-
-def test_complete_warns_when_nothing_missing():
-    data, _ = generate(10, missing_rate=0.0, seed=52)
-    hp = Hyperparams(alpha=1.0, K_max=4, K_init=1, bias=True,
-                     iterations=2, burn_in=1, seed=53)
-    with pytest.warns(UserWarning, match="no missing cells"):
-        complete(data, hp)
 
 
 def test_impute_from_states_averages_continuous():
@@ -170,7 +165,7 @@ def test_predictive_loglik_matches_direct_computation():
         specs=[spec],
     )
     mask = np.ones((2, 1), dtype=bool)
-    got = predictive_loglik([state], data, mask)
+    got = predictive_loglik_by_dim([state], data, mask)["r"]["sum"]
     expected = sum(
         loglik_continuous(x, 0.8, 1.0 + 0.04, spec, AttributeKind.REAL)
         for x in (1.4, 0.3)
@@ -190,38 +185,23 @@ def test_predictive_loglik_averages_over_states():
     l1 = loglik_continuous(1.0, 0.0, 1.0 + sigma_u2, spec, AttributeKind.REAL)
     l2 = loglik_continuous(1.0, 2.0, 1.0 + sigma_u2, spec, AttributeKind.REAL)
     expected = math.log(0.5 * (math.exp(l1) + math.exp(l2)))
-    assert predictive_loglik([s1, s2], data, mask) == pytest.approx(expected, abs=1e-12)
-
-
-def test_predictive_loglik_empty_mask_errors():
-    spec = AttributeSpec("r", AttributeKind.REAL)
-    state = manual_state([spec], [[1.0]], [[0.0]])
-    data = DataMatrix(
-        cells=np.array([[1.0]]), missing=np.zeros((1, 1), dtype=bool), specs=[spec]
-    )
-    with pytest.raises(ValueError, match="no cells"):
-        predictive_loglik([state], data, np.zeros((1, 1), dtype=bool))
+    got = predictive_loglik_by_dim([s1, s2], data, mask)["r"]["sum"]
+    assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_predictive_loglik_by_dim_partitions_total():
     data, _ = generate(15, missing_rate=0.0, seed=54)
     hp = Hyperparams(alpha=1.0, K_max=5, K_init=1, bias=True,
                      iterations=4, burn_in=1, seed=55)
-    result = complete_or_fit(data, hp)
+    states = run_chain(data, hp).saved
     mask = make_heldout_masks(data, 1, 0.3, seed=7)[0]
-    total = predictive_loglik(result, data, mask)
-    by_dim = predictive_loglik_by_dim(result, data, mask)
+    total = sum(float(v.sum()) for v in _cell_scores(states, data, mask).values())
+    by_dim = predictive_loglik_by_dim(states, data, mask)
     assert sum(v["sum"] for v in by_dim.values()) == pytest.approx(total, abs=1e-9)
     assert sum(v["count"] for v in by_dim.values()) == int(mask.sum())
     for name, v in by_dim.items():
         assert v["mean"] == pytest.approx(v["sum"] / v["count"])
         assert v["kind"] in ("real", "positivereal", "categorical", "ordinal", "count")
-
-
-def complete_or_fit(data, hp):
-    from glfm.engine import run_chain
-
-    return run_chain(data, hp).saved
 
 
 def test_make_heldout_masks_properties():
@@ -318,6 +298,24 @@ def test_extract_patterns_ordering_and_labels():
     assert pats[1].bits < pats[2].bits
     assert len(extract_patterns(state, top=2)) == 2
     assert sum(p.empirical_prob for p in pats) == pytest.approx(1.0)
+
+
+def test_extract_patterns_rejects_a_negative_top():
+    Z = np.array([[1, 0], [1, 1], [1, 1]], dtype=float)
+    state = manual_state([AttributeSpec("r", AttributeKind.REAL)], Z, np.zeros((2, 1)))
+    with pytest.raises(ValueError, match=r"^top must be >= 0, got -1$"):
+        extract_patterns(state, top=-1)
+    assert extract_patterns(state, top=0) == []
+    assert len(extract_patterns(state, top=5)) == 2
+
+
+@pytest.mark.parametrize("n_points", [-1, 0, 1])
+def test_compute_pdf_rejects_a_grid_under_two_points(n_points):
+    state = manual_state([AttributeSpec("r", AttributeKind.REAL)], [[1.0]], [[0.5]])
+    with pytest.raises(ValueError, match=rf"^n_points must be >= 2, got {n_points}$"):
+        compute_pdf(state, 0, np.array([1.0]), n_points=n_points)
+    xs, dens = compute_pdf(state, 0, np.array([1.0]), n_points=2)
+    assert xs.shape == dens.shape == (2,)
 
 
 def test_feature_activation_probs():
@@ -578,12 +576,12 @@ def test_batched_tasks_match_per_cell_reference(seed, n_states):
             want = [ref_cell_score(states, int(n), d, full.cells[n, d]) for n in rows]
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
         by_dim = predictive_loglik_by_dim(states, full, mask)
-        assert predictive_loglik(states, full, mask) == sum(v["sum"] for v in by_dim.values())
+        assert [v["sum"] for v in by_dim.values()] == [float(v.sum()) for v in scores.values()]
 
     state = states[0]
     for z in (state.Z[0], np.ones(state.K)):
         for d in range(len(state.specs)):
-            assert compute_map(z, state, d) == pytest.approx(
+            assert map_value(z, state, d) == pytest.approx(
                 ref_compute_map(z, state, d), rel=RTOL, abs=ATOL
             )
             xs, p = compute_pdf(state, d, z)
