@@ -31,8 +31,10 @@ SOURCE = Path(__file__).with_name("_sweep.c")
 CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 # step mask of glfm_sweep
-STEP_REBUILD, STEP_WEIGHTS, STEP_PSEUDO, STEP_THRESHOLDS, STEP_NOISE = 1, 2, 4, 8, 16
-STEP_SCAN, STEP_BIRTH, STEP_PRUNE = 32, 64, 128
+STEP_WEIGHTS, STEP_PSEUDO, STEP_THRESHOLDS, STEP_NOISE = 1, 2, 4, 8
+STEP_SCAN, STEP_BIRTH, STEP_PRUNE = 16, 32, 64
+# the kernel's truncation of a row's birth count; sizes the room births need
+MAX_BIRTHS_PER_ROW = 3
 # error codes of the kernel's entry points
 ERR_NOT_PD, ERR_EMPTY_SUPPORT, ERR_BOUNDS, ERR_STD, ERR_NOMEM, ERR_MEAN = -1, -2, -3, -4, -5, -6
 
@@ -52,13 +54,14 @@ class State(ctypes.Structure):
         *((name, _ptr) for name in ("Z", "Y", "B", "P", "P_inv", "lam", "col_sums", "sigma2")),
         *((name, _ptr) for name in ("kind", "offset", "levels", "missing", "cells")),
         *((name, _ptr) for name in ("obs_lo", "obs_hi", "theta")),
-        *((name, _f64) for name in ("sigma_B2", "sigma_u2", "sigma_theta2", "beta1", "beta2")),
+        *((name, _f64) for name in ("alpha", "sigma_B2", "sigma_u2", "sigma_theta2", "beta1",
+                                    "beta2")),
     ]
 
 
 _SIGNATURES = {
     "glfm_sweep": (ctypes.c_int, [_ptr, ctypes.POINTER(State), ctypes.c_int, _i64, _i64, _i64,
-                                  _i64, _i64, _i64, _ptr, _ptr, _ptr]),
+                                  _i64, _i64, _ptr]),
     "glfm_trunc_normal": (ctypes.c_int, [_ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr]),
     "glfm_inverse_gamma": (_f64, [_ptr, _f64, _f64]),
     "glfm_chol_inverse": (ctypes.c_int, [_i64, _ptr, _ptr]),
@@ -66,7 +69,6 @@ _SIGNATURES = {
     "glfm_log_ndtr": (None, [_i64, _ptr, _ptr]),
     "glfm_row_loglik": (_f64, [_f64, _f64, _f64]),
     "glfm_birth_gain_bound": (_f64, [_f64, _f64, _f64]),
-    "glfm_inverse_cdf_index": (_i64, [_i64, _ptr, _f64]),
 }
 
 

@@ -31,7 +31,7 @@
  *                      P^{-1} rebuild takes it
  *   glfm_ndtr          the standard normal CDF, over an array
  *   glfm_log_ndtr      its logarithm, over an array
- * and three scalar helpers of the birth step, exported for tests.
+ * and two scalar helpers of the birth step, exported for tests.
  *
  * Build: cc -O3 -fPIC -shared -ffp-contract=off, linked with libnpyrandom.a
  * and libm. No -ffast-math and no FMA contraction: each operation rounds
@@ -57,15 +57,20 @@ double random_standard_gamma(bitgen_t *bitgen_state, double shape);
 enum { KIND_CONTINUOUS = 0, KIND_COUNT = 1, KIND_ORDINAL = 2, KIND_CATEGORICAL = 3 };
 
 enum {
-    STEP_REBUILD = 1,   /* rebuild P^{-1} from the Cholesky factor of P */
-    STEP_WEIGHTS = 2,
-    STEP_PSEUDO = 4,
-    STEP_THRESHOLDS = 8,
-    STEP_NOISE = 16,
-    STEP_SCAN = 32,     /* the Z-row scan */
-    STEP_BIRTH = 64,
-    STEP_PRUNE = 128,   /* drop dead feature columns; P^{-1} waits for the rebuild */
+    STEP_WEIGHTS = 1,
+    STEP_PSEUDO = 2,
+    STEP_THRESHOLDS = 4,
+    STEP_NOISE = 8,
+    STEP_SCAN = 16,     /* the Z-row scan */
+    STEP_BIRTH = 32,
+    STEP_PRUNE = 64,    /* drop dead feature columns, then rebuild P^{-1} from P */
 };
+
+/* Truncation of the per-row Poisson(alpha/N) birth count. The mass it cuts
+ * off biases the chain's target: E[K+] reads 4% low at alpha/N = 1 and 19%
+ * low at alpha/N = 2; at alpha/N <= 0.005 the mass cut off is below 1e-10.
+ * Exact births, drawn without a truncation, are ROADMAP item 4. */
+enum { MAX_BIRTHS_PER_ROW = 3 };
 
 enum {
     ERR_NOT_PD = -1,        /* Cholesky: matrix not positive definite */
@@ -89,7 +94,7 @@ typedef struct {
     const double *cells;           /* N x D: levels of ordinal/categorical cells */
     const double *obs_lo, *obs_hi; /* N x D: continuous target or count bounds */
     double *const *theta;          /* D: ordinal cut points, NULL elsewhere */
-    double sigma_B2, sigma_u2, sigma_theta2, beta1, beta2;
+    double alpha, sigma_B2, sigma_u2, sigma_theta2, beta1, beta2;
 } glfm_state;
 
 static const double PI = 3.141592653589793;
@@ -366,20 +371,26 @@ double glfm_birth_gain_bound(double s, double n_free, double Q)
     return c > n_free ? 0.5 * (c - n_free - n_free * log(c / n_free)) : 0.0;
 }
 
-/* The index Generator.choice(n, p=p) draws from the uniform u: the number of
- * normalized cumulative probabilities at or below u. */
-int64_t glfm_inverse_cdf_index(int64_t n, const double *p, double u)
+/* The truncated Poisson(rate) birth prior: the log weights
+ * ladder[k] = k log(rate) - log k! of k = 0..MAX_BIRTHS_PER_ROW births, and
+ * log_rest[j] the log prior mass of k = 1..j. log k! is summed from log j:
+ * lgamma would write the global signgam, and chains run kernels on threads. */
+static void birth_prior(double rate, double *ladder, double *log_rest)
 {
-    double cdf[n];
-    cdf[0] = p[0];
-    for (int64_t k = 1; k < n; k++)
-        cdf[k] = cdf[k - 1] + p[k];
-    double total = cdf[n - 1];
-    int64_t idx = 0;
-    for (int64_t k = 0; k < n; k++)
-        if (cdf[k] / total <= u)
-            idx = k + 1;
-    return idx;
+    const double log_rate = log(rate);
+    double log_fact = 0.0, top = -INFINITY;
+    for (int64_t k = 0; k <= MAX_BIRTHS_PER_ROW; k++) {
+        log_fact += k > 1 ? log((double)k) : 0.0;
+        ladder[k] = (double)k * log_rate - log_fact;
+    }
+    log_rest[0] = 0.0;
+    for (int64_t j = 1; j <= MAX_BIRTHS_PER_ROW; j++) {
+        top = ladder[j] > top ? ladder[j] : top; /* the largest of ladder[1..j] */
+        double sum = 0.0;
+        for (int64_t k = 1; k <= j; k++)
+            sum += exp(ladder[k] - top);
+        log_rest[j] = top + log(sum);
+    }
 }
 
 /* The workspace of one glfm_sweep call: the row steps' arrays, then those of
@@ -613,15 +624,15 @@ static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, sweep_ws *w, 
     return 0;
 }
 
-/* How many fresh features row n turns on, from its statistics (s, Q) and the
- * uniform u: a truncated Poisson(alpha/N) prior (log weights `ladder`, and
- * log_rest the log prior mass of k >= 1) reweighted by the row's marginal
- * likelihood with s + k sigma_B^2 in place of s. When u falls below a lower
- * bound on the mass of no birth the candidates are not scored. */
+/* How many fresh features, at most kmax, row n turns on, from its statistics
+ * (s, Q) and the uniform u: the birth prior (log weights `ladder`, and
+ * log_rest the log prior mass of k = 1..kmax) reweighted by the row's
+ * marginal likelihood with s + k sigma_B^2 in place of s. When u falls below
+ * a lower bound on the mass of no birth the candidates are not scored. */
 static int64_t birth_count(const glfm_state *st, double s, const sweep_ws *w, int64_t kmax,
                            const double *ladder, double log_rest, double u)
 {
-    double lw[kmax + 1], p[kmax + 1];
+    double lw[MAX_BIRTHS_PER_ROW + 1];
     s = s > 0.0 ? s : 0.0;
     /* p_0 >= 1 / (1 + exp(gain bound) * prior weight of k >= 1); the margin
      * keeps rounding in the full scoring from reversing the call */
@@ -639,9 +650,14 @@ static int64_t birth_count(const glfm_state *st, double s, const sweep_ws *w, in
         lw[k] = exp(lw[k] - top);
         total += lw[k];
     }
-    for (int64_t k = 0; k <= kmax; k++)
-        p[k] = lw[k] / total;
-    return glfm_inverse_cdf_index(kmax + 1, p, u);
+    /* the count of cumulative weights at or below u * total: a tie goes to
+     * the next count, and u < 1 stops the walk by kmax */
+    const double target = u * total;
+    double cdf = 0.0;
+    int64_t k = 0;
+    while (k < kmax && (cdf += lw[k]) <= target)
+        k++;
+    return k;
 }
 
 /* Widen a rows x K array to rows x K2 in place, last row first; new entries 0 */
@@ -945,22 +961,21 @@ static void sample_noise_variance(bitgen_t *bg, const glfm_state *st, int64_t d,
 
 /* The steps of `steps`, a mask of STEP_*, in sweep order, on one workspace:
  * - the row loop over rows [r0, r1): on STEP_SCAN the Z-row scan (when a
- *   feature column exists to scan), then on STEP_BIRTH the birth decision,
- *   from the scan's statistics or fresh ones: at most min(kmax, k_cap - K)
- *   births a row, under the log prior weights `ladder` (k = 0..kmax), with
- *   log_rest[j] the log prior mass of k = 1..j. Births grow the state in
- *   place, so its arrays need room for k_cap columns;
- * - the prune, which shrinks the state in place;
- * - the Cholesky factor of P, taken once for the P^{-1} rebuild and every
- *   weight draw, and the rebuild;
+ *   feature column exists to scan), then on STEP_BIRTH with alpha > 0 the
+ *   birth decision, from the scan's statistics or fresh ones: at most
+ *   min(MAX_BIRTHS_PER_ROW, k_cap - K) births a row under the truncated
+ *   Poisson(alpha/N) prior. Births grow the state in place, so its arrays
+ *   need room for k_cap columns;
+ * - the prune, which shrinks the state in place, and the P^{-1} rebuild;
+ * - the Cholesky factor of P, taken once for the rebuild and every weight
+ *   draw;
  * - per attribute in [d_lo, d_hi): the weights, the pseudo-observations of
  *   rows [r0, r1), the ordinal thresholds and the noise variance.
  * out receives the last row's (s, Q), or the (attribute, threshold) of an
  * empty threshold support. bg may be NULL when no step draws. Returns 0, or
  * a negative error code. */
 int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, int64_t d_lo,
-               int64_t d_hi, int64_t kmax, int64_t k_cap, const double *ladder,
-               const double *log_rest, double *out)
+               int64_t d_hi, int64_t k_cap, double *out)
 {
     const int64_t S = st->S, rows = r1 - r0 > 0 ? r1 - r0 : 1;
     /* room for every column count the row loop can reach */
@@ -1000,10 +1015,18 @@ int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, 
         w.n_free += (double)(c1 - c0);
     }
 
+    /* scan-pinned chains (alpha = 0) build no prior and draw no birth */
+    const int birth = (steps & STEP_BIRTH) && st->alpha > 0.0;
+    double ladder[MAX_BIRTHS_PER_ROW + 1], log_rest[MAX_BIRTHS_PER_ROW + 1];
+    if (birth)
+        birth_prior(st->alpha / (double)st->N, ladder, log_rest);
+
     int err = 0;
     for (int64_t n = r0; n < r1 && (steps & (STEP_SCAN | STEP_BIRTH)); n++) {
         const int64_t K = st->K;
-        const int64_t births = !(steps & STEP_BIRTH) ? 0 : k_cap - K < kmax ? k_cap - K : kmax;
+        int64_t births = birth ? k_cap - K : 0;
+        if (births > MAX_BIRTHS_PER_ROW)
+            births = MAX_BIRTHS_PER_ROW;
         const int scan = (steps & STEP_SCAN) && K > st->nb;
         double s;
         memcpy(w.z0, st->Z + n * K, (size_t)K * sizeof(double));
@@ -1027,9 +1050,9 @@ int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, 
     }
     if (!err && (steps & STEP_PRUNE))
         prune(st);
-    if (!err && (steps & (STEP_REBUILD | STEP_WEIGHTS)))
+    if (!err && (steps & (STEP_PRUNE | STEP_WEIGHTS)))
         err = cholesky(st->K, st->P, w.L);
-    if (!err && (steps & STEP_REBUILD))
+    if (!err && (steps & STEP_PRUNE))
         cholesky_inverse(st->K, w.L, w.E, st->P_inv);
     for (int64_t d = d_lo; d < d_hi && !err; d++) {
         if (steps & STEP_WEIGHTS)

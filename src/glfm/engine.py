@@ -43,16 +43,17 @@ birth, which holds on nearly every row.
 
 The sweep runs as compiled C (_sweep.c, built and loaded by glfm._kernel) on
 the chain's own PCG64 stream, in one call per sweep: the row loop (collapse,
-scan, commit, and births), the prune, then the per-attribute phase (Cholesky
-of P and the P^{-1} rebuild; per attribute the weights, the
-pseudo-observations, the ordinal thresholds and the noise variance). Births
-grow the state inside the row loop, in arrays with room for the columns the
-rows can add, and the prune compacts it in place, so P and lam stay exact
-without a refit. Python keeps init and the log joint. The per-step functions
-below (a row's scan or births, the prune, an attribute's weights, a cell's
-pseudo-observations) run one step through the same entry point, so a step can
-be checked on its own; `_sweep` runs any other set of steps, such as one
-attribute's thresholds or noise variance.
+scan, commit, and births under the kernel's truncated Poisson(alpha/N)
+prior), the prune and the P^{-1} rebuild from the Cholesky factor of P, then
+the per-attribute phase (per attribute the weights, the pseudo-observations,
+the ordinal thresholds and the noise variance). Births grow the state inside
+the row loop, in arrays with room for the columns the rows can add, and the
+prune compacts it in place, so P and lam stay exact without a refit. Python
+keeps init and the log joint. The per-step functions below (a row's scan or
+births, the prune, an attribute's weights, a cell's pseudo-observations) run
+one step through the same entry point, so a step can be checked on its own;
+`_sweep` runs any other set of steps, such as one attribute's thresholds or
+noise variance.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -86,10 +86,6 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-# Truncation of the per-row feature birth proposal. With rate alpha/N the
-# Poisson mass above 3 is negligible for any practical alpha.
-MAX_BIRTHS_PER_ROW = 3
 
 # attribute kinds as the kernel numbers them
 _KIND_CODES = {
@@ -378,8 +374,8 @@ def _bind(state: LatentState, data: DataMatrix | None) -> _kernel.State:
         col_sums=state.col_sums.ctypes.data, sigma2=state.sigma2.ctypes.data,
         kind=state.kind_codes.ctypes.data,
         offset=state.offsets.ctypes.data, levels=state.levels.ctypes.data,
-        theta=ctypes.addressof(theta), sigma_B2=hp.sigma_B2, sigma_u2=hp.sigma_u2,
-        sigma_theta2=hp.sigma_theta2, beta1=hp.beta1, beta2=hp.beta2,
+        theta=ctypes.addressof(theta), alpha=hp.alpha, sigma_B2=hp.sigma_B2,
+        sigma_u2=hp.sigma_u2, sigma_theta2=hp.sigma_theta2, beta1=hp.beta1, beta2=hp.beta2,
     )
     keep = [theta]
     if data is not None:
@@ -399,22 +395,21 @@ def _bind(state: LatentState, data: DataMatrix | None) -> _kernel.State:
 def _sweep(rng: RngState | None, state: LatentState, data: DataMatrix | None, steps: int,
            row: int | None = None, dim: int | None = None) -> np.ndarray:
     """One kernel call of the _kernel.STEP_* in `steps`, in sweep order: the
-    row loop (Z-row scan, then births when alpha > 0 and K < K_max), prune,
-    the P^{-1} rebuild, then per attribute the weights, pseudo-observations,
-    thresholds and noise variance; over row `row` and attribute `dim`, all by
-    default, each indexed as a Python sequence is (IndexError when out of
-    range). rng may be None when no step draws. Births grow Z, B, P, P^{-1},
-    lam and the counts in buffers with room for every column the rows can
-    add, prune shrinks them in place, and the state keeps views at the live
-    K. Returns the last row's statistics (s, Q)."""
+    row loop (Z-row scan, then births when alpha > 0 and K < K_max), the
+    prune with its P^{-1} rebuild, then per attribute the weights,
+    pseudo-observations, thresholds and noise variance; over row `row` and
+    attribute `dim`, all by default, each indexed as a Python sequence is
+    (IndexError when out of range). rng may be None when no step draws. The
+    kernel draws each row's birth count; births grow Z, B, P, P^{-1}, lam and
+    the counts in buffers with room for the most columns the rows can add,
+    prune shrinks them in place, and the state keeps views at the live K.
+    Returns the last row's statistics (s, Q)."""
     hp, N, S, D = state.hp, state.N, state.S, len(state.specs)
     r0, r1 = (0, N) if row is None else (range(N)[row], range(N)[row] + 1)
     d_lo, d_hi = (0, D) if dim is None else (range(D)[dim], range(D)[dim] + 1)
     birth = steps & _kernel.STEP_BIRTH and hp.alpha > 0 and state.K < hp.K_max
-    kmax = MAX_BIRTHS_PER_ROW if birth else 0
-    # room for kmax births on every row, up to K_max
-    k_cap = min(hp.K_max, state.K + kmax * (r1 - r0))
-    ladder, log_rest = map(np.array, _birth_ladder(hp.alpha, N, kmax))
+    # room for the kernel's most births on every row, up to K_max
+    k_cap = min(hp.K_max, state.K + _kernel.MAX_BIRTHS_PER_ROW * (r1 - r0)) if birth else state.K
 
     def shapes(K):
         return {"Z": (N, K), "B": (K, S), "P": (K, K), "P_inv": (K, K), "lam": (K, S),
@@ -430,8 +425,7 @@ def _sweep(rng: RngState | None, state: LatentState, data: DataMatrix | None, st
     st = _bind(state, data)
     out = np.zeros(2)
     code = _kernel.call(
-        rng, "glfm_sweep", ctypes.byref(st), steps, r0, r1, d_lo, d_hi, kmax, k_cap,
-        ladder.ctypes.data, log_rest.ctypes.data, out.ctypes.data,
+        rng, "glfm_sweep", ctypes.byref(st), steps, r0, r1, d_lo, d_hi, k_cap, out.ctypes.data
     )
     if st.K != state.K:
         for name, shape in shapes(st.K).items():
@@ -464,38 +458,25 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     return tuple(stats.tolist()) if state.K > state.n_bias else None
 
 
-@lru_cache(maxsize=16)
-def _birth_ladder(alpha: float, N: int, kmax: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Log prior weights k log(alpha/N) - log k! of k = 0..kmax births, and for
-    each truncation j = 1..kmax (at index j) the log of the summed prior
-    weight of k = 1..j. Without births (kmax = 0) both are (0,)."""
-    log_rate = math.log(alpha / N) if kmax else 0.0
-    ladder = tuple(k * log_rate - math.lgamma(k + 1) for k in range(kmax + 1))
-
-    def log_sum(xs):
-        top = max(xs)
-        return top + math.log(sum(math.exp(x - top) for x in xs))
-
-    return ladder, (0.0, *(log_sum(ladder[1 : j + 1]) for j in range(1, kmax + 1)))
-
-
 def birth_features(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     """Draw how many fresh feature columns row n turns on.
 
-    The count follows a truncated Poisson(alpha/N) reweighted by the row's
-    marginal likelihood, where each prospective feature adds sigma_B^2 to
-    the collapsed predictive variance 1 + s, in units of sigma_d^2.
-    The count is read off one uniform by inverse CDF, as Generator.choice
-    would. When the uniform falls below a lower bound on the mass of no
+    The count follows a Poisson(alpha/N) truncated at
+    _kernel.MAX_BIRTHS_PER_ROW, reweighted by the row's marginal likelihood,
+    where each prospective feature adds sigma_B^2 to the collapsed predictive
+    variance 1 + s, in units of sigma_d^2. The kernel builds the prior and
+    reads the count off one uniform, walking the cumulative unnormalized
+    weights. When the uniform falls below a lower bound on the mass of no
     birth, the count is 0 and the candidates are not scored.
     """
     _sweep(rng, state, data, _kernel.STEP_BIRTH, row=n)
 
 
 def prune_features(state: LatentState):
-    """Drop feature columns no row uses, in place, and rebuild P^{-1}. The
-    bias column is never dropped."""
-    _sweep(None, state, None, _kernel.STEP_PRUNE | _kernel.STEP_REBUILD)
+    """Drop feature columns no row uses, in place, and rebuild P^{-1} from the
+    Cholesky factor of P, as every prune does. The bias column is never
+    dropped."""
+    _sweep(None, state, None, _kernel.STEP_PRUNE)
 
 
 def sample_weights(rng: RngState, state: LatentState, d: int):
@@ -521,31 +502,25 @@ def sample_pseudo_obs(rng: RngState, state: LatentState, data: DataMatrix, n: in
 
 def run_iteration(rng: RngState, state: LatentState, data: DataMatrix):
     """One full Gibbs sweep in one kernel call: the row loop (Z-row scan and
-    births), prune, then the per-attribute phase. P^{-1} is rebuilt from one
-    Cholesky factorization after the prune, which also serves every weight
-    draw."""
-    steps = (_kernel.STEP_SCAN | _kernel.STEP_BIRTH | _kernel.STEP_PRUNE | _kernel.STEP_REBUILD
-             | _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO | _kernel.STEP_THRESHOLDS)
+    births), prune, then the per-attribute phase. The prune rebuilds P^{-1}
+    from one Cholesky factorization, which also serves every weight draw."""
+    steps = (_kernel.STEP_SCAN | _kernel.STEP_BIRTH | _kernel.STEP_PRUNE | _kernel.STEP_WEIGHTS
+             | _kernel.STEP_PSEUDO | _kernel.STEP_THRESHOLDS)
     if state.hp.sample_variance:
         steps |= _kernel.STEP_NOISE
     _sweep(rng, state, data, steps)
 
 
-def run_chain(
-    data: DataMatrix,
-    hp: Hyperparams,
-    rng: RngState | None = None,
-    keep_last: int = 1,
-) -> ChainResult:
-    """Run a full chain: init, hp.iterations sweeps, per-sweep trace.
+def run_chain(data: DataMatrix, hp: Hyperparams, keep_last: int = 1) -> ChainResult:
+    """Run a full chain on a PCG64 stream seeded from hp.seed: init,
+    hp.iterations sweeps, per-sweep trace.
 
     keep_last controls how many trailing states are snapshotted for
     posterior-averaged prediction; the final state is always available.
     """
-    if rng is None:
-        rng = RngState(hp.seed)
     if keep_last < 1:
         raise ValueError("keep_last must be >= 1")
+    rng = RngState(hp.seed)
     state = init_state(data, hp, rng)
     trace: list[dict] = []
     saved: list[LatentState] = []

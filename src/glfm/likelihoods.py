@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -43,7 +44,8 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Gauss-Hermite nodes of prob_categorical's quadrature
+_GH_NODES = 32
 # rows per prob_categorical block: its (nodes, rows, values, R - 1) temporary
 # stays a few MB however many rows are scored
 _QUAD_BLOCK_ROWS = 256
@@ -192,19 +194,18 @@ def log_phi_interval(a, b):
     return out
 
 
-def _gh_nodes(n):
-    if n not in _GH_CACHE:
-        _GH_CACHE[n] = hermgauss(n)
-    return _GH_CACHE[n]
+@cache
+def _gh_rule() -> tuple[np.ndarray, np.ndarray]:
+    return hermgauss(_GH_NODES)
 
 
-def prob_categorical(r, z, B, sigma_y: float, n_nodes: int = 32):
+def prob_categorical(r, z, B, sigma_y: float):
     """Probability that the argmax of the R_d pseudo-observations is category r.
 
     With y_j ~ N(z b_j, sigma_y^2) independent, P(y_r is the max) equals
     E over u ~ N(0, sigma_y^2) of prod_{j != r} Phi((u + z(b_r - b_j))/sigma_y),
-    computed by Gauss-Hermite quadrature. The last weight column is expected
-    to be zero (identifiability).
+    computed by Gauss-Hermite quadrature on _GH_NODES nodes. The last weight
+    column is expected to be zero (identifiability).
 
     Batched over rows: with z an (n, K) matrix of feature rows and r an
     (n, J) array, or a length-J sequence shared by every row, entry [i, j] is
@@ -225,7 +226,7 @@ def prob_categorical(r, z, B, sigma_y: float, n_nodes: int = 32):
     r = np.broadcast_to(r, (m.shape[0], r.shape[1]))
     # others[q] lists the categories other than q, in increasing order
     others = np.array([[j for j in range(R) if j != q] for q in range(R)], dtype=np.intp)
-    nodes, weights = _gh_nodes(n_nodes)
+    nodes, weights = _gh_rule()
     u = (math.sqrt(2.0) * sigma_y * nodes)[:, None, None, None]
     w = weights[:, None, None] / math.sqrt(math.pi)
     out = np.empty(r.shape)

@@ -16,12 +16,12 @@ evaluates the whole support or grid in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix, fit_transforms
-from glfm.data import apply_preprocess, check_points, invert_preprocess, preprocess_jacobian
+from glfm.data import invert_preprocess, preprocess_jacobian
 from glfm.engine import Hyperparams, LatentState, run_chain
 from glfm.likelihoods import (
     log_prob_count,
@@ -229,8 +229,7 @@ def heldout_benchmark(
             train = fit_transforms(train)
         except ValueError as exc:
             raise ValueError(f"split {i}: {exc}") from None
-        rng = RngState(int(chain_seeds[i]))
-        chain = run_chain(train, hp, rng=rng, keep_last=average_last)
+        chain = run_chain(train, replace(hp, seed=int(chain_seeds[i])), keep_last=average_last)
         scored = DataMatrix(
             cells=data.cells, missing=data.missing, specs=train.specs, raw=data.raw
         )
@@ -306,7 +305,6 @@ def compute_pdf(
     state: LatentState,
     d: int,
     z: np.ndarray,
-    x_values: np.ndarray | None = None,
     n_points: int = 101,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predictive distribution of attribute d for feature vector z.
@@ -315,10 +313,8 @@ def compute_pdf(
     kinds return (values in original units, density in original units):
     densities include the mapping change of variables and, when the attribute
     was loaded through a preprocess transform, that transform's Jacobian.
-    x_values, when given for a continuous attribute, are original-unit points;
-    one outside the column's domain, as loading checks it, raises ValueError.
-    Otherwise a continuous attribute is evaluated on n_points >= 2 points
-    spanning 4 predictive standard deviations either side of the mean.
+    A continuous attribute is evaluated on n_points >= 2 points spanning 4
+    predictive standard deviations either side of the mean.
     """
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
@@ -336,13 +332,8 @@ def compute_pdf(
             return xs, prob_categorical(xs, Z, B_d, math.sqrt(float(state.sigma2[d])))[0]
         return xs, np.exp(_log_predictive(state, d, Z, xs)[0])
 
-    if x_values is None:
-        m = float((Z @ state.B[:, state.dim_cols(d)])[0, 0])
-        half = 4.0 * math.sqrt(float(state.sigma2[d]) + state.hp.sigma_u2)
-        x_enc = map_forward(np.linspace(m - half, m + half, n_points), spec, kind)
-    else:
-        x_values = np.asarray(x_values, dtype=float)
-        check_points(spec, x_values)
-        x_enc = apply_preprocess(spec, x_values)
+    m = float((Z @ state.B[:, state.dim_cols(d)])[0, 0])
+    half = 4.0 * math.sqrt(float(state.sigma2[d]) + state.hp.sigma_u2)
+    x_enc = map_forward(np.linspace(m - half, m + half, n_points), spec, kind)
     dens = np.exp(_log_predictive(state, d, Z, x_enc)[0])
     return invert_preprocess(spec, x_enc), dens * preprocess_jacobian(spec, x_enc)

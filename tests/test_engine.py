@@ -26,7 +26,6 @@ from scipy.stats import invgamma, kstest, multivariate_normal, norm
 from glfm import _kernel
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix
 from glfm.engine import (
-    MAX_BIRTHS_PER_ROW,
     Hyperparams,
     LatentState,
     _chol_inverse,
@@ -93,11 +92,6 @@ def kernel_row_helper(name, s, n_free, Q):
     return getattr(_kernel.load(), name)(s, n_free, Q)
 
 
-def kernel_inverse_cdf_index(p, u):
-    p = np.ascontiguousarray(p, dtype=float)
-    return _kernel.load().glfm_inverse_cdf_index(p.size, p.ctypes.data, u)
-
-
 def test_kernel_state_struct_matches_the_c_typedef():
     # _kernel.State must list glfm_state's fields in order with matching
     # types; a mismatch shifts every later field and corrupts memory silently
@@ -112,6 +106,37 @@ def test_kernel_state_struct_matches_the_c_typedef():
             name = re.findall(r"\w+", part)[-1]
             expected.append((name, ctypes.c_void_p if "*" in part else scalar[base]))
     assert list(_kernel.State._fields_) == expected
+
+
+def test_kernel_module_mirrors_the_c_declarations():
+    # ctypes passes whatever the argtypes say, so a stale _SIGNATURES entry,
+    # step bit or error code corrupts a call without any error. Every
+    # function _sweep.c defines with external linkage must be registered with
+    # its prototype's types, and every mirrored constant must match its enum
+    source = re.sub(r"/\*.*?\*/", "", _kernel.SOURCE.read_text(), flags=re.S)
+    enums = {name: int(value) for body in re.findall(r"enum\s*\{(.*?)\}", source, re.S)
+             for name, value in re.findall(r"(\w+)\s*=\s*(-?\d+)", body)}
+
+    def mirrored(name):
+        return name.startswith(("STEP_", "ERR_")) or name == "MAX_BIRTHS_PER_ROW"
+
+    assert {n: v for n, v in enums.items() if mirrored(n)} == {
+        n: getattr(_kernel, n) for n in dir(_kernel) if mirrored(n)}
+
+    scalar = {"void": None, "int": ctypes.c_int, "int64_t": ctypes.c_int64,
+              "double": ctypes.c_double}
+
+    def ctype(decl):
+        base = re.match(r"(?:const\s+)?(\w+)", decl.strip()).group(1)
+        if "*" not in decl:
+            return scalar[base]
+        return ctypes.POINTER(_kernel.State) if base == "glfm_state" else ctypes.c_void_p
+
+    prototypes = {name: (ctype(ret), [ctype(arg) for arg in args.split(",")])
+                  for ret, name, args in re.findall(r"^(\w+)\s+(glfm_\w+)\(([^)]*)\)\s*\{",
+                                                    source, re.M)}
+    assert prototypes == {name: (restype, list(argtypes))
+                          for name, (restype, argtypes) in _kernel._SIGNATURES.items()}
 
 
 def test_kernel_compiles_without_warnings(tmp_path):
@@ -742,8 +767,7 @@ def test_birth_respects_k_max():
     hp = Hyperparams(alpha=50.0, K_max=5, K_init=1, bias=True, iterations=0, burn_in=0)
     rng = RngState(28)
     state = init_state(data, hp, rng)
-    steps = (_kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO
-             | _kernel.STEP_THRESHOLDS)
+    steps = _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO | _kernel.STEP_THRESHOLDS
     for _ in range(15):
         _sweep(rng, state, data, _kernel.STEP_SCAN | _kernel.STEP_BIRTH)
         assert state.K == hp.K_max
@@ -820,33 +844,8 @@ def test_in_kernel_births_keep_natural_params_exact(sigma_B2):
             np.testing.assert_array_equal(getattr(fused, name), getattr(state, name))
         assert fused_rng.get_state() == rng.get_state()
         prune_features(state)
-        _sweep(rng, state, data, _kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS
-               | _kernel.STEP_PSEUDO)
+        _sweep(rng, state, data, _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO)
     assert births >= 3 and at_cap >= 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).filter(lambda w: sum(w) > 0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_birth_count_draw_matches_generator_choice(weights, seed):
-    p = np.array(weights) / sum(weights)
-    rng = RngState(seed)
-    twin = RngState(0)
-    twin.set_state(rng.get_state())
-    expected = int(twin.gen.choice(len(p), p=p))
-    assert kernel_inverse_cdf_index(p, rng.gen.random()) == expected
-    # choice spends exactly the one uniform the inverse CDF reads
-    assert rng.get_state() == twin.get_state()
-
-
-def test_birth_count_draw_ties_go_right():
-    # a uniform equal to a cumulative probability selects the next index,
-    # as searchsorted(side="right") inside Generator.choice does
-    assert kernel_inverse_cdf_index([0.5, 0.5], 0.5) == 1
-    assert kernel_inverse_cdf_index([0.25, 0.25, 0.5], 0.0) == 0
-    assert kernel_inverse_cdf_index([0.0, 1.0], 0.0) == 1
 
 
 @settings(max_examples=15, deadline=None)
@@ -902,7 +901,7 @@ def reference_birth_count(state, s, Q, u):
     """Test-local birth draw: score every count k = 0..kmax under the
     truncated Poisson(alpha/N) prior and invert the CDF at u."""
     hp = state.hp
-    kmax = min(MAX_BIRTHS_PER_ROW, hp.K_max - state.K)
+    kmax = min(_kernel.MAX_BIRTHS_PER_ROW, hp.K_max - state.K)
     if hp.alpha == 0.0 or kmax <= 0:
         return 0
     n_free = int(state.free_cols.sum())
@@ -939,8 +938,8 @@ def test_birth_shortcut_matches_full_scoring(alpha):
             assert state.K - K_before == expected
             births += expected > 0
         prune_features(state)
-        _sweep(rng, state, data, _kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS
-               | _kernel.STEP_PSEUDO | _kernel.STEP_THRESHOLDS | _kernel.STEP_NOISE)
+        _sweep(rng, state, data, _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO
+               | _kernel.STEP_THRESHOLDS | _kernel.STEP_NOISE)
     assert births >= 3
 
 
@@ -1325,8 +1324,8 @@ def test_geweke_joint_distribution_with_z_held_fixed():
     marginal = np.array(marginal)
 
     rng = RngState(61)
-    steps = (_kernel.STEP_REBUILD | _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO
-             | _kernel.STEP_THRESHOLDS | _kernel.STEP_NOISE)
+    steps = (_kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO | _kernel.STEP_THRESHOLDS
+             | _kernel.STEP_NOISE)
     geweke_prior_draw(gen, state)
     chain = np.empty_like(marginal)
     for t in range(n_draws):

@@ -360,26 +360,6 @@ def test_compute_pdf_preprocess_units():
     assert np.all(xs > -1.0)  # log1p domain
     assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=2e-3)
 
-    # explicit original-unit grid takes the same values
-    xs2, dens2 = compute_pdf(state, 0, np.array([1.0]), x_values=xs)
-    np.testing.assert_allclose(dens2, dens, rtol=1e-10)
-
-
-@pytest.mark.parametrize("kind, preprocess, x, message", [
-    (AttributeKind.REAL, "log1p", -2.0, "a: log1p needs values > -1, got -2.0"),
-    (AttributeKind.POSITIVE_REAL, "reflected-log1p", 102.0,
-     "a: reflected-log1p needs values < 100, got 102.0"),
-    (AttributeKind.POSITIVE_REAL, "reflected-log1p", -5.0, "a point 1: must be > 0, got -5.0"),
-])
-def test_compute_pdf_rejects_points_outside_the_domain(kind, preprocess, x, message):
-    # caller-given points meet the checks loading applies, before any
-    # preprocess would turn them into nan or into a valid-looking value
-    spec = AttributeSpec("a", kind, external_preprocess=preprocess)
-    state = manual_state([spec], [[1.0]], [[0.5]])
-    with pytest.raises(ValueError) as exc:
-        compute_pdf(state, 0, np.array([1.0]), x_values=[1.0, x])
-    assert str(exc.value) == message
-
 
 # --- per-cell reference: the loops the batched predictive replaced ------------
 #
