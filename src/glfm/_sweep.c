@@ -394,15 +394,24 @@ static void birth_prior(double rate, double *ladder, double *log_rest)
 }
 
 /* The workspace of one glfm_sweep call: the row steps' arrays, then those of
- * the attribute steps, which also use L and E. */
+ * the attribute steps, which also use L and E. A row's downdated inverse
+ * A = (P - z z^T)^{-1} is read as Ab + g f^T and never formed on the regular
+ * path: Ab = P^{-1}, g = P^{-1} z and f = g / (1 - c). The exact-inverse
+ * fallback puts the dense A in Ab with g = 0. */
 typedef struct {
-    double *A, *L, *E, *gv, *h, *M, *T, *r, *D, *z, *z0, *m, *Ad;
-    int64_t *act;  /* the active columns of a binary row, in increasing k */
-    int64_t n_act; /* ... and their count, for the row scan's z */
-    double *wt;    /* S: residual weight of each column, 1/sigma_d^2 or 0 */
-    double n_free; /* free columns: the weights' count */
-    double Q;      /* the row's weighted squared residual */
+    double *W;        /* K x S: the weight mean P^{-1} lam, current in the row loop */
+    const double *Ab; /* P^{-1}, or A on the fallback */
+    double *A, *L, *E, *g, *f, *h, *M, *T, *r, *v, *D, *z, *z0, *m, *Ad;
+    double *log_j;    /* N + 1: log j, the flip prior's log-odds terms */
+    int64_t *act;     /* the active columns of a binary row, in increasing k */
+    int64_t n_act;    /* ... and their count, for the row scan's z */
+    double *wt;       /* S: residual weight of each column, 1/sigma_d^2 or 0 */
+    double n_free;    /* free columns: the weights' count */
+    double Q;         /* the row's weighted squared residual */
     double *eps, *wmean, *Ynew, *Yold, *mean; /* K x Smax, K, rows x Smax */
+    /* the attribute steps' active columns of every row of Z: row n's are
+     * row_act[row_ptr[n]..row_ptr[n + 1]) */
+    const int64_t *row_ptr, *row_act;
 } sweep_ws;
 
 static inline double sigmoid(double t)
@@ -428,17 +437,27 @@ static int64_t active(int64_t K, const double *z, int64_t *idx)
     return n;
 }
 
-/* s = z A z with h = A z, from the current z and its active columns */
-static double quad_form(int64_t K, const double *A, const sweep_ws *w, double *h)
+/* Entry (i, j) of the row's downdated inverse A = Ab + g f^T */
+static inline double a_at(const sweep_ws *w, int64_t K, int64_t i, int64_t j)
+{
+    return w->Ab[i * K + j] + w->g[i] * w->f[j];
+}
+
+/* h = X z and s = z^T h over the current z's active columns, where X is
+ * P_inv or, when P_inv is NULL, the row's downdated inverse A */
+static double quad_form(int64_t K, const double *P_inv, const sweep_ws *w, double *h)
 {
     const double *z = w->z;
     const int64_t *act = w->act;
     const int64_t na = w->n_act;
     for (int64_t i = 0; i < K; i++) {
-        const double *Ai = A + i * K;
         double sum = 0.0;
-        for (int64_t t = 0; t < na; t++)
-            sum += Ai[act[t]] * z[act[t]];
+        if (P_inv != NULL)
+            for (int64_t t = 0; t < na; t++)
+                sum += P_inv[i * K + act[t]] * z[act[t]];
+        else
+            for (int64_t t = 0; t < na; t++)
+                sum += a_at(w, K, i, act[t]) * z[act[t]];
         h[i] = sum;
     }
     double s = 0.0;
@@ -447,16 +466,51 @@ static double quad_form(int64_t K, const double *A, const sweep_ws *w, double *h
     return s;
 }
 
+/* v = y - X^T z for a K x S matrix X, over z's active columns */
+static void residual(int64_t S, const double *X, const double *y, const sweep_ws *w, double *v)
+{
+    for (int64_t col = 0; col < S; col++)
+        v[col] = 0.0;
+    for (int64_t t = 0; t < w->n_act; t++) {
+        const int64_t k = w->act[t];
+        const double *Xk = X + k * S;
+        for (int64_t col = 0; col < S; col++)
+            v[col] += w->z[k] * Xk[col];
+    }
+    for (int64_t col = 0; col < S; col++)
+        v[col] = y[col] - v[col];
+}
+
+/* out = X lam for a K x K matrix X, in O(K^2 S); X = P^{-1} gives the
+ * weight mean W */
+static void times_lam(const glfm_state *st, const double *X, double *out)
+{
+    const int64_t K = st->K, S = st->S;
+    for (int64_t i = 0; i < K; i++) {
+        double *oi = out + i * S;
+        for (int64_t col = 0; col < S; col++)
+            oi[col] = 0.0;
+        for (int64_t j = 0; j < K; j++) {
+            const double a = X[i * K + j], *lj = st->lam + j * S;
+            for (int64_t col = 0; col < S; col++)
+                oi[col] += a * lj[col];
+        }
+    }
+}
+
 /* Take row n out of P and lam: A = (P - z z^T)^{-1}, h = A z, s = z h and
- * M = A (lam - z y^T). One product P^{-1} z gives them all by
- * Sherman-Morrison; an ill-conditioned downdate takes an exact inverse. */
+ * M = A (lam - z y^T). With g = P^{-1} z and c = z^T g, Sherman-Morrison gives
+ * A = P^{-1} + g f^T with f = g / (1 - c), so h = f, s = c / (1 - c) and
+ * M = W - h (y - W^T z)^T from the current weight mean W: O(K |z| + K S).
+ * An ill-conditioned downdate takes an exact inverse into the dense A, with
+ * g = 0, and M from it in O(K^2 S). */
 static int collapse_row(const glfm_state *st, int64_t n, sweep_ws *w, double *s_out)
 {
     const int64_t K = st->K, S = st->S;
     const double *z = w->z, *y = st->Y + n * S;
-    double *A = w->A, *h = w->h, *gv = w->gv;
+    double *A = w->A, *h = w->h, *g = w->g, *f = w->f, *v = w->v;
     w->n_act = active(K, z, w->act);
-    double c = quad_form(K, st->P_inv, w, gv), s;
+    double c = quad_form(K, st->P_inv, w, g), s;
     if (1.0 - c <= 1e-12) {
         for (int64_t i = 0; i < K; i++)
             for (int64_t j = 0; j < K; j++)
@@ -465,27 +519,26 @@ static int collapse_row(const glfm_state *st, int64_t n, sweep_ws *w, double *s_
         if (err)
             return err;
         cholesky_inverse(K, w->L, w->E, A);
-        s = quad_form(K, A, w, h);
+        memset(g, 0, (size_t)K * sizeof(double));
+        memset(f, 0, (size_t)K * sizeof(double));
+        w->Ab = A;
+        s = quad_form(K, NULL, w, h);
+        times_lam(st, A, w->M);
+        for (int64_t i = 0; i < K; i++)
+            for (int64_t col = 0; col < S; col++)
+                w->M[i * S + col] -= h[i] * y[col];
     } else {
         for (int64_t i = 0; i < K; i++)
-            h[i] = gv[i] / (1.0 - c);
+            h[i] = f[i] = g[i] / (1.0 - c);
         s = c / (1.0 - c);
-        for (int64_t i = 0; i < K; i++)
-            for (int64_t j = 0; j < K; j++)
-                A[i * K + j] = st->P_inv[i * K + j] + gv[i] * h[j];
-    }
-    for (int64_t i = 0; i < K; i++) {
-        double *Mi = w->M + i * S;
-        for (int64_t col = 0; col < S; col++)
-            Mi[col] = 0.0;
-        for (int64_t j = 0; j < K; j++) {
-            double a = A[i * K + j];
-            const double *lj = st->lam + j * S;
+        w->Ab = st->P_inv;
+        residual(S, w->W, y, w, v);
+        for (int64_t i = 0; i < K; i++) {
+            double *Mi = w->M + i * S;
+            const double *Wi = w->W + i * S;
             for (int64_t col = 0; col < S; col++)
-                Mi[col] += a * lj[col];
+                Mi[col] = Wi[col] - h[i] * v[col];
         }
-        for (int64_t col = 0; col < S; col++)
-            Mi[col] -= h[i] * y[col];
     }
     *s_out = s;
     return 0;
@@ -529,22 +582,25 @@ static void scan_stats(const glfm_state *st, int64_t n, sweep_ws *w)
 /* Resample every non-bias entry of row n with the weights collapsed out.
  * Flipping k moves the predictive mean by +-M_k and s by 2 (+-h_k) + A_kk,
  * so Q moves by D_k; z_k changes only when k is visited, so D_k holds until
- * an earlier accepted flip moves it by a cross product. Features no other
- * row uses are forced off. Commits P, P^{-1}, lam and the counts only when
- * the row changed. */
+ * an earlier accepted flip moves it by a cross product and h by row k of A.
+ * Features no other row uses are forced off. An unchanged row costs
+ * O(K |z| + K S). Only a changed row commits P, P^{-1}, W, lam and the
+ * counts: with z' its new pattern, h' = A z' and s' = z'^T h',
+ * P^{-1}' = A - h' h'^T / (1 + s') and W' = M + h' (y - M^T z')^T / (1 + s'),
+ * in O(K^2 + K S). */
 static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, sweep_ws *w, double *s_out)
 {
-    const int64_t K = st->K, S = st->S, nb = st->nb;
-    const double N = (double)st->N, n_free = w->n_free;
+    const int64_t K = st->K, S = st->S, N = st->N, nb = st->nb;
+    const double n_free = w->n_free;
     const double *y = st->Y + n * S;
-    double *z = w->z, *z0 = w->z0, *h = w->h, *D = w->D, *A = w->A;
+    double *z = w->z, *z0 = w->z0, *h = w->h, *D = w->D;
     double s;
     int err = collapse_row(st, n, w, &s);
     if (err)
         return err;
     scan_stats(st, n, w);
     for (int64_t k = 0; k < K; k++) {
-        w->Ad[k] = A[k * K + k];
+        w->Ad[k] = a_at(w, K, k, k);
         w->m[k] = st->col_sums[k] - z0[k];
     }
     double ll = glfm_row_loglik(s, n_free, w->Q);
@@ -562,7 +618,7 @@ static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, sweep_ws *w, 
                  * cancel terms of that size, so recompute from the new z */
                 z[k] = 0.0;
                 w->n_act = active(K, z, w->act);
-                s = quad_form(K, A, w, h);
+                s = quad_form(K, NULL, w, h);
                 scan_stats(st, n, w);
                 ll = glfm_row_loglik(s, n_free, w->Q);
                 changed = 1;
@@ -572,7 +628,9 @@ static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, sweep_ws *w, 
         double two_sgn = on ? -2.0 : 2.0;
         double s_alt = s + two_sgn * h[k] + w->Ad[k];
         double ll_alt = glfm_row_loglik(s_alt, n_free, w->Q + D[k]);
-        double logit_on = log(m) - log(N - m) + (on ? ll - ll_alt : ll_alt - ll);
+        /* the prior log-odds log m - log(N - m), m a count in [1, N) */
+        const int64_t mi = (int64_t)m;
+        double logit_on = w->log_j[mi] - w->log_j[N - mi] + (on ? ll - ll_alt : ll_alt - ll);
         if ((next_double(bg) < sigmoid(logit_on)) == on)
             continue;
         w->Q += D[k];
@@ -586,7 +644,7 @@ static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, sweep_ws *w, 
             double sgn = 0.5 * two_sgn;
             const double *Mk = w->M + k * S;
             for (int64_t j = k + 1; j < K; j++)
-                h[j] += sgn * A[k * K + j];
+                h[j] += sgn * a_at(w, K, k, j);
             for (int64_t j = k + 1; j < K; j++) {
                 const double *Tj = w->T + j * S;
                 double cross = 0.0;
@@ -596,19 +654,31 @@ static int scan_row(bitgen_t *bg, const glfm_state *st, int64_t n, sweep_ws *w, 
             }
         }
     }
-    /* an unchanged row leaves P, P^{-1}, lam and the counts as they are */
+    /* an unchanged row leaves P, P^{-1}, W, lam and the counts as they are */
     if (changed) {
         w->n_act = active(K, z, w->act);
-        quad_form(K, A, w, h);
+        quad_form(K, NULL, w, h);
         for (int64_t i = 0; i < K; i++)
             for (int64_t j = 0; j < K; j++) {
                 double *p = st->P + i * K + j;
                 *p -= z0[i] * z0[j];
                 *p += z[i] * z[j];
             }
+        /* entry (i, j) of A reads entry (i, j) of P^{-1} only, before it is
+         * overwritten */
         for (int64_t i = 0; i < K; i++)
             for (int64_t j = 0; j < K; j++)
-                st->P_inv[i * K + j] = A[i * K + j] - h[i] * (h[j] / (1.0 + s));
+                st->P_inv[i * K + j] = a_at(w, K, i, j) - h[i] * (h[j] / (1.0 + s));
+        double *v = w->v;
+        residual(S, w->M, y, w, v);
+        for (int64_t col = 0; col < S; col++)
+            v[col] /= 1.0 + s;
+        for (int64_t i = 0; i < K; i++) {
+            double *Wi = w->W + i * S;
+            const double *Mi = w->M + i * S;
+            for (int64_t col = 0; col < S; col++)
+                Wi[col] = Mi[col] + h[i] * v[col];
+        }
         for (int64_t k = 0; k < K; k++) {
             double dz = z[k] - z0[k];
             if (dz != 0.0) {
@@ -778,11 +848,12 @@ static int sample_pseudo_obs(bitgen_t *bg, const glfm_state *st, int64_t d, int6
     double *Ynew = w->Ynew, *Yold = w->Yold, *mean = w->mean;
     for (int64_t i = 0; i < rows; i++) {
         const double *zi = st->Z + (r0 + i) * K;
-        const int64_t na = active(K, zi, w->act);
+        const int64_t *act = w->row_act + w->row_ptr[r0 + i];
+        const int64_t na = w->row_ptr[r0 + i + 1] - w->row_ptr[r0 + i];
         for (int64_t j = 0; j < Sd; j++) {
             double sum = 0.0;
             for (int64_t t = 0; t < na; t++)
-                sum += zi[w->act[t]] * st->B[w->act[t] * S + c0 + j];
+                sum += zi[act[t]] * st->B[act[t] * S + c0 + j];
             mean[i * Sd + j] = sum;
             Yold[i * Sd + j] = Ynew[i * Sd + j] = st->Y[(r0 + i) * S + c0 + j];
         }
@@ -861,9 +932,10 @@ static int sample_pseudo_obs(bitgen_t *bg, const glfm_state *st, int64_t d, int6
             delta[k * Sd + j] = 0.0;
     for (int64_t i = 0; i < rows; i++) {
         const double *zi = st->Z + (r0 + i) * K;
-        const int64_t na = active(K, zi, w->act);
+        const int64_t *act = w->row_act + w->row_ptr[r0 + i];
+        const int64_t na = w->row_ptr[r0 + i + 1] - w->row_ptr[r0 + i];
         for (int64_t t = 0; t < na; t++) {
-            const int64_t k = w->act[t];
+            const int64_t k = act[t];
             for (int64_t j = 0; j < Sd; j++)
                 delta[k * Sd + j] += zi[k] * (Ynew[i * Sd + j] - Yold[i * Sd + j]);
         }
@@ -940,11 +1012,12 @@ static void sample_noise_variance(bitgen_t *bg, const glfm_state *st, int64_t d,
     double ss = 0.0, bb = 0.0;
     for (int64_t n = 0; n < N; n++) {
         const double *zn = st->Z + n * K;
-        const int64_t na = active(K, zn, w->act);
+        const int64_t *act = w->row_act + w->row_ptr[n];
+        const int64_t na = w->row_ptr[n + 1] - w->row_ptr[n];
         for (int64_t j = 0; j < Sd; j++) {
             double u = 0.0;
             for (int64_t t = 0; t < na; t++)
-                u += zn[w->act[t]] * st->B[w->act[t] * S + c0 + j];
+                u += zn[act[t]] * st->B[act[t] * S + c0 + j];
             double e = st->Y[n * S + c0 + j] - u;
             ss += e * e;
         }
@@ -959,25 +1032,47 @@ static void sample_noise_variance(bitgen_t *bg, const glfm_state *st, int64_t d,
     st->sigma2[d] = glfm_inverse_gamma(bg, shape, rate);
 }
 
+/* The active columns of every row of Z, for the attribute steps, in one
+ * allocation that the caller frees (NULL if it cannot be made): N + 1 row
+ * offsets ptr, then the column lists, row n's at offsets [ptr[n], ptr[n + 1]). */
+static int64_t *row_lists(const glfm_state *st)
+{
+    const int64_t N = st->N, K = st->K;
+    int64_t nnz = 0;
+    for (int64_t i = 0; i < N * K; i++)
+        nnz += st->Z[i] != 0.0;
+    /* active() writes one entry past a row's count */
+    int64_t *ptr = malloc((size_t)(N + 2 + nnz) * sizeof(int64_t));
+    if (ptr == NULL)
+        return NULL;
+    ptr[0] = 0;
+    for (int64_t n = 0; n < N; n++)
+        ptr[n + 1] = ptr[n] + active(K, st->Z + n * K, ptr + N + 1 + ptr[n]);
+    return ptr;
+}
+
 /* The steps of `steps`, a mask of STEP_*, in sweep order, on one workspace:
  * - the row loop over rows [r0, r1): on STEP_SCAN the Z-row scan (when a
  *   feature column exists to scan), then on STEP_BIRTH with alpha > 0 the
  *   birth decision, from the scan's statistics or fresh ones: at most
  *   min(MAX_BIRTHS_PER_ROW, k_cap - K) births a row under the truncated
  *   Poisson(alpha/N) prior. Births grow the state in place, so its arrays
- *   need room for k_cap columns;
+ *   need room for k_cap columns. The weight mean W = P^{-1} lam is built
+ *   in O(K^2 S) before the first row and after each birth, and kept
+ *   current by each changed row's commit;
  * - the prune, which shrinks the state in place, and the P^{-1} rebuild;
  * - the Cholesky factor of P, taken once for the rebuild and every weight
  *   draw;
  * - per attribute in [d_lo, d_hi): the weights, the pseudo-observations of
- *   rows [r0, r1), the ordinal thresholds and the noise variance.
+ *   rows [r0, r1), the ordinal thresholds and the noise variance. Z holds
+ *   still here, so every row's active columns are listed once for them.
  * out receives the last row's (s, Q), or the (attribute, threshold) of an
  * empty threshold support. bg may be NULL when no step draws. Returns 0, or
  * a negative error code. */
 int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, int64_t d_lo,
                int64_t d_hi, int64_t k_cap, double *out)
 {
-    const int64_t S = st->S, rows = r1 - r0 > 0 ? r1 - r0 : 1;
+    const int64_t S = st->S, N = st->N, rows = r1 - r0 > 0 ? r1 - r0 : 1;
     /* room for every column count the row loop can reach */
     const int64_t Kc = k_cap > st->K ? k_cap : st->K > 0 ? st->K : 1;
     int64_t Smax = 1;
@@ -987,10 +1082,11 @@ int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, 
     sweep_ws w;
     /* mean doubles as the K x Smax lam delta of the pseudo-observations */
     struct { double **at; int64_t len; } blocks[] = {
-        {&w.A, Kc * Kc}, {&w.L, Kc * Kc}, {&w.E, Kc * Kc}, {&w.M, Kc * S}, {&w.T, Kc * S},
-        {&w.r, S}, {&w.wt, S}, {&w.D, Kc}, {&w.gv, Kc}, {&w.h, Kc}, {&w.z, Kc}, {&w.z0, Kc},
-        {&w.m, Kc}, {&w.Ad, Kc}, {&w.eps, Kc * Smax}, {&w.wmean, Kc}, {&w.Ynew, rows * Smax},
-        {&w.Yold, rows * Smax}, {&w.mean, (rows > Kc ? rows : Kc) * Smax},
+        {&w.A, Kc * Kc}, {&w.L, Kc * Kc}, {&w.E, Kc * Kc}, {&w.W, Kc * S}, {&w.M, Kc * S},
+        {&w.T, Kc * S}, {&w.r, S}, {&w.v, S}, {&w.wt, S}, {&w.D, Kc}, {&w.g, Kc}, {&w.f, Kc},
+        {&w.h, Kc}, {&w.z, Kc}, {&w.z0, Kc}, {&w.m, Kc}, {&w.Ad, Kc}, {&w.log_j, N + 1},
+        {&w.eps, Kc * Smax}, {&w.wmean, Kc}, {&w.Ynew, rows * Smax}, {&w.Yold, rows * Smax},
+        {&w.mean, (rows > Kc ? rows : Kc) * Smax},
     };
     const size_t n_blocks = sizeof blocks / sizeof blocks[0];
     size_t doubles = 0;
@@ -1021,6 +1117,12 @@ int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, 
     if (birth)
         birth_prior(st->alpha / (double)st->N, ladder, log_rest);
 
+    if (steps & STEP_SCAN)
+        for (int64_t j = 0; j <= N; j++)
+            w.log_j[j] = log((double)j);
+    if ((steps & (STEP_SCAN | STEP_BIRTH)) && r0 < r1)
+        times_lam(st, st->P_inv, w.W);
+
     int err = 0;
     for (int64_t n = r0; n < r1 && (steps & (STEP_SCAN | STEP_BIRTH)); n++) {
         const int64_t K = st->K;
@@ -1040,8 +1142,11 @@ int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, 
             if (!scan)
                 scan_stats(st, n, &w);
             int64_t k_new = birth_count(st, s, &w, births, ladder, log_rest[births], u);
-            if (k_new > 0 && (err = add_features(st, n, k_new, w.z)))
-                break;
+            if (k_new > 0) {
+                if ((err = add_features(st, n, k_new, w.z)))
+                    break;
+                times_lam(st, st->P_inv, w.W);
+            }
         }
         if (scan || births > 0) {
             out[0] = s;
@@ -1054,6 +1159,15 @@ int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, 
         err = cholesky(st->K, st->P, w.L);
     if (!err && (steps & STEP_PRUNE))
         cholesky_inverse(st->K, w.L, w.E, st->P_inv);
+    int64_t *lists = NULL;
+    if (!err && (steps & (STEP_PSEUDO | STEP_NOISE)) && d_lo < d_hi) {
+        if ((lists = row_lists(st)) == NULL) {
+            err = ERR_NOMEM;
+        } else {
+            w.row_ptr = lists;
+            w.row_act = lists + N + 1;
+        }
+    }
     for (int64_t d = d_lo; d < d_hi && !err; d++) {
         if (steps & STEP_WEIGHTS)
             sample_weights(bg, st, d, &w);
@@ -1064,6 +1178,7 @@ int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, 
         if (!err && (steps & STEP_NOISE))
             sample_noise_variance(bg, st, d, &w);
     }
+    free(lists);
     free(buf);
     return err;
 }

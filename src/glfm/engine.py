@@ -9,17 +9,21 @@ attribute's last column pinned at 0. The sampler keeps the natural parameters
     P = Z^T Z + I / sigma_B^2        lam = Z^T Y
 
 up to date across single-row edits instead of refitting the weight posterior
-from scratch per row. A row step still forms its downdated weight mean
-M = A (lam - z y^T) in O(K^2 S), so a full sweep costs O(N K^2 S); every
-product with the row's binary pattern z runs over its active columns only,
-in O(K |z|) or O(|z| S), and a changed row commits in O(K^2). Weights B are
-drawn in closed form once per sweep, pseudo-observations are redrawn from
-truncated normals that respect each attribute's observed value, and feature
-columns are born and pruned per row under the usual Indian buffet prior.
+from scratch per row, and with them the weight mean W = P^{-1} lam, as the
+accelerated sampler of Doshi-Velez and Ghahramani (ICML 2009) does. A row
+step reads its downdated weight mean M = W - h (y - W^T z)^T from W and
+h = A z and never forms A = (P - z z^T)^{-1}, so an unchanged row costs
+O(K |z| + K S) and a changed row, which updates P, P^{-1} and W by rank one,
+O(K^2 + K S); every product with the row's binary pattern z runs over its
+active columns only. W is built in O(K^2 S) once per sweep and again after
+each birth. Weights B are drawn in closed form once per sweep,
+pseudo-observations are redrawn from truncated normals that respect each
+attribute's observed value, and feature columns are born and pruned per row
+under the usual Indian buffet prior.
 
 P stays exact because Z entries are 0/1 floats and its rank-one edits stay on
-the integer lattice; P^{-1} is maintained by Sherman-Morrison within a sweep
-and rebuilt from a Cholesky factor once per iteration.
+the integer lattice; P^{-1} and W are maintained by Sherman-Morrison within a
+sweep, and P^{-1} is rebuilt from a Cholesky factor once per iteration.
 
 A row step takes the row out of P and lam once, from one product P^{-1} z.
 Because the weight prior scales with sigma_d^2 as the noise does, column c's
@@ -215,12 +219,19 @@ class LatentState:
         return slice(int(self.offsets[d]), int(self.offsets[d + 1]))
 
     def recompute_natural(self):
-        """Rebuild P, lam, P_inv, and column counts exactly from Z and Y."""
+        """Rebuild P, lam, P_inv, and column counts exactly from Z and Y.
+        Raises ValueError when sigma_B2 is too large for P to be positive
+        definite in floating point."""
         K = self.K
+        if self.N + 1.0 / self.hp.sigma_B2 == self.N:
+            raise _sigma_B2_too_large(self.hp, self.N)
         self.P = self.Z.T @ self.Z + np.eye(K) / self.hp.sigma_B2
         self.lam = self.Z.T @ self.Y
         self.col_sums = self.Z.sum(axis=0)
-        self.P_inv = _chol_inverse(self.P)
+        try:
+            self.P_inv = _chol_inverse(self.P)
+        except np.linalg.LinAlgError:
+            raise _sigma_B2_too_large(self.hp, self.N) from None
 
     def copy(self) -> "LatentState":
         return LatentState(
@@ -248,6 +259,17 @@ class ChainResult:
     state: LatentState
     trace: list[dict]
     saved: list[LatentState]
+
+
+def _sigma_B2_too_large(hp: Hyperparams, N: int) -> ValueError:
+    """The error of a P = Z^T Z + I/sigma_B2 that is not positive definite in
+    floating point, which happens only when 1/sigma_B2 is lost to rounding
+    against the feature counts on its diagonal."""
+    return ValueError(
+        f"sigma_B2 = {hp.sigma_B2:g} is too large for {N} rows: 1/sigma_B2 = "
+        f"{1.0 / hp.sigma_B2:g} is lost to rounding against the feature counts in "
+        "P = Z^T Z + I/sigma_B2, which is then singular where feature columns repeat; "
+        "lower sigma_B2 (--sigma-b2)")
 
 
 def _chol_inverse(P: np.ndarray) -> np.ndarray:
@@ -434,6 +456,8 @@ def _sweep(rng: RngState | None, state: LatentState, data: DataMatrix | None, st
     if code == _kernel.ERR_EMPTY_SUPPORT:
         d, r = map(int, out)
         raise RuntimeError(f"threshold {r} of attribute {state.specs[d].name} has empty support")
+    if code == _kernel.ERR_NOT_PD:
+        raise _sigma_B2_too_large(hp, N)
     _kernel.check(code)
     return out
 

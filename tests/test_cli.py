@@ -96,6 +96,20 @@ def test_non_finite_hyperparameter_exits_1_in_one_line(workdir, capsys):
     assert not (workdir / "out" / "trace.ndjson").exists()
 
 
+def test_sigma_b2_too_large_for_the_table_exits_1_in_one_line(workdir, capsys):
+    # 1/sigma_B2 = 1e-300 is lost against the feature counts in
+    # P = Z^T Z + I/sigma_B2, so P is singular where columns repeat; the
+    # error names the setting and the cause instead of a failed factorization
+    (workdir / "tiny.csv").write_text("".join(CSV_TEXT.splitlines(keepends=True)[:5]))
+    code = run_cli(["complete", workdir / "tiny.csv", "--spec", workdir / "cols.spec",
+                    "-o", workdir / "out", "--iters", "5", "--sigma-b2", "1e300"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma_B2 = 1e+300 is too large for 4 rows: ")
+    assert "lost to rounding" in err and "--sigma-b2" in err
+    assert err.count("\n") == 1
+
+
 def test_infer_writes_state_and_trace(workdir, capsys):
     out = workdir / "out"
     code = run_cli(["infer", workdir / "data.csv", "--spec", workdir / "cols.spec",

@@ -150,8 +150,9 @@ def test_kernel_compiles_without_warnings(tmp_path):
 def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_path, monkeypatch):
     # births and the prune repack Z, P, lam and B inside the kernel; a build
     # with ASan and UBSan, cached where the loader looks, runs a births-heavy
-    # chain, a chain whose K falls, a chain with no bias column and a
-    # two-chain CLI run in a child process, which a memory or UB fault aborts
+    # chain, a chain whose K falls, a chain with no bias column, whole sweeps
+    # through the exact-inverse fallback and a two-chain CLI run in a child
+    # process, which a memory or UB fault aborts
     cc = shutil.which("cc")
     runtime = cc and subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
                                     text=True).stdout.strip()
@@ -166,6 +167,7 @@ def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_pa
     assert proc.returncode == 0, proc.stderr
     script = textwrap.dedent("""
         import sys
+        import numpy as np
         from glfm.cli import main
         from glfm.engine import Hyperparams, init_state, run_chain, run_iteration
         from glfm.randkit import RngState
@@ -190,6 +192,21 @@ def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_pa
             run_iteration(rng, state, data)
             grew |= state.K > K
         assert empty and grew
+        # the exact-inverse fallback: at sigma_B^2 = 1e13 a feature held by
+        # row 0 alone sends that row's downdate to the dense A. Whole sweeps
+        # run it beside the weight mean's rebuilds and the row lists
+        small, _ = generate(12, missing_rate=0.1, seed=46)
+        hp = Hyperparams(alpha=5.0, sigma_B2=1e13, K_max=8, K_init=2, bias=True,
+                         sample_variance=True, iterations=0, burn_in=0)
+        for seed in range(3):
+            state = init_state(small, hp, RngState(47 + seed))
+            state.Z[:, 1] = np.arange(state.N) % 2
+            state.Z[:, 2] = 0.0
+            state.Z[0, 2] = 1.0
+            state.recompute_natural()
+            rng = RngState(seed)
+            for _ in range(3):
+                run_iteration(rng, state, small)
         work = sys.argv[1]
         open(work + "/data.csv", "w").write(to_csv(data))
         open(work + "/cols.spec", "w").write(
@@ -465,6 +482,25 @@ def test_z_row_commits_only_changed_rows():
                 changed += 1
                 assert_natural_params_exact(state)
     assert kept > 0 and changed > 0
+
+
+def test_whole_range_scan_keeps_the_weight_mean_current():
+    # one row loop call downdates every row from the weight mean
+    # W = P^{-1} lam, which each changed row's commit updates in place. At
+    # K = 19 most rows change, so the last row's statistics read a W that
+    # many commits moved; a commit that left W stale would show in them
+    data = small_mixed_data(40, seed=61)
+    hp = Hyperparams(alpha=0.0, K_max=19, K_init=18, bias=True, iterations=0, burn_in=0)
+    rng = RngState(62)
+    state = init_state(data, hp, rng)
+    before = state.Z.copy()
+    s, Q = _sweep(rng, state, data, _kernel.STEP_SCAN)
+    assert state.K == 19
+    assert np.mean(np.any(state.Z != before, axis=1)) > 0.5
+    s_ref, Q_ref = reference_row_stats(state, state.N - 1)
+    assert s == pytest.approx(s_ref, rel=1e-9)
+    assert Q == pytest.approx(Q_ref, rel=1e-9)
+    np.testing.assert_allclose(state.P_inv, np.linalg.inv(state.P), rtol=1e-9, atol=1e-9)
 
 
 def test_forced_zero_when_feature_unused_elsewhere():
