@@ -33,10 +33,9 @@ CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 # step mask of glfm_sweep
 STEP_WEIGHTS, STEP_PSEUDO, STEP_THRESHOLDS, STEP_NOISE = 1, 2, 4, 8
 STEP_SCAN, STEP_BIRTH, STEP_PRUNE = 16, 32, 64
-# the kernel's truncation of a row's birth count; sizes the room births need
-MAX_BIRTHS_PER_ROW = 3
 # error codes of the kernel's entry points
 ERR_NOT_PD, ERR_EMPTY_SUPPORT, ERR_BOUNDS, ERR_STD, ERR_NOMEM, ERR_MEAN = -1, -2, -3, -4, -5, -6
+ERR_ROOM = -7
 
 
 class KernelBuildError(RuntimeError):
@@ -50,7 +49,7 @@ class State(ctypes.Structure):
     """Pointers to a LatentState's arrays; mirrors glfm_state in _sweep.c."""
 
     _fields_ = [
-        *((name, _i64) for name in ("N", "K", "S", "D", "nb")),
+        *((name, _i64) for name in ("N", "K", "S", "D", "nb", "cap", "K_max")),
         *((name, _ptr) for name in ("Z", "Y", "B", "P", "P_inv", "lam", "col_sums", "sigma2")),
         *((name, _ptr) for name in ("kind", "offset", "levels", "missing", "cells")),
         *((name, _ptr) for name in ("obs_lo", "obs_hi", "theta")),

@@ -79,15 +79,17 @@ enum {
     ERR_STD = -4,           /* truncation with std <= 0 or not finite */
     ERR_NOMEM = -5,
     ERR_MEAN = -6,          /* truncation with a NaN mean */
+    ERR_ROOM = -7,          /* a row's births do not fit in the arrays' room */
 };
 
 /* Mirrors the ctypes Structure in glfm/_kernel.py field for field. Arrays are
  * C-contiguous float64 unless noted; Z is N x K, Y is N x S, B and lam are
  * K x S, P and P_inv are K x K, sigma2 holds one noise variance per
- * attribute. glfm_sweep may raise K on a birth and lower it on the prune,
- * repacking the arrays in place. */
+ * attribute. glfm_sweep may raise K on a birth, up to K_max, and lower it on
+ * the prune, repacking the arrays in place: Z, B, P, P_inv, lam and col_sums
+ * have room for cap >= K columns. */
 typedef struct {
-    int64_t N, K, S, D, nb;
+    int64_t N, K, S, D, nb, cap, K_max;
     double *Z, *Y, *B, *P, *P_inv, *lam, *col_sums, *sigma2;
     const int64_t *kind, *offset, *levels; /* D, D + 1, D */
     const uint8_t *missing;        /* N x D */
@@ -740,14 +742,15 @@ static void widen(double *a, int64_t rows, int64_t K, int64_t K2)
 }
 
 /* Append k feature columns that row n alone turns on, z being its committed
- * pattern, in the room the arrays have for them: P gains the border z 1^T
- * and the block 1 1^T + I / sigma_B^2, lam k copies of y_n, B k zero rows,
- * and P^{-1} is rebuilt from P's Cholesky factor. */
-static int add_features(glfm_state *st, int64_t n, int64_t k, const double *z)
+ * pattern in Z, in the room the arrays have for them: P gains the border
+ * z 1^T and the block 1 1^T + I / sigma_B^2, lam k copies of y_n, B k zero
+ * rows, and P^{-1} is rebuilt from P's Cholesky factor. */
+static int add_features(glfm_state *st, int64_t n, int64_t k)
 {
     const int64_t K = st->K, S = st->S, K2 = K + k;
     widen(st->Z, st->N, K, K2);
     widen(st->P, K, K, K2);
+    const double *z = st->Z + n * K2;
     for (int64_t j = K; j < K2; j++) {
         st->Z[n * K2 + j] = 1.0;
         for (int64_t i = 0; i < K2; i++)
@@ -1055,26 +1058,28 @@ static int64_t *row_lists(const glfm_state *st)
  * - the row loop over rows [r0, r1): on STEP_SCAN the Z-row scan (when a
  *   feature column exists to scan), then on STEP_BIRTH with alpha > 0 the
  *   birth decision, from the scan's statistics or fresh ones: at most
- *   min(MAX_BIRTHS_PER_ROW, k_cap - K) births a row under the truncated
- *   Poisson(alpha/N) prior. Births grow the state in place, so its arrays
- *   need room for k_cap columns. The weight mean W = P^{-1} lam is built
- *   in O(K^2 S) before the first row and after each birth, and kept
- *   current by each changed row's commit;
+ *   min(MAX_BIRTHS_PER_ROW, K_max - K) births a row under the truncated
+ *   Poisson(alpha/N) prior, grown in place. A count past cap columns
+ *   returns ERR_ROOM before it writes anything, with the row's (s, Q, n, k)
+ *   in out; a call with that out and pending = k adds them and goes on at
+ *   row n + 1. The weight mean W = P^{-1} lam is built in O(K^2 S) before
+ *   the first row and after each birth, and kept current by each changed
+ *   row's commit;
  * - the prune, which shrinks the state in place, and the P^{-1} rebuild;
  * - the Cholesky factor of P, taken once for the rebuild and every weight
  *   draw;
  * - per attribute in [d_lo, d_hi): the weights, the pseudo-observations of
  *   rows [r0, r1), the ordinal thresholds and the noise variance. Z holds
  *   still here, so every row's active columns are listed once for them.
- * out receives the last row's (s, Q), or the (attribute, threshold) of an
- * empty threshold support. bg may be NULL when no step draws. Returns 0, or
- * a negative error code. */
+ * out, 4 doubles, receives the last row's (s, Q), or the (attribute,
+ * threshold) of an empty threshold support. bg may be NULL when no step
+ * draws. Returns 0, or a negative error code. */
 int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, int64_t d_lo,
-               int64_t d_hi, int64_t k_cap, double *out)
+               int64_t d_hi, int64_t pending, double *out)
 {
     const int64_t S = st->S, N = st->N, rows = r1 - r0 > 0 ? r1 - r0 : 1;
     /* room for every column count the row loop can reach */
-    const int64_t Kc = k_cap > st->K ? k_cap : st->K > 0 ? st->K : 1;
+    const int64_t Kc = st->cap > 0 ? st->cap : 1;
     int64_t Smax = 1;
     for (int64_t d = d_lo; d < d_hi; d++)
         if (st->offset[d + 1] - st->offset[d] > Smax)
@@ -1120,13 +1125,16 @@ int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, 
     if (steps & STEP_SCAN)
         for (int64_t j = 0; j <= N; j++)
             w.log_j[j] = log((double)j);
-    if ((steps & (STEP_SCAN | STEP_BIRTH)) && r0 < r1)
+
+    /* a call that resumes adds the births row out[2] drew */
+    int64_t n = pending > 0 ? (int64_t)out[2] + 1 : r0;
+    int err = pending > 0 ? add_features(st, n - 1, pending) : 0;
+    if (!err && (steps & (STEP_SCAN | STEP_BIRTH)) && n < r1)
         times_lam(st, st->P_inv, w.W);
 
-    int err = 0;
-    for (int64_t n = r0; n < r1 && (steps & (STEP_SCAN | STEP_BIRTH)); n++) {
+    for (; n < r1 && !err && (steps & (STEP_SCAN | STEP_BIRTH)); n++) {
         const int64_t K = st->K;
-        int64_t births = birth ? k_cap - K : 0;
+        int64_t births = birth ? st->K_max - K : 0;
         if (births > MAX_BIRTHS_PER_ROW)
             births = MAX_BIRTHS_PER_ROW;
         const int scan = (steps & STEP_SCAN) && K > st->nb;
@@ -1142,8 +1150,13 @@ int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, 
             if (!scan)
                 scan_stats(st, n, &w);
             int64_t k_new = birth_count(st, s, &w, births, ladder, log_rest[births], u);
+            if (K + k_new > st->cap) {
+                out[0] = s, out[1] = w.Q, out[2] = (double)n, out[3] = (double)k_new;
+                err = ERR_ROOM;
+                break;
+            }
             if (k_new > 0) {
-                if ((err = add_features(st, n, k_new, w.z)))
+                if ((err = add_features(st, n, k_new)))
                     break;
                 times_lam(st, st->P_inv, w.W);
             }

@@ -51,20 +51,20 @@ scan, commit, and births under the kernel's truncated Poisson(alpha/N)
 prior), the prune and the P^{-1} rebuild from the Cholesky factor of P, then
 the per-attribute phase (per attribute the weights, the pseudo-observations,
 the ordinal thresholds and the noise variance). Births grow the state inside
-the row loop, in arrays with room for the columns the rows can add, and the
-prune compacts it in place, so P and lam stay exact without a refit. Python
-keeps init and the log joint. The per-step functions below (a row's scan or
-births, the prune, an attribute's weights, a cell's pseudo-observations) run
-one step through the same entry point, so a step can be checked on its own;
-`_sweep` runs any other set of steps, such as one attribute's thresholds or
-noise variance.
+the row loop, in room the state keeps and grows only when a row's births do
+not fit, and the prune compacts it in place, so P and lam stay exact without
+a refit. Python keeps init and the log joint. The per-step functions below
+(a row's scan or births, the prune, an attribute's weights, a cell's
+pseudo-observations) run one step through the same entry point, so a step
+can be checked on its own; `_sweep` runs any other set of steps, such as one
+attribute's thresholds or noise variance.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -156,7 +156,8 @@ class LatentState:
     Z is N x K (column 0 is the always-on bias column when enabled), Y is
     N x S with S = sum of per-attribute pseudo-observation widths, B is K x S.
     P, P_inv, lam, and col_sums are maintained incrementally; call
-    recompute_natural() after editing Z or Y wholesale.
+    recompute_natural() after editing Z or Y wholesale. Sweeps keep Z, B and
+    these four as views at the front of the flat buffers in `room`.
     """
 
     specs: tuple[AttributeSpec, ...]
@@ -189,6 +190,7 @@ class LatentState:
         self.free_cols = free
         self.kind_codes = np.array([_KIND_CODES[s.kind] for s in self.specs], dtype=np.int64)
         self.levels = np.array([s.R_d or 0 for s in self.specs], dtype=np.int64)
+        self.room: dict[str, np.ndarray] = {}
         if self.Y.shape != (self.Z.shape[0], self.offsets[-1]):
             raise ValueError("Y shape does not match Z rows and spec widths")
         if self.B.shape != (self.Z.shape[1], self.offsets[-1]):
@@ -234,22 +236,12 @@ class LatentState:
             raise _sigma_B2_too_large(self.hp, self.N) from None
 
     def copy(self) -> "LatentState":
-        return LatentState(
-            specs=self.specs,
-            hp=self.hp,
-            Z=self.Z.copy(),
-            Y=self.Y.copy(),
-            B=self.B.copy(),
-            theta={d: th.copy() for d, th in self.theta.items()},
-            sigma2=self.sigma2.copy(),
-            count_xmax=dict(self.count_xmax),
-            P=None if self.P is None else self.P.copy(),
-            P_inv=None if self.P_inv is None else self.P_inv.copy(),
-            lam=None if self.lam is None else self.lam.copy(),
-            col_sums=None if self.col_sums is None else self.col_sums.copy(),
-            obs_lo=self.obs_lo,
-            obs_hi=self.obs_hi,
-        )
+        """A copy with its own arrays and no room, sharing the observation caches."""
+        arrays = {name: getattr(self, name)
+                  for name in ("Z", "Y", "B", "sigma2", "P", "P_inv", "lam", "col_sums")}
+        return replace(self, theta={d: th.copy() for d, th in self.theta.items()},
+                       count_xmax=dict(self.count_xmax),
+                       **{name: None if a is None else a.copy() for name, a in arrays.items()})
 
 
 @dataclass
@@ -366,13 +358,18 @@ def _interval_seed(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _k_shapes(N: int, K: int, S: int) -> dict[str, tuple[int, ...]]:
+    """The shapes at K columns of the arrays the kernel resizes in place."""
+    return {"Z": (N, K), "B": (K, S), "P": (K, K), "P_inv": (K, K), "lam": (K, S),
+            "col_sums": (K,)}
+
+
 def _bind(state: LatentState, data: DataMatrix | None) -> _kernel.State:
     """The kernel's view of the state and, when given, of the data: pointers
     to the arrays it reads and writes in place. Shapes are checked here, and
     arrays the kernel writes are made C-contiguous float64 on the state."""
     N, K, S, D = state.N, state.K, state.S, len(state.specs)
-    shapes = {"Z": (N, K), "Y": (N, S), "B": (K, S), "P": (K, K), "P_inv": (K, K),
-              "lam": (K, S), "col_sums": (K,), "sigma2": (D,)}
+    shapes = {**_k_shapes(N, K, S), "Y": (N, S), "sigma2": (D,)}
     for name, shape in shapes.items():
         a = getattr(state, name)
         if a.shape != shape:
@@ -380,6 +377,11 @@ def _bind(state: LatentState, data: DataMatrix | None) -> _kernel.State:
                              "call recompute_natural() after editing Z or Y")
         if a.dtype != np.float64 or not (a.flags.c_contiguous and a.flags.writeable):
             setattr(state, name, np.array(a, dtype=float, order="C"))
+    # the room is the state's while Z, B, P, P_inv, lam and col_sums are all
+    # its views; once one is replaced, the kernel gets no room past K
+    room = state.room
+    if not room or any(getattr(state, name).base is not buf for name, buf in room.items()):
+        room = {name: getattr(state, name).reshape(-1) for name in _k_shapes(N, K, S)}
     for d, th in state.theta.items():
         if th.shape != (state.specs[d].R_d - 1,):
             raise ValueError(f"theta of attribute {state.specs[d].name} has shape {th.shape}")
@@ -390,7 +392,7 @@ def _bind(state: LatentState, data: DataMatrix | None) -> _kernel.State:
     )
     hp = state.hp
     st = _kernel.State(
-        N=N, K=K, S=S, D=D, nb=state.n_bias,
+        N=N, K=K, S=S, D=D, nb=state.n_bias, cap=room["col_sums"].size, K_max=hp.K_max,
         Z=state.Z.ctypes.data, Y=state.Y.ctypes.data, B=state.B.ctypes.data,
         P=state.P.ctypes.data, P_inv=state.P_inv.ctypes.data, lam=state.lam.ctypes.data,
         col_sums=state.col_sums.ctypes.data, sigma2=state.sigma2.ctypes.data,
@@ -410,56 +412,50 @@ def _bind(state: LatentState, data: DataMatrix | None) -> _kernel.State:
         st.missing, st.cells = missing.ctypes.data, cells.ctypes.data
         st.obs_lo, st.obs_hi = state.obs_lo.ctypes.data, state.obs_hi.ctypes.data
         keep += [missing, cells]
-    st.keep = keep  # alive as long as the struct
+    st.keep, st.room = keep, room  # alive as long as the struct
     return st
 
 
 def _sweep(rng: RngState | None, state: LatentState, data: DataMatrix | None, steps: int,
            row: int | None = None, dim: int | None = None) -> np.ndarray:
     """One kernel call of the _kernel.STEP_* in `steps`, in sweep order: the
-    row loop (Z-row scan, then births when alpha > 0 and K < K_max), the
-    prune with its P^{-1} rebuild, then per attribute the weights,
-    pseudo-observations, thresholds and noise variance; over row `row` and
-    attribute `dim`, all by default, each indexed as a Python sequence is
-    (IndexError when out of range). rng may be None when no step draws. The
-    kernel draws each row's birth count; births grow Z, B, P, P^{-1}, lam and
-    the counts in buffers with room for the most columns the rows can add,
-    prune shrinks them in place, and the state keeps views at the live K.
-    Returns the last row's statistics (s, Q)."""
+    row loop (Z-row scan, then births when alpha > 0), the prune with its
+    P^{-1} rebuild, then per attribute the weights, pseudo-observations,
+    thresholds and noise variance; over row `row` and attribute `dim`, all by
+    default, each indexed as a Python sequence is (IndexError when out of
+    range). rng may be None when no step draws. Births grow Z, B, P, P^{-1},
+    lam and the counts in the state's room, the prune shrinks them in place,
+    and the state keeps views at the live K. A row's births that do not fit
+    come back as ERR_ROOM; the room grows to min(K_max, max(2 cap, K + k))
+    columns and the call resumes with them pending. Returns the last row's
+    statistics (s, Q)."""
     hp, N, S, D = state.hp, state.N, state.S, len(state.specs)
     r0, r1 = (0, N) if row is None else (range(N)[row], range(N)[row] + 1)
     d_lo, d_hi = (0, D) if dim is None else (range(D)[dim], range(D)[dim] + 1)
-    birth = steps & _kernel.STEP_BIRTH and hp.alpha > 0 and state.K < hp.K_max
-    # room for the kernel's most births on every row, up to K_max
-    k_cap = min(hp.K_max, state.K + _kernel.MAX_BIRTHS_PER_ROW * (r1 - r0)) if birth else state.K
-
-    def shapes(K):
-        return {"Z": (N, K), "B": (K, S), "P": (K, K), "P_inv": (K, K), "lam": (K, S),
-                "col_sums": (K,)}
-
-    room = {}
-    if k_cap > state.K:
-        for name, shape in shapes(k_cap).items():
+    out, pending = np.zeros(4), 0
+    while True:
+        st = _bind(state, data)
+        code = _kernel.call(rng, "glfm_sweep", ctypes.byref(st), steps, r0, r1, d_lo, d_hi,
+                            pending, out.ctypes.data)
+        if st.K != state.K:
+            for name, shape in _k_shapes(N, st.K, S).items():
+                setattr(state, name, st.room[name][: math.prod(shape)].reshape(shape))
+        if code != _kernel.ERR_ROOM:
+            break
+        pending = int(out[3])
+        cap = min(hp.K_max, max(2 * st.cap, st.K + pending))
+        state.room = {name: np.empty(math.prod(sh)) for name, sh in _k_shapes(N, cap, S).items()}
+        for name, buf in state.room.items():
             a = getattr(state, name)
-            room[name] = np.empty(math.prod(shape))
-            room[name][: a.size] = a.ravel()
-            setattr(state, name, room[name][: a.size].reshape(a.shape))
-    st = _bind(state, data)
-    out = np.zeros(2)
-    code = _kernel.call(
-        rng, "glfm_sweep", ctypes.byref(st), steps, r0, r1, d_lo, d_hi, k_cap, out.ctypes.data
-    )
-    if st.K != state.K:
-        for name, shape in shapes(st.K).items():
-            buf = room[name] if room else getattr(state, name).reshape(-1)
-            setattr(state, name, buf[: math.prod(shape)].reshape(shape))
+            buf[: a.size] = a.ravel()
+            setattr(state, name, buf[: a.size].reshape(a.shape))
     if code == _kernel.ERR_EMPTY_SUPPORT:
-        d, r = map(int, out)
+        d, r = map(int, out[:2])
         raise RuntimeError(f"threshold {r} of attribute {state.specs[d].name} has empty support")
     if code == _kernel.ERR_NOT_PD:
         raise _sigma_B2_too_large(hp, N)
     _kernel.check(code)
-    return out
+    return out[:2]
 
 
 def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
@@ -485,13 +481,13 @@ def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
 def birth_features(rng: RngState, state: LatentState, data: DataMatrix, n: int):
     """Draw how many fresh feature columns row n turns on.
 
-    The count follows a Poisson(alpha/N) truncated at
-    _kernel.MAX_BIRTHS_PER_ROW, reweighted by the row's marginal likelihood,
-    where each prospective feature adds sigma_B^2 to the collapsed predictive
-    variance 1 + s, in units of sigma_d^2. The kernel builds the prior and
-    reads the count off one uniform, walking the cumulative unnormalized
-    weights. When the uniform falls below a lower bound on the mass of no
-    birth, the count is 0 and the candidates are not scored.
+    The count follows a Poisson(alpha/N) truncated at the kernel's cap on
+    births per row and at K_max - K, reweighted by the row's marginal
+    likelihood, where each prospective feature adds sigma_B^2 to the collapsed
+    predictive variance 1 + s, in units of sigma_d^2. The kernel builds the
+    prior and reads the count off one uniform, walking the cumulative
+    unnormalized weights. When the uniform falls below a lower bound on the
+    mass of no birth, the count is 0 and the candidates are not scored.
     """
     _sweep(rng, state, data, _kernel.STEP_BIRTH, row=n)
 

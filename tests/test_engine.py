@@ -6,6 +6,7 @@ incremental path commit identical decisions from an identical random stream.
 """
 
 import ctypes
+import functools
 import itertools
 import math
 import os
@@ -29,6 +30,7 @@ from glfm.engine import (
     Hyperparams,
     LatentState,
     _chol_inverse,
+    _k_shapes,
     _sweep,
     birth_features,
     collapsed_flip_logodds,
@@ -92,6 +94,13 @@ def kernel_row_helper(name, s, n_free, Q):
     return getattr(_kernel.load(), name)(s, n_free, Q)
 
 
+def kernel_enums():
+    """Every enum constant _sweep.c declares, by name."""
+    source = re.sub(r"/\*.*?\*/", "", _kernel.SOURCE.read_text(), flags=re.S)
+    return {name: int(value) for body in re.findall(r"enum\s*\{(.*?)\}", source, re.S)
+            for name, value in re.findall(r"(\w+)\s*=\s*(-?\d+)", body)}
+
+
 def test_kernel_state_struct_matches_the_c_typedef():
     # _kernel.State must list glfm_state's fields in order with matching
     # types; a mismatch shifts every later field and corrupts memory silently
@@ -114,13 +123,11 @@ def test_kernel_module_mirrors_the_c_declarations():
     # function _sweep.c defines with external linkage must be registered with
     # its prototype's types, and every mirrored constant must match its enum
     source = re.sub(r"/\*.*?\*/", "", _kernel.SOURCE.read_text(), flags=re.S)
-    enums = {name: int(value) for body in re.findall(r"enum\s*\{(.*?)\}", source, re.S)
-             for name, value in re.findall(r"(\w+)\s*=\s*(-?\d+)", body)}
 
     def mirrored(name):
-        return name.startswith(("STEP_", "ERR_")) or name == "MAX_BIRTHS_PER_ROW"
+        return name.startswith(("STEP_", "ERR_"))
 
-    assert {n: v for n, v in enums.items() if mirrored(n)} == {
+    assert {n: v for n, v in kernel_enums().items() if mirrored(n)} == {
         n: getattr(_kernel, n) for n in dir(_kernel) if mirrored(n)}
 
     scalar = {"void": None, "int": ctypes.c_int, "int64_t": ctypes.c_int64,
@@ -175,20 +182,27 @@ def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_pa
         data, _ = generate(30, missing_rate=0.1, seed=3)
         hp = Hyperparams(alpha=20.0, K_max=6, K_init=1, bias=True, sample_variance=True,
                          iterations=30, burn_in=0, seed=4)
-        assert max(t["K_plus"] for t in run_chain(data, hp).trace) >= 4
+        result = run_chain(data, hp)
+        assert max(t["K_plus"] for t in result.trace) >= 4
+        assert result.state.room["col_sums"].size > 2  # births resumed in grown room
         hp = Hyperparams(alpha=0.5, K_max=10, K_init=8, bias=True, sample_variance=True,
                          iterations=30, burn_in=0, seed=4)
         assert min(t["K_plus"] for t in run_chain(data, hp).trace) < 8
-        # no bias column: a sweep meets rows with no active column, and its
-        # births index the active-column list past the K it entered with
+        # no bias column, from no feature column at all, and no room before
+        # each sweep: a sweep meets rows with no active column, and its births
+        # resume in grown room and index the active-column list past the K it
+        # entered with
         hp = Hyperparams(alpha=5.0, K_max=12, K_init=1, bias=False, sample_variance=True,
                          iterations=0, burn_in=0)
         rng = RngState(5)
         state = init_state(data, hp, rng)
+        state.Z, state.B = state.Z[:, :0], state.B[:0]
+        state.recompute_natural()
         empty = grew = False
         for _ in range(15):
             K = state.K
             empty |= bool((state.Z.sum(axis=1) == 0).any())
+            state.room = {}
             run_iteration(rng, state, data)
             grew |= state.K > K
         assert empty and grew
@@ -813,9 +827,9 @@ def test_birth_respects_k_max():
 
 
 def test_birth_room_is_sized_by_the_rows_not_by_k_max():
-    # a row loop adds at most MAX_BIRTHS_PER_ROW columns per row, so 40 rows
-    # need room for 120 more, whatever K_max is; each row sees the same
-    # birth truncation, so the draws do not depend on the cap
+    # the room grows with the births the rows draw, whatever K_max is; each
+    # row sees the same birth truncation, so the draws do not depend on the
+    # cap while K stays below it
     data = small_mixed_data(40, seed=84)
     runs = [run_chain(data, Hyperparams(alpha=5.0, K_max=k_max, K_init=2, bias=True,
                                         sample_variance=True, iterations=5, burn_in=0,
@@ -824,6 +838,94 @@ def test_birth_room_is_sized_by_the_rows_not_by_k_max():
     np.testing.assert_array_equal(runs[1].state.Z, runs[0].state.Z)
     np.testing.assert_array_equal(runs[1].state.B, runs[0].state.B)
     assert runs[1].trace == runs[0].trace
+
+
+def with_room_for_k_max(state):
+    """Move the state's K-column arrays to the front of a room of K_max
+    columns, so that no birth returns ERR_ROOM."""
+    shapes = _k_shapes(state.N, state.hp.K_max, state.S)
+    state.room = {name: np.empty(math.prod(shape)) for name, shape in shapes.items()}
+    for name, buf in state.room.items():
+        a = getattr(state, name)
+        buf[: a.size] = a.ravel()
+        setattr(state, name, buf[: a.size].reshape(a.shape))
+
+
+@pytest.mark.parametrize("case", ["birth on the last row", "whole sweeps", "no bias from K = 0"])
+def test_births_that_do_not_fit_resume_where_they_were_drawn(case, monkeypatch):
+    # a row's births that do not fit return ERR_ROOM with the count pending,
+    # and the call resumes at that row once the room has grown. A chain whose
+    # state loses its room before every call, so that ERR_ROOM fires on every
+    # call with a birth, must match the chain of a state with room for K_max
+    # columns from the start, which never meets it: a resume must not redraw
+    # the row, move the row range of the attribute steps or write a birth
+    # into arrays that have no room for it
+    data = small_mixed_data(20, seed=86)
+    hp = Hyperparams(alpha=10.0, K_max=60, K_init=1, bias=case != "no bias from K = 0",
+                     sample_variance=True, iterations=0, burn_in=0)
+    rng = RngState(87)
+    state = init_state(data, hp, rng)
+    if not hp.bias:
+        # no feature column: the kernel's workspace has one, the state none
+        state.Z, state.B = state.Z[:, :0], state.B[:0]
+        state.recompute_natural()
+    roomy, roomy_rng = state.copy(), RngState(0)
+    roomy_rng.set_state(rng.get_state())
+    with_room_for_k_max(roomy)
+    codes, call = [], _kernel.call
+    monkeypatch.setattr(_kernel, "call", lambda *args: codes.append(call(*args)) or codes[-1])
+
+    def sweep(rng, state, strip):
+        # one pass of kernel calls, each on a state without room when strip
+        steps = [functools.partial(run_iteration, rng, state, data)]
+        if case == "birth on the last row":
+            steps = [functools.partial(birth_features, rng, state, data, n) for n in range(state.N)]
+            steps.append(functools.partial(_sweep, rng, state, data, _kernel.STEP_PRUNE
+                                           | _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO))
+        for step in steps:
+            if strip:
+                state.room = {}
+            step()
+
+    resumed = 0
+    for _ in range(6):
+        sweep(rng, state, strip=True)
+        resumed += codes.count(_kernel.ERR_ROOM)
+        codes.clear()
+        sweep(roomy_rng, roomy, strip=False)
+        assert _kernel.ERR_ROOM not in codes
+        for name in ("Z", "Y", "B", "P", "P_inv", "lam", "col_sums", "sigma2"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(roomy, name))
+        assert rng.get_state() == roomy_rng.get_state()
+    assert resumed >= 6
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS and ru_maxrss in KiB are Linux's")
+def test_a_huge_k_max_costs_no_memory_at_n_4000():
+    # the room grows with the births the rows draw, not with K_max. Room for
+    # 3 births on each of 4000 rows would be 12,003 columns, with a 3.5 GB
+    # workspace; a child process limited to 3 GB of address space must run
+    # K_max = 10**6 at the peak RSS of K_max = 200, within 1 MB
+    _kernel.load()  # built here, so the child only loads it
+    script = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+        from glfm.engine import Hyperparams, run_chain
+        from glfm.synthetic import generate
+        data, _ = generate(4000, missing_rate=0.1, seed=1)
+        run_chain(data, Hyperparams(alpha=5.0, K_max=int(sys.argv[1]), K_init=2, bias=True,
+                                    sample_variance=True, iterations=3, seed=2))
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    peak_kib = {}
+    for k_max in (200, 10**6):
+        proc = subprocess.run([sys.executable, "-c", script, str(k_max)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        peak_kib[k_max] = int(proc.stdout)
+    assert abs(peak_kib[10**6] - peak_kib[200]) <= 1024, peak_kib
 
 
 def test_birth_adds_columns_for_row():
@@ -937,7 +1039,7 @@ def reference_birth_count(state, s, Q, u):
     """Test-local birth draw: score every count k = 0..kmax under the
     truncated Poisson(alpha/N) prior and invert the CDF at u."""
     hp = state.hp
-    kmax = min(_kernel.MAX_BIRTHS_PER_ROW, hp.K_max - state.K)
+    kmax = min(kernel_enums()["MAX_BIRTHS_PER_ROW"], hp.K_max - state.K)
     if hp.alpha == 0.0 or kmax <= 0:
         return 0
     n_free = int(state.free_cols.sum())
