@@ -66,6 +66,7 @@ _SIGNATURES = {
     "glfm_chol_inverse": (ctypes.c_int, [_i64, _ptr, _ptr]),
     "glfm_ndtr": (None, [_i64, _ptr, _ptr]),
     "glfm_log_ndtr": (None, [_i64, _ptr, _ptr]),
+    "glfm_prob_categorical": (None, [_i64, _i64, _i64, _ptr, _ptr, _f64, _i64, _ptr, _ptr, _ptr]),
     "glfm_row_loglik": (_f64, [_f64, _f64, _f64]),
     "glfm_birth_gain_bound": (_f64, [_f64, _f64, _f64]),
 }

@@ -31,6 +31,9 @@
  *                      P^{-1} rebuild takes it
  *   glfm_ndtr          the standard normal CDF, over an array
  *   glfm_log_ndtr      its logarithm, over an array
+ *   glfm_prob_categorical
+ *                      the probability that a category's utility is the
+ *                      largest, by Gauss-Hermite quadrature, over rows
  * and two scalar helpers of the birth step, exported for tests.
  *
  * Build: cc -O3 -fPIC -shared -ffp-contract=off, linked with libnpyrandom.a
@@ -349,6 +352,43 @@ void glfm_log_ndtr(int64_t n, const double *x, double *out)
 {
     for (int64_t i = 0; i < n; i++)
         out[i] = log_ndtr(x[i]);
+}
+
+/* Above this argument Phi rounds to exactly 1.0 (it does from 8.2924 on), so
+ * its factor leaves a product unchanged and is skipped. */
+static const double NDTR_ONE = 8.3;
+
+/* P(category r[i, j] is the argmax) for each row i of the n x R predictors m
+ * and each of its J categories r (0-based, n x J), by Gauss-Hermite
+ * quadrature on nq nodes: out[i, j] = sum_q w[q] prod_{c != r}
+ * Phi((u[q] + (m_r - m_c)) / sigma), with the nodes u scaled by sqrt(2) sigma
+ * and the weights w by 1/sqrt(pi). The product runs over c in increasing
+ * order and the sum over q in increasing order. No early exit: a NaN rival
+ * keeps its NaN. */
+void glfm_prob_categorical(int64_t n, int64_t J, int64_t R, const double *m, const int64_t *r,
+                           double sigma, int64_t nq, const double *u, const double *w,
+                           double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *mi = m + i * R;
+        for (int64_t j = 0; j < J; j++) {
+            const int64_t own = r[i * J + j];
+            double acc = 0.0;
+            for (int64_t q = 0; q < nq; q++) {
+                double prod = 1.0;
+                for (int64_t c = 0; c < R; c++) {
+                    if (c == own)
+                        continue;
+                    const double x = (u[q] + (mi[own] - mi[c])) / sigma;
+                    if (x > NDTR_ONE)
+                        continue;
+                    prod *= ndtr(x);
+                }
+                acc += w[q] * prod;
+            }
+            out[i * J + j] = acc;
+        }
+    }
 }
 
 /* ------------------------------------------------------------------------ */

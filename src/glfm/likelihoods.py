@@ -9,8 +9,8 @@ induced probability of x given m.
 
 All operations are pure functions; `params` is any object carrying scale `w`
 and shift `mu` attributes (TransformParams or an attribute spec). The normal
-CDF Phi and log Phi that score ordinal, count and categorical observations
-come from the compiled kernel (glfm._kernel), elementwise over an array.
+CDF Phi and log Phi that score ordinal and count observations, and the
+categorical quadrature, run in the compiled kernel (glfm._kernel) over arrays.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 # Gauss-Hermite nodes of prob_categorical's quadrature
 _GH_NODES = 32
-# rows per prob_categorical block: its (nodes, rows, values, R - 1) temporary
-# stays a few MB however many rows are scored
-_QUAD_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,9 @@ def prob_categorical(r, z, B, sigma_y: float):
     Batched over rows: with z an (n, K) matrix of feature rows and r an
     (n, J) array, or a length-J sequence shared by every row, entry [i, j] is
     the probability of category r[i, j] for row i. A scalar r and a vector z
-    give a float. Rows are processed in blocks of _QUAD_BLOCK_ROWS.
+    give a float. Rows whose predictors z B and categories repeat are scored
+    once: the distinct ones go to the kernel in one call
+    (glfm_prob_categorical), and equal inputs give equal outputs.
     """
     B = np.asarray(B, dtype=float)
     R = B.shape[1]
@@ -223,22 +222,23 @@ def prob_categorical(r, z, B, sigma_y: float):
     scalar = r.ndim == 0 and m.ndim == 1
     m = np.atleast_2d(m)
     r = np.atleast_2d(r)
-    r = np.broadcast_to(r, (m.shape[0], r.shape[1]))
-    # others[q] lists the categories other than q, in increasing order
-    others = np.array([[j for j in range(R) if j != q] for q in range(R)], dtype=np.intp)
+    n, J = m.shape[0], r.shape[1]
+    # rows of 8-byte words, predictors then 0-based categories: equal bytes give
+    # equal probabilities, so each distinct row is scored once, at slot[bytes]
+    rows = np.hstack([m, np.broadcast_to(r - 1, (n, J)).view(float)])
+    keys = rows.view(f"V{rows.itemsize * (R + J)}").ravel().tolist()
+    slot = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    distinct = np.frombuffer(b"".join(slot), dtype=float).reshape(len(slot), R + J)
+    m_u = np.ascontiguousarray(distinct[:, :R])
+    r_u = np.ascontiguousarray(distinct[:, R:]).view(np.int64)
     nodes, weights = _gh_rule()
-    u = (math.sqrt(2.0) * sigma_y * nodes)[:, None, None, None]
-    w = weights[:, None, None] / math.sqrt(math.pi)
-    out = np.empty(r.shape)
-    for lo in range(0, m.shape[0], _QUAD_BLOCK_ROWS):
-        mb = m[lo : lo + _QUAD_BLOCK_ROWS]
-        rb = r[lo : lo + _QUAD_BLOCK_ROWS] - 1
-        own = np.take_along_axis(mb, rb, axis=1)
-        rest = mb[np.arange(mb.shape[0])[:, None, None], others[rb]]
-        # (nodes, rows, values) products over the R - 1 rival categories; the
-        # node sum runs elementwise, so equal inputs give equal probabilities
-        vals = np.prod(ndtr((u + (own[..., None] - rest)) / sigma_y), axis=-1)
-        out[lo : lo + _QUAD_BLOCK_ROWS] = (w * vals).sum(axis=0)
+    u = math.sqrt(2.0) * sigma_y * nodes
+    w = weights / math.sqrt(math.pi)
+    out = np.empty((len(slot), J))
+    _kernel.load().glfm_prob_categorical(
+        len(slot), J, R, m_u.ctypes.data, r_u.ctypes.data, sigma_y, _GH_NODES, u.ctypes.data,
+        w.ctypes.data, out.ctypes.data)
+    out = out[np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=n)]
     return float(out[0, 0]) if scalar else out
 
 

@@ -8,9 +8,10 @@ the CLI runs. All three prediction tasks read one batched predictive,
 `_log_predictive`: log p(x | z) of one attribute under one state, for a block
 of feature rows and encoded values at once. Each task makes one array pass
 per attribute. Imputation takes the mapped mean or the argmax of the
-predictive mass, held-out scoring evaluates every cell-state pair once and
-aggregates the same per-cell scores per attribute and per split, and a pdf
-evaluates the whole support or grid in one call.
+predictive mass (of a count, within 2 of some state's mapped mean), held-out
+scoring evaluates every cell-state pair once (categorical ones once per
+distinct predictor and value) and aggregates the per-cell scores per
+attribute and per split, and a pdf evaluates the whole support or grid at once.
 """
 
 from __future__ import annotations
@@ -116,19 +117,16 @@ def _impute(states: list[LatentState], d: int, rows: np.ndarray) -> np.ndarray:
     if kind.is_continuous:
         return np.mean([_map_values(s, d, s.Z[rows]) for s in states], axis=0)
     if kind is AttributeKind.COUNT:
-        # candidates are the union of each state's center +- 2 window: the
-        # range covering them is scored, and the gaps between them masked
+        # each row's union of the states' center +- 2 windows, ascending so that
+        # ties go low; a window's values below 0 become 0, which it holds anyway
         centers = np.array(
             [map_forward((s.Z[rows] @ s.B[:, s.dim_cols(d)])[:, 0], spec, kind) for s in states]
         )
-        lo = np.maximum(centers - 2, 0).min(axis=0)
-        xs = lo[:, None] + np.arange(int((centers.max(axis=0) + 2 - lo).max()) + 1)
-        candidate = (np.abs(xs - centers[:, :, None]) <= 2).any(axis=0)
+        xs = np.maximum(centers.T[:, :, None] + np.arange(-2, 3), 0).reshape(len(rows), -1)
+        xs.sort(axis=1)
     else:
         xs = np.broadcast_to(np.arange(1, spec.R_d + 1), (len(rows), spec.R_d))
-        candidate = True
-    probs = sum(np.exp(_log_predictive(s, d, s.Z[rows], xs)) for s in states)
-    best = np.argmax(np.where(candidate, probs, -np.inf), axis=1)
+    best = np.argmax(sum(np.exp(_log_predictive(s, d, s.Z[rows], xs)) for s in states), axis=1)
     return xs[np.arange(len(rows)), best]
 
 

@@ -268,6 +268,24 @@ def test_complete_fills_missing_cells(workdir, capsys):
     assert (out / "trace.ndjson").exists()
 
 
+def test_multistate_completion_of_huge_counts_scores_only_the_windows(tmp_path, capsys):
+    # counts up to 2e9: the states' centers lie far apart, and scoring the
+    # whole range between them took GiBs. Each row's windows are enough
+    rng = np.random.default_rng(0)
+    counts = [str(int(c)) if rng.random() > 0.1 else "" for c in rng.integers(0, 2 * 10**9, 300)]
+    (tmp_path / "data.csv").write_text(
+        "r1,n1\n" + "".join(f"{rng.normal():.4f},{c}\n" for c in counts))
+    (tmp_path / "cols.spec").write_text("r1,real\nn1,count\n")
+    out = tmp_path / "out"
+    code = run_cli(["complete", tmp_path / "data.csv", "--spec", tmp_path / "cols.spec",
+                    "-o", out, "--iters", "4", "--seed", "3", "--average-last", "3"])
+    assert code == 0, capsys.readouterr().err
+    rows = [line.split(",") for line in (out / "completed.csv").read_text().splitlines()[1:]]
+    filled = [int(row[1]) for row, c in zip(rows, counts) if c == ""]
+    assert len(filled) == counts.count("") > 0
+    assert all(x >= 0 for x in filled)
+
+
 def test_complete_warns_on_a_fully_observed_table(workdir, capsys):
     full = "".join(line + "\n" for line in CSV_TEXT.splitlines()
                    if ",," not in line and not line.startswith(",") and not line.endswith(","))

@@ -158,8 +158,9 @@ def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_pa
     # births and the prune repack Z, P, lam and B inside the kernel; a build
     # with ASan and UBSan, cached where the loader looks, runs a births-heavy
     # chain, a chain whose K falls, a chain with no bias column, whole sweeps
-    # through the exact-inverse fallback and a two-chain CLI run in a child
-    # process, which a memory or UB fault aborts
+    # through the exact-inverse fallback, a two-chain CLI run, and held-out
+    # scoring, a three-state completion and explore, which run the categorical
+    # quadrature, in a child process, which a memory or UB fault aborts
     cc = shutil.which("cc")
     runtime = cc and subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
                                     text=True).stdout.strip()
@@ -225,9 +226,16 @@ def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_pa
         open(work + "/data.csv", "w").write(to_csv(data))
         open(work + "/cols.spec", "w").write(
             "r1,real\\np1,positivereal\\nc1,categorical,3\\no1,ordinal,3\\nn1,count\\nr2,real\\n")
-        assert main(["complete", work + "/data.csv", "--spec", work + "/cols.spec",
-                     "-o", work + "/out", "--chains", "2", "--iters", "10", "--alpha", "20",
-                     "--kmax", "6", "--bias"]) == 0
+        table = [work + "/data.csv", "--spec", work + "/cols.spec", "--iters", "10",
+                 "--alpha", "20", "--kmax", "6", "--bias"]
+        assert main(["complete", *table, "-o", work + "/out", "--chains", "2"]) == 0
+        # the categorical quadrature: held-out scores, a three-state
+        # completion and the pdfs of a saved state
+        assert main(["complete", *table, "-o", work + "/scored", "--heldout", "0.2",
+                     "--splits", "1", "--average-last", "3"]) == 0
+        assert main(["complete", *table, "-o", work + "/avg", "--average-last", "3"]) == 0
+        assert main(["explore", "--state", work + "/avg/state.json", "-o",
+                     work + "/explore"]) == 0
     """)
     env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
                PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))

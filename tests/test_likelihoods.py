@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite import hermgauss
 from scipy import special
 from scipy.special import ndtr
 from scipy.stats import norm
 
+from glfm import _kernel, likelihoods
 from glfm.data import AttributeKind
-from glfm import likelihoods
 from glfm.likelihoods import (
     TransformParams,
     count_support_limit,
@@ -162,6 +163,109 @@ def test_prob_categorical_validation():
         prob_categorical(1, z, B, 0.0)
 
 
+def reference_prob_categorical(r, z, B, sigma_y):
+    """The categorical quadrature as whole-array numpy: every (node, row,
+    value, rival) argument at once, the product over rivals in increasing
+    order and the node sum written out in node order. numpy sums a block of
+    one cell pairwise, so the sum is not left to `sum(axis=0)`."""
+    m = np.asarray(z, dtype=float) @ np.asarray(B, dtype=float)
+    m = np.atleast_2d(m)
+    R = m.shape[1]
+    r = np.broadcast_to(np.atleast_2d(r), (m.shape[0], np.atleast_2d(r).shape[1])) - 1
+    others = np.array([[j for j in range(R) if j != q] for q in range(R)], dtype=np.intp)
+    nodes, weights = hermgauss(32)
+    u = (math.sqrt(2.0) * sigma_y * nodes)[:, None, None, None]
+    w = weights / math.sqrt(math.pi)
+    own = np.take_along_axis(m, r, axis=1)
+    rest = m[np.arange(m.shape[0])[:, None, None], others[r]]
+    vals = np.prod(likelihoods.ndtr((u + (own[..., None] - rest)) / sigma_y), axis=-1)
+    out = w[0] * vals[0]
+    for q in range(1, len(w)):
+        out = out + w[q] * vals[q]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    R=st.integers(2, 12),
+    all_values=st.booleans(),
+    n=st.integers(1, 600),
+    n_distinct=st.integers(1, 40),
+    log_sigma=st.floats(-3.0, 3.0),
+    spread=st.sampled_from([0.1, 3.0, 12.0, 45.0]),
+)
+def test_prob_categorical_is_bit_identical_to_the_numpy_reference(
+    seed, R, all_values, n, n_distinct, log_sigma, spread
+):
+    # gaps of up to ~45 sigma put quadrature arguments above 8.3, where the
+    # kernel skips factors Phi rounds to 1, and below -38.5, where Phi is 0.
+    # Rows repeat, in their predictors alone or with their categories too
+    rng = np.random.default_rng(seed)
+    sigma = 10.0**log_sigma
+    B = rng.normal(scale=spread * sigma, size=(n_distinct, R))
+    B[:, -1] = 0.0
+    Z = np.eye(n_distinct)[rng.integers(0, n_distinct, n)]
+    if all_values:
+        r = np.arange(1, R + 1)
+    else:
+        r = rng.integers(1, R + 1, (n_distinct, 1))[rng.integers(0, n_distinct, n)]
+        r[rng.random(n) < 0.3] = rng.integers(1, R + 1, (1, 1))
+    got = prob_categorical(r, Z, B, sigma)
+    np.testing.assert_array_equal(got, reference_prob_categorical(r, Z, B, sigma))
+
+
+def test_prob_categorical_is_bit_identical_across_the_cdf_tails():
+    # a dense sweep of gaps puts arguments on every stretch of Phi: rounding
+    # to 1 from 8.2924 on, just below 1 under it, and 0 below -38.5
+    gaps = np.linspace(-60.0, 60.0, 4001)
+    B = np.column_stack([gaps, 0.3 * gaps[::-1], np.zeros_like(gaps)])
+    Z = np.eye(len(gaps))
+    for sigma in (1.0, 0.37):
+        got = prob_categorical([1, 2, 3], Z, B, sigma)
+        np.testing.assert_array_equal(got, reference_prob_categorical([1, 2, 3], Z, B, sigma))
+    # Phi is exactly 1 wherever a factor is skipped
+    assert np.all(likelihoods.ndtr(np.linspace(8.3, 40.0, 200001)) == 1.0)
+    # no early exit on a zero product: a NaN rival after a rival with Phi = 0
+    # still gives NaN
+    B = np.array([[0.0, 100.0, np.nan]])
+    got = prob_categorical([1, 2, 3], np.ones(1), B, 1.0)
+    assert np.isnan(got[0, 0]) and np.isnan(got[0, 2])
+    np.testing.assert_array_equal(got, reference_prob_categorical([1, 2, 3], np.ones(1), B, 1.0))
+
+
+def test_prob_categorical_scores_each_distinct_row_once(monkeypatch):
+    # 1,000 rows made of 3 distinct (predictor, category) rows reach the
+    # kernel as 3 rows, and every row gets its own row's probabilities
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(3, 5))
+    B[:, -1] = 0.0
+    pick = rng.integers(0, 3, 1000)
+    Z = np.eye(3)[pick]
+    r = np.array([[1, 4], [2, 2], [5, 3]])[pick]
+    lib = _kernel.load()
+    rows_seen = []
+
+    class Proxy:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def glfm_prob_categorical(self, n, *args):
+            rows_seen.append(n)
+            return lib.glfm_prob_categorical(n, *args)
+
+    proxy = Proxy()
+    monkeypatch.setattr(_kernel, "load", lambda: proxy)
+    got = prob_categorical(r, Z, B, 0.8)
+    assert rows_seen == [3]
+    np.testing.assert_array_equal(got, reference_prob_categorical(r, Z, B, 0.8))
+    # a shared category list: rows repeat in their predictors alone
+    rows_seen.clear()
+    got = prob_categorical([1, 2, 3, 4, 5], Z, B, 0.8)
+    assert rows_seen == [3]
+    np.testing.assert_array_equal(got, reference_prob_categorical([1, 2, 3, 4, 5], Z, B, 0.8))
+
+
 def test_prob_ordinal_oracle():
     # theta = (0, 1.5), m = 0, sigma = 1: band 2 has mass Phi(1.5) - Phi(0)
     p = prob_ordinal(2, 0.0, [0.0, 1.5], 1.0)
@@ -200,7 +304,7 @@ def test_prob_count_normalization():
 
 
 def test_batched_likelihoods_match_scalar_calls():
-    # more rows than one categorical quadrature block, two values per row
+    # many rows, most of them distinct, and two values per row
     rng = np.random.default_rng(8)
     n = 300
     Z = rng.normal(size=(n, 2))

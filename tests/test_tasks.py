@@ -584,6 +584,9 @@ def test_multistate_count_imputation_keeps_disjoint_windows():
         # centers 20 and 26, broad: the summed mass peaks at 23, between the
         # windows {18..22} and {24..28}, and is no candidate there
         ((state(20.5, 9.0), state(26.1, 9.0)), (20, 26), 22),
+        # two sharp states, each with all its mass at its own center: the
+        # summed masses tie, and the lower center wins
+        ((state(20.5, 1e-8), state(5.5, 1e-8)), (20, 5), 5),
     )
     for pair, centers, want in cases:
         for s, center in zip(pair, centers):
@@ -593,6 +596,36 @@ def test_multistate_count_imputation_keeps_disjoint_windows():
             got = impute_from_states(states, data)[0, 0]
             assert got in windows
             assert got == ref_impute_cell(states, 0, 0) == want
+
+
+def dense_range_count_imputation(states, d, rows):
+    """Multi-state count completions scored over the whole integer range from
+    the lowest window to the highest, with one width for every row and the
+    values outside each row's windows masked."""
+    spec = states[0].specs[d]
+    centers = np.array([
+        map_forward((s.Z[rows] @ s.B[:, s.dim_cols(d)])[:, 0], spec, spec.kind) for s in states
+    ])
+    lo = np.maximum(centers - 2, 0).min(axis=0)
+    xs = lo[:, None] + np.arange(int((centers.max(axis=0) + 2 - lo).max()) + 1)
+    candidate = (np.abs(xs - centers[:, :, None]) <= 2).any(axis=0)
+    probs = sum(
+        np.exp(log_prob_count(xs, s.Z[rows] @ s.B[:, s.dim_cols(d)], spec,
+                              math.sqrt(float(s.sigma2[d]))))
+        for s in states
+    )
+    return xs[np.arange(len(rows)), np.argmax(np.where(candidate, probs, -np.inf), axis=1)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_multistate_count_imputation_matches_the_dense_range(seed):
+    # scoring each row's own windows, not the whole range between the
+    # states' centers, picks the same completion
+    states, data, _, _ = random_states(seed, 3, n_rows=40)
+    d = 4
+    rows = np.flatnonzero(data.missing[:, d])
+    want = dense_range_count_imputation(states, d, rows)
+    np.testing.assert_array_equal(impute_from_states(states, data)[rows, d], want)
 
 
 def test_multistate_categorical_tie_goes_to_lowest_category():
