@@ -588,25 +588,15 @@ static int collapse_row(const glfm_state *st, int64_t n, sweep_ws *w, double *s_
 
 /* The weighted squared residual Q of r = y - z M, and for every feature k
  * the change D_k = sum_c wt_c (M_kc^2 - t_k r_c M_kc) that flipping k makes
- * to Q, with t_k = 2 - 4 z_k; also T_k = t_k (wt o M_k). z M is summed over
- * z's active columns, in increasing k for every column at once. */
+ * to Q, with t_k = 2 - 4 z_k; also T_k = t_k (wt o M_k). */
 static void scan_stats(const glfm_state *st, int64_t n, sweep_ws *w)
 {
     const int64_t K = st->K, S = st->S;
     const double *y = st->Y + n * S, *z = w->z, *M = w->M, *wt = w->wt;
     double *r = w->r, Q = 0.0;
+    residual(S, M, y, w, r);
     for (int64_t col = 0; col < S; col++)
-        r[col] = 0.0;
-    for (int64_t t = 0; t < w->n_act; t++) {
-        const int64_t k = w->act[t];
-        const double *Mk = M + k * S;
-        for (int64_t col = 0; col < S; col++)
-            r[col] += z[k] * Mk[col];
-    }
-    for (int64_t col = 0; col < S; col++) {
-        r[col] = y[col] - r[col];
         Q += wt[col] * (r[col] * r[col]);
-    }
     w->Q = Q;
     for (int64_t k = 0; k < K; k++) {
         double t = 2.0 - 4.0 * z[k], mm = 0.0, tr = 0.0;
@@ -784,8 +774,9 @@ static void widen(double *a, int64_t rows, int64_t K, int64_t K2)
 /* Append k feature columns that row n alone turns on, z being its committed
  * pattern in Z, in the room the arrays have for them: P gains the border
  * z 1^T and the block 1 1^T + I / sigma_B^2, lam k copies of y_n, B k zero
- * rows, and P^{-1} is rebuilt from P's Cholesky factor. */
-static int add_features(glfm_state *st, int64_t n, int64_t k)
+ * rows, and P^{-1} is rebuilt from P's Cholesky factor, taken in the
+ * workspace's L and E, which hold cap >= K + k columns. */
+static int add_features(glfm_state *st, sweep_ws *w, int64_t n, int64_t k)
 {
     const int64_t K = st->K, S = st->S, K2 = K + k;
     widen(st->Z, st->N, K, K2);
@@ -801,7 +792,10 @@ static int add_features(glfm_state *st, int64_t n, int64_t k)
         st->col_sums[j] = 1.0;
     }
     st->K = K2;
-    return glfm_chol_inverse(K2, st->P, st->P_inv);
+    int err = cholesky(K2, st->P, w->L);
+    if (!err)
+        cholesky_inverse(K2, w->L, w->E, st->P_inv);
+    return err;
 }
 
 /* Whether feature column k is live: a bias column, or one some row uses. */
@@ -847,6 +841,18 @@ static void prune(glfm_state *st)
 /* ------------------------------------------------------------------------ */
 /* the per-attribute steps, and the sweep                                   */
 
+/* z_n B[:, col], over row n's active columns in the attribute steps' lists */
+static inline double row_mean(const glfm_state *st, const sweep_ws *w, int64_t n, int64_t col)
+{
+    const double *zn = st->Z + n * st->K;
+    const int64_t *act = w->row_act + w->row_ptr[n];
+    const int64_t na = w->row_ptr[n + 1] - w->row_ptr[n];
+    double sum = 0.0;
+    for (int64_t t = 0; t < na; t++)
+        sum += zn[act[t]] * st->B[act[t] * st->S + col];
+    return sum;
+}
+
 /* Draw attribute d's weight columns from N(P^{-1} lam, sigma_d^2 P^{-1}),
  * given the Cholesky factor L of P. A categorical attribute's last column
  * is pinned at zero. */
@@ -889,18 +895,11 @@ static int sample_pseudo_obs(bitgen_t *bg, const glfm_state *st, int64_t d, int6
     const int64_t Sd = st->offset[d + 1] - c0, rows = r1 - r0, kind = st->kind[d];
     const double var = st->sigma2[d], sd = sqrt(var);
     double *Ynew = w->Ynew, *Yold = w->Yold, *mean = w->mean;
-    for (int64_t i = 0; i < rows; i++) {
-        const double *zi = st->Z + (r0 + i) * K;
-        const int64_t *act = w->row_act + w->row_ptr[r0 + i];
-        const int64_t na = w->row_ptr[r0 + i + 1] - w->row_ptr[r0 + i];
+    for (int64_t i = 0; i < rows; i++)
         for (int64_t j = 0; j < Sd; j++) {
-            double sum = 0.0;
-            for (int64_t t = 0; t < na; t++)
-                sum += zi[act[t]] * st->B[act[t] * S + c0 + j];
-            mean[i * Sd + j] = sum;
+            mean[i * Sd + j] = row_mean(st, w, r0 + i, c0 + j);
             Yold[i * Sd + j] = Ynew[i * Sd + j] = st->Y[(r0 + i) * S + c0 + j];
         }
-    }
     for (int64_t i = 0; i < rows; i++)
         if (st->missing[(r0 + i) * D + d])
             for (int64_t j = 0; j < Sd; j++)
@@ -1053,18 +1052,11 @@ static void sample_noise_variance(bitgen_t *bg, const glfm_state *st, int64_t d,
     const int64_t Sd = st->offset[d + 1] - c0;
     const int64_t n_free = st->kind[d] == KIND_CATEGORICAL ? Sd - 1 : Sd;
     double ss = 0.0, bb = 0.0;
-    for (int64_t n = 0; n < N; n++) {
-        const double *zn = st->Z + n * K;
-        const int64_t *act = w->row_act + w->row_ptr[n];
-        const int64_t na = w->row_ptr[n + 1] - w->row_ptr[n];
+    for (int64_t n = 0; n < N; n++)
         for (int64_t j = 0; j < Sd; j++) {
-            double u = 0.0;
-            for (int64_t t = 0; t < na; t++)
-                u += zn[act[t]] * st->B[act[t] * S + c0 + j];
-            double e = st->Y[n * S + c0 + j] - u;
+            double e = st->Y[n * S + c0 + j] - row_mean(st, w, n, c0 + j);
             ss += e * e;
         }
-    }
     for (int64_t k = 0; k < K; k++)
         for (int64_t j = 0; j < n_free; j++) {
             double b = st->B[k * S + c0 + j];
@@ -1168,7 +1160,7 @@ int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, 
 
     /* a call that resumes adds the births row out[2] drew */
     int64_t n = pending > 0 ? (int64_t)out[2] + 1 : r0;
-    int err = pending > 0 ? add_features(st, n - 1, pending) : 0;
+    int err = pending > 0 ? add_features(st, &w, n - 1, pending) : 0;
     if (!err && (steps & (STEP_SCAN | STEP_BIRTH)) && n < r1)
         times_lam(st, st->P_inv, w.W);
 
@@ -1196,7 +1188,7 @@ int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, 
                 break;
             }
             if (k_new > 0) {
-                if ((err = add_features(st, n, k_new)))
+                if ((err = add_features(st, &w, n, k_new)))
                     break;
                 times_lam(st, st->P_inv, w.W);
             }

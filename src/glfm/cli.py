@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-points",
         type=int,
         default=101,
-        help="grid size for continuous distributions (default 101)",
+        help="continuous grid size and largest count table (default 101)",
     )
     return parser
 
@@ -253,7 +253,6 @@ def state_to_json(state: LatentState) -> str:
         "B": [[float(v) for v in row] for row in state.B],
         "theta": {str(d): [float(v) for v in th] for d, th in state.theta.items()},
         "sigma2": [float(v) for v in state.sigma2],
-        "count_xmax": {str(d): int(v) for d, v in state.count_xmax.items()},
     }
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -262,7 +261,8 @@ def state_from_json(text: str) -> LatentState:
     """Rebuild a sampler state saved by state_to_json.
 
     Pseudo-observations are reconstituted at their conditional mean Z B, which
-    is all the downstream summaries need.
+    is all the downstream summaries need. Keys this version does not read,
+    as older files may carry, are ignored.
     """
     obj = json.loads(text)
     specs = tuple(
@@ -283,7 +283,8 @@ def state_from_json(text: str) -> LatentState:
         raise ValueError("state.json sets birth_prior_only, which is no longer supported")
     hp = hyperparams_from_dict(hp_dict)
     Z = _parse_z_rows(obj["Z"], int(obj["K"]))
-    B = np.array(obj["B"], dtype=float)
+    # a state with no feature column writes B as [], which has no width
+    B = np.array(obj["B"], dtype=float).reshape(Z.shape[1], sum(s.S_d for s in specs))
     state = LatentState(
         specs=specs,
         hp=hp,
@@ -292,7 +293,6 @@ def state_from_json(text: str) -> LatentState:
         B=B,
         theta={int(d): np.array(th, dtype=float) for d, th in obj["theta"].items()},
         sigma2=np.array(obj["sigma2"], dtype=float),
-        count_xmax={int(d): int(v) for d, v in obj["count_xmax"].items()},
     )
     state.recompute_natural()
     return state

@@ -64,13 +64,13 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from glfm import _kernel
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix
-from glfm.likelihoods import count_support_limit, map_inverse
+from glfm.likelihoods import map_inverse
 from glfm.randkit import RngState
 
 __all__ = [
@@ -167,7 +167,6 @@ class LatentState:
     B: np.ndarray
     theta: dict[int, np.ndarray]
     sigma2: np.ndarray
-    count_xmax: dict[int, int] = field(default_factory=dict)
     P: np.ndarray | None = None
     P_inv: np.ndarray | None = None
     lam: np.ndarray | None = None
@@ -240,7 +239,6 @@ class LatentState:
         arrays = {name: getattr(self, name)
                   for name in ("Z", "Y", "B", "sigma2", "P", "P_inv", "lam", "col_sums")}
         return replace(self, theta={d: th.copy() for d, th in self.theta.items()},
-                       count_xmax=dict(self.count_xmax),
                        **{name: None if a is None else a.copy() for name, a in arrays.items()})
 
 
@@ -296,7 +294,6 @@ def init_state(data: DataMatrix, hp: Hyperparams, rng: RngState) -> LatentState:
         if spec.kind is AttributeKind.ORDINAL:
             theta[d] = np.arange(spec.R_d - 1, dtype=float) * (sd_theta / 2.0)
 
-    count_xmax = {}
     obs_lo = np.full((N, D), np.nan)
     obs_hi = np.full((N, D), np.nan)
 
@@ -312,15 +309,11 @@ def init_state(data: DataMatrix, hp: Hyperparams, rng: RngState) -> LatentState:
 
         block = rng.gen.normal(0.0, sd_y, size=(N, spec.S_d))
         if kind.is_continuous:
-            if np.any(obs):
-                obs_lo[obs, d] = map_inverse(x[obs], spec, kind)
+            obs_lo[obs, d] = map_inverse(x[obs], spec, kind)
             block[obs, 0] = obs_lo[obs, d]
         elif kind is AttributeKind.COUNT:
-            xm = int(x[obs].max()) if np.any(obs) else 0
-            count_xmax[d] = count_support_limit(xm)
-            if np.any(obs):
-                obs_lo[obs, d] = map_inverse(x[obs], spec, kind)
-                obs_hi[obs, d] = map_inverse(x[obs] + 1.0, spec, kind)
+            obs_lo[obs, d] = map_inverse(x[obs], spec, kind)
+            obs_hi[obs, d] = map_inverse(x[obs] + 1.0, spec, kind)
             block[obs, 0] = _interval_seed(obs_lo[obs, d], obs_hi[obs, d])
         elif kind is AttributeKind.ORDINAL:
             pad = np.concatenate([[-np.inf], theta[d], [np.inf]])
@@ -340,7 +333,6 @@ def init_state(data: DataMatrix, hp: Hyperparams, rng: RngState) -> LatentState:
         B=np.zeros((K0, int(offsets[-1]))),
         theta=theta,
         sigma2=np.full(D, hp.sigma_y2),
-        count_xmax=count_xmax,
         obs_lo=obs_lo,
         obs_hi=obs_hi,
     )

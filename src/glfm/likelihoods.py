@@ -27,7 +27,6 @@ from glfm.data import AttributeKind
 
 __all__ = [
     "TransformParams",
-    "count_support_limit",
     "log_ndtr",
     "log_phi_interval",
     "log_prob_count",
@@ -93,11 +92,6 @@ def softplus_inv(x):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def count_support_limit(max_observed: int) -> int:
-    """Support cap used when a count pmf must be enumerated (pdf tables, tests)."""
-    return int(max_observed) * 4 + 100
 
 
 def map_forward(y, params, kind: AttributeKind, theta=None):

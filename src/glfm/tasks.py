@@ -11,7 +11,8 @@ per attribute. Imputation takes the mapped mean or the argmax of the
 predictive mass (of a count, within 2 of some state's mapped mean), held-out
 scoring evaluates every cell-state pair once (categorical ones once per
 distinct predictor and value) and aggregates the per-cell scores per
-attribute and per split, and a pdf evaluates the whole support or grid at once.
+attribute and per split, and a pdf evaluates its whole table at once, a
+count's spanning the predictive itself.
 """
 
 from __future__ import annotations
@@ -101,9 +102,14 @@ def _map_values(state: LatentState, d: int, Z: np.ndarray) -> np.ndarray:
     center = map_forward(m[:, 0], spec, kind)
     if kind.is_continuous:
         return center
-    xs = np.maximum(center - 2, 0)[:, None] + np.arange(5)
-    ll = np.where(xs <= center[:, None] + 2, _log_predictive(state, d, Z, xs), -np.inf)
-    return xs[np.arange(len(xs)), np.argmax(ll, axis=1)]
+    xs = _count_window(center)
+    return xs[np.arange(len(xs)), np.argmax(_log_predictive(state, d, Z, xs), axis=1)]
+
+
+def _count_window(center: np.ndarray) -> np.ndarray:
+    """Count candidates center - 2 .. center + 2, ascending along a new last axis;
+    values below 0 become 0, and an argmax over their equal scores takes the first."""
+    return np.maximum(center[..., None] + np.arange(-2, 3), 0)
 
 
 def _impute(states: list[LatentState], d: int, rows: np.ndarray) -> np.ndarray:
@@ -117,13 +123,10 @@ def _impute(states: list[LatentState], d: int, rows: np.ndarray) -> np.ndarray:
     if kind.is_continuous:
         return np.mean([_map_values(s, d, s.Z[rows]) for s in states], axis=0)
     if kind is AttributeKind.COUNT:
-        # each row's union of the states' center +- 2 windows, ascending so that
-        # ties go low; a window's values below 0 become 0, which it holds anyway
-        centers = np.array(
-            [map_forward((s.Z[rows] @ s.B[:, s.dim_cols(d)])[:, 0], spec, kind) for s in states]
-        )
-        xs = np.maximum(centers.T[:, :, None] + np.arange(-2, 3), 0).reshape(len(rows), -1)
-        xs.sort(axis=1)
+        # each row's union of the states' windows, ascending so that ties go low
+        centers = [map_forward((s.Z[rows] @ s.B[:, s.dim_cols(d)])[:, 0], spec, kind)
+                   for s in states]
+        xs = np.sort(_count_window(np.transpose(centers)).reshape(len(rows), -1), axis=1)
     else:
         xs = np.broadcast_to(np.arange(1, spec.R_d + 1), (len(rows), spec.R_d))
     best = np.argmax(sum(np.exp(_log_predictive(s, d, s.Z[rows], xs)) for s in states), axis=1)
@@ -311,27 +314,35 @@ def compute_pdf(
     kinds return (values in original units, density in original units):
     densities include the mapping change of variables and, when the attribute
     was loaded through a preprocess transform, that transform's Jacobian.
-    A continuous attribute is evaluated on n_points >= 2 points spanning 4
-    predictive standard deviations either side of the mean.
+    Categorical and ordinal tables hold every level. A count table holds the
+    counts that m +- 8.3 sd maps to (m = z B_d; Phi rounds to 1 beyond 8.3, so
+    about 1e-16 of the mass is left out), thinned evenly to n_points with both
+    ends kept when there are more. A continuous attribute is evaluated on
+    n_points >= 2 points spanning 4 predictive standard deviations either side
+    of the mean.
     """
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     spec = state.specs[d]
     kind = spec.kind
     Z = np.asarray(z, dtype=float)[None]
-    if not kind.is_continuous:
-        if kind is AttributeKind.COUNT:
-            xs = np.arange(0, state.count_xmax.get(d, 200) + 1)
-        else:
-            xs = np.arange(1, spec.R_d + 1)
-        if kind is AttributeKind.CATEGORICAL:
-            # the masses themselves: the TINY_PROB floor belongs to log scores
-            B_d = state.B[:, state.dim_cols(d)]
-            return xs, prob_categorical(xs, Z, B_d, math.sqrt(float(state.sigma2[d])))[0]
-        return xs, np.exp(_log_predictive(state, d, Z, xs)[0])
-
-    m = float((Z @ state.B[:, state.dim_cols(d)])[0, 0])
-    half = 4.0 * math.sqrt(float(state.sigma2[d]) + state.hp.sigma_u2)
-    x_enc = map_forward(np.linspace(m - half, m + half, n_points), spec, kind)
-    dens = np.exp(_log_predictive(state, d, Z, x_enc)[0])
-    return invert_preprocess(spec, x_enc), dens * preprocess_jacobian(spec, x_enc)
+    B_d = state.B[:, state.dim_cols(d)]
+    var_d = float(state.sigma2[d])
+    if kind is AttributeKind.CATEGORICAL:
+        # the masses themselves: the TINY_PROB floor belongs to log scores
+        xs = np.arange(1, spec.R_d + 1)
+        return xs, prob_categorical(xs, Z, B_d, math.sqrt(var_d))[0]
+    m = float((Z @ B_d)[0, 0])
+    if kind.is_continuous:
+        half = 4.0 * math.sqrt(var_d + state.hp.sigma_u2)
+        x_enc = map_forward(np.linspace(m - half, m + half, n_points), spec, kind)
+        dens = np.exp(_log_predictive(state, d, Z, x_enc)[0])
+        return invert_preprocess(spec, x_enc), dens * preprocess_jacobian(spec, x_enc)
+    if kind is AttributeKind.ORDINAL:
+        xs = np.arange(1, spec.R_d + 1)
+    else:
+        half = 8.3 * math.sqrt(var_d)
+        lo, hi = map_forward(np.array([m - half, m + half]), spec, kind).astype(np.int64)
+        n = min(n_points, hi - lo + 1)
+        xs = lo + np.arange(n) * (hi - lo) // max(n - 1, 1)
+    return xs, np.exp(_log_predictive(state, d, Z, xs)[0])

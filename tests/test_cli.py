@@ -2,15 +2,17 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from glfm.cli import main, state_from_json, state_to_json
+from glfm.cli import HYPER_FLAGS, build_parser, main, state_from_json, state_to_json
 from glfm.data import (
     AttributeKind,
     AttributeSpec,
@@ -55,6 +57,38 @@ def workdir(tmp_path):
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def readme_hyperparameter_rows() -> dict[str, str]:
+    """Each flag of README's Hyperparameters table, with its default cell."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Hyperparameters\n", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `--"):
+            flags, default = [cell.strip() for cell in line.strip("|").split("|")[:2]]
+            rows.update((flag, default) for flag in re.findall(r"`(--[a-z0-9-]+)", flags))
+    return rows
+
+
+def test_readme_hyperparameter_table_matches_the_cli():
+    rows = readme_hyperparameter_rows()
+    dests = {flag: dest for flag, dest, _, _ in HYPER_FLAGS}
+    assert set(rows) >= set(dests) | {"--bias", "--sample-variance", "--chains"}
+    parser, hp = build_parser(), Hyperparams()
+    for command in ("infer", "complete", "explore"):
+        head = [command, "data.csv", "-o", "out"]
+        for flag, default in rows.items():
+            dest = dests.get(flag, flag[2:].replace("-", "_"))
+            if default == "off":
+                # a switch: on when given, off in Hyperparams
+                assert getattr(parser.parse_args(head + [flag]), dest) is True
+                assert getattr(hp, dest) is False, flag
+            else:
+                # a Hyperparams field, or else a flag with its own parser default
+                want = getattr(hp if flag in dests else parser.parse_args(head), dest)
+                got = getattr(parser.parse_args(head + [flag, default]), dest)
+                assert float(default) == want == got, flag
 
 
 def test_missing_subcommand_exits_2():
@@ -154,7 +188,6 @@ def test_state_json_roundtrip(workdir):
     np.testing.assert_array_equal(back.sigma2, res.state.sigma2)
     for d, th in res.state.theta.items():
         np.testing.assert_array_equal(back.theta[d], th)
-    assert back.count_xmax == res.state.count_xmax
     assert back.hp == res.state.hp
     assert [s.kind for s in back.specs] == [s.kind for s in res.state.specs]
     # natural parameters are rebuilt and exact
@@ -244,6 +277,42 @@ def test_state_json_with_legacy_birth_prior_only_key(workdir):
         state_from_json(json.dumps(obj))
 
 
+def test_state_json_with_legacy_count_xmax_key(workdir):
+    # states written while count tables were sized from the training data
+    # carry each count attribute's bound; such a state loads, without it
+    data, _ = generate(10, missing_rate=0.1, seed=72)
+    hp = Hyperparams(alpha=2.0, K_max=6, K_init=2, bias=True,
+                     iterations=3, burn_in=1, seed=73)
+    text = state_to_json(run_chain(data, hp).state)
+    obj = json.loads(text)
+    assert "count_xmax" not in obj
+    obj["count_xmax"] = {"4": 140}
+    assert state_to_json(state_from_json(json.dumps(obj))) == text
+
+
+def test_state_without_feature_columns_round_trips_and_explores(workdir, capsys):
+    # a chain that prunes its last column writes "B": [], which has no width
+    specs = (AttributeSpec("r", AttributeKind.REAL),
+             AttributeSpec("c", AttributeKind.CATEGORICAL, R_d=3, labels=("a", "b", "c")),
+             AttributeSpec("n", AttributeKind.COUNT))
+    state = LatentState(specs=specs, hp=Hyperparams(alpha=0.0, K_init=1), Z=np.zeros((4, 0)),
+                        Y=np.zeros((4, 5)), B=np.zeros((0, 5)), theta={}, sigma2=np.ones(3))
+    state.recompute_natural()
+    text = state_to_json(state)
+    assert json.loads(text)["B"] == []
+    back = state_from_json(text)
+    assert back.Z.shape == (4, 0) and back.B.shape == (0, 5)
+    assert state_to_json(back) == text
+
+    (workdir / "state.json").write_text(text)
+    out = workdir / "explored"
+    code = run_cli(["explore", "--state", workdir / "state.json", "-o", out])
+    assert code == 0, capsys.readouterr().err
+    assert (out / "patterns.csv").read_text() == "pattern,count,empirical_prob\n(),4,1.0\n"
+    names = {line.split(",")[0] for line in (out / "pdfs.csv").read_text().splitlines()[1:]}
+    assert names == {"r", "c", "n"}
+
+
 def test_complete_fills_missing_cells(workdir, capsys):
     out = workdir / "out"
     code = run_cli(["complete", workdir / "data.csv", "--spec", workdir / "cols.spec",
@@ -268,14 +337,22 @@ def test_complete_fills_missing_cells(workdir, capsys):
     assert (out / "trace.ndjson").exists()
 
 
+def write_huge_count_table(path: Path) -> list[str]:
+    """A 300-row real and count table with counts up to 2e9, about a tenth of
+    them missing, as data.csv and cols.spec under path; returns the count
+    column's cells."""
+    rng = np.random.default_rng(0)
+    counts = [str(int(c)) if rng.random() > 0.1 else "" for c in rng.integers(0, 2 * 10**9, 300)]
+    (path / "data.csv").write_text(
+        "r1,n1\n" + "".join(f"{rng.normal():.4f},{c}\n" for c in counts))
+    (path / "cols.spec").write_text("r1,real\nn1,count\n")
+    return counts
+
+
 def test_multistate_completion_of_huge_counts_scores_only_the_windows(tmp_path, capsys):
     # counts up to 2e9: the states' centers lie far apart, and scoring the
     # whole range between them took GiBs. Each row's windows are enough
-    rng = np.random.default_rng(0)
-    counts = [str(int(c)) if rng.random() > 0.1 else "" for c in rng.integers(0, 2 * 10**9, 300)]
-    (tmp_path / "data.csv").write_text(
-        "r1,n1\n" + "".join(f"{rng.normal():.4f},{c}\n" for c in counts))
-    (tmp_path / "cols.spec").write_text("r1,real\nn1,count\n")
+    counts = write_huge_count_table(tmp_path)
     out = tmp_path / "out"
     code = run_cli(["complete", tmp_path / "data.csv", "--spec", tmp_path / "cols.spec",
                     "-o", out, "--iters", "4", "--seed", "3", "--average-last", "3"])
@@ -284,6 +361,26 @@ def test_multistate_completion_of_huge_counts_scores_only_the_windows(tmp_path, 
     filled = [int(row[1]) for row, c in zip(rows, counts) if c == ""]
     assert len(filled) == counts.count("") > 0
     assert all(x >= 0 for x in filled)
+
+
+def test_explore_of_huge_counts_writes_bounded_count_tables(tmp_path, capsys):
+    # a count table once spanned 0 .. 4 x the largest count + 100, 59 GiB here;
+    # it spans each pattern's predictive, in at most --grid-points values
+    write_huge_count_table(tmp_path)
+    fit, out = tmp_path / "fit", tmp_path / "explored"
+    assert run_cli(["infer", tmp_path / "data.csv", "--spec", tmp_path / "cols.spec",
+                    "-o", fit, "--iters", "4", "--seed", "3"]) == 0
+    code = run_cli(["explore", "--state", fit / "state.json", "-o", out])
+    assert code == 0, capsys.readouterr().err
+    n_patterns = len((out / "patterns.csv").read_text().splitlines()) - 1
+    rows = [line.split(",") for line in (out / "pdfs.csv").read_text().splitlines()
+            if line.startswith("n1,")]
+    per_pattern = Counter(row[1] for row in rows)
+    assert len(per_pattern) == n_patterns > 0
+    assert max(per_pattern.values()) <= 101
+    assert all(int(row[2]) >= 0 for row in rows)
+    values = np.array([float(row[3]) for row in rows])
+    assert np.all(np.isfinite(values)) and np.all(values >= 0)
 
 
 def test_complete_warns_on_a_fully_observed_table(workdir, capsys):

@@ -21,7 +21,6 @@ from glfm import _kernel, likelihoods
 from glfm.data import AttributeKind
 from glfm.likelihoods import (
     TransformParams,
-    count_support_limit,
     log_phi_interval,
     log_prob_count,
     log_prob_ordinal,
@@ -296,8 +295,7 @@ def test_prob_count_oracle():
 
 def test_prob_count_normalization():
     for m, sigma in [(0.0, 1.0), (2.5, 0.8), (-1.0, 1.5)]:
-        limit = count_support_limit(10)
-        total = sum(prob_count(x, m, IDENT, sigma) for x in range(limit))
+        total = sum(prob_count(x, m, IDENT, sigma) for x in range(140))
         assert total == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError):
         log_prob_count(-1, 0.0, IDENT, 1.0)
@@ -398,11 +396,6 @@ def test_loglik_positive_matches_cdf_derivative():
         numeric = (cdf(x + h) - cdf(x - h)) / (2 * h)
         got = math.exp(loglik_continuous(x, m, v, p, AttributeKind.POSITIVE_REAL))
         assert got == pytest.approx(float(numeric), rel=1e-5)
-
-
-def test_count_support_limit():
-    assert count_support_limit(10) == 140
-    assert count_support_limit(0) == 100
 
 
 @pytest.mark.parametrize("name", ["ndtr", "log_ndtr"])

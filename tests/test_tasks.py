@@ -12,7 +12,6 @@ from glfm.data import invert_preprocess as _decode_grid
 from glfm.data import preprocess_jacobian as _preprocess_jacobian
 from glfm.engine import Hyperparams, LatentState, run_chain
 from glfm.likelihoods import (
-    count_support_limit,
     log_prob_count,
     log_prob_ordinal,
     loglik_continuous,
@@ -41,7 +40,7 @@ from glfm.tasks import (
 HP0 = Hyperparams(K_init=0, bias=True, iterations=0, burn_in=0)
 
 
-def manual_state(specs, Z, B, theta=None, sigma2=1.0, hp=HP0, count_xmax=None):
+def manual_state(specs, Z, B, theta=None, sigma2=1.0, hp=HP0):
     Z = np.asarray(Z, dtype=float)
     B = np.asarray(B, dtype=float)
     state = LatentState(
@@ -52,7 +51,6 @@ def manual_state(specs, Z, B, theta=None, sigma2=1.0, hp=HP0, count_xmax=None):
         B=B,
         theta={} if theta is None else {d: np.asarray(t, float) for d, t in theta.items()},
         sigma2=np.full(len(specs), float(sigma2)),
-        count_xmax=count_xmax or {},
     )
     state.recompute_natural()
     return state
@@ -101,7 +99,7 @@ def test_compute_map_count_matches_full_search():
             sd = math.sqrt(sigma2)
             lls = [
                 log_prob_count(x, m, spec, sd)
-                for x in range(count_support_limit(10))
+                for x in range(140)
             ]
             assert got == int(np.argmax(lls)), f"m={m}, sigma2={sigma2}"
 
@@ -331,17 +329,41 @@ def test_compute_pdf_discrete_normalization():
     ordn = AttributeSpec("o", AttributeKind.ORDINAL, R_d=3)
     cnt = AttributeSpec("n", AttributeKind.COUNT)
     B = np.array([[0.5, -0.3, 1.0, 0.0, 0.6, 1.2]])
-    state = manual_state(
-        [cat, ordn, cnt], [[1.0]], B, theta={1: [0.0, 0.9]}, count_xmax={2: 140}
-    )
+    state = manual_state([cat, ordn, cnt], [[1.0]], B, theta={1: [0.0, 0.9]})
     z = np.array([1.0])
     for d, width in ((0, 4), (1, 3)):
         xs, p = compute_pdf(state, d, z)
         assert xs.shape == (width,)
         assert p.sum() == pytest.approx(1.0, abs=1e-8)
     xs, p = compute_pdf(state, 2, z)
-    assert xs[0] == 0 and xs[-1] == 140
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.floats(-40.0, 40.0),
+    sigma2=st.floats(1e-8, 1e4),
+    w=st.floats(0.03, 30.0),
+    mu=st.floats(-20.0, 20.0),
+)
+# a span of exactly 101 counts, kept whole, and one of 102, thinned
+@example(m=0.0, sigma2=float((100.5 / 8.3) ** 2), w=1.0, mu=0.0)
+@example(m=0.0, sigma2=float((101.5 / 8.3) ** 2), w=1.0, mu=0.0)
+def test_count_pdf_table_spans_the_predictive(m, sigma2, w, mu):
+    spec = AttributeSpec("n", AttributeKind.COUNT, w=w, mu=mu)
+    state = manual_state([spec], [[1.0]], [[m]], sigma2=sigma2)
+    xs, p = compute_pdf(state, 0, np.array([1.0]))
+    sd = math.sqrt(sigma2)
+    lo = int(map_forward(m - 8.3 * sd, spec, AttributeKind.COUNT))
+    hi = int(map_forward(m + 8.3 * sd, spec, AttributeKind.COUNT))
+    assert xs.dtype.kind == "i" and xs[0] == lo and xs[-1] == hi
+    assert np.all(np.diff(xs) > 0)
+    assert np.all(np.isfinite(p)) and np.all(p >= 0)
+    if hi - lo + 1 <= 101:
+        assert len(xs) == hi - lo + 1
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert len(xs) == 101
 
 
 def test_compute_pdf_continuous_integrates_to_one():
@@ -477,7 +499,13 @@ def ref_compute_pdf(state, d, z, n_points=101):
         xs = np.arange(1, spec.R_d + 1)
         return xs, np.array([prob_ordinal(r, float(m[0]), state.theta[d], sd) for r in xs])
     if kind is AttributeKind.COUNT:
-        xs = np.arange(0, state.count_xmax.get(d, 200) + 1)
+        # the counts met by m +- 8.3 sd, or n_points of them evenly spread
+        lo = int(map_forward(float(m[0]) - 8.3 * sd, spec, kind))
+        hi = int(map_forward(float(m[0]) + 8.3 * sd, spec, kind))
+        if hi - lo + 1 <= n_points:
+            xs = np.arange(lo, hi + 1)
+        else:
+            xs = np.array([lo + i * (hi - lo) // (n_points - 1) for i in range(n_points)])
         return xs, np.array(
             [math.exp(log_prob_count(int(x), float(m[0]), spec, sd)) for x in xs]
         )
@@ -512,7 +540,7 @@ def random_states(seed, n_states, n_rows=9):
         B = rng.normal(scale=rng.uniform(0.3, 3), size=(K, S))
         B[:, 2 + specs[2].R_d - 1] = 0.0  # categorical identifiability
         theta = {3: np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, R_o - 2))])}
-        state = manual_state(specs, Z, B, theta=theta, hp=hp, count_xmax={4: 60})
+        state = manual_state(specs, Z, B, theta=theta, hp=hp)
         state.sigma2 = rng.uniform(0.2, 3.0, len(specs))
         states.append(state)
     cells = np.column_stack([
