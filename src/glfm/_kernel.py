@@ -32,7 +32,7 @@ CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 # step mask of glfm_sweep
 STEP_WEIGHTS, STEP_PSEUDO, STEP_THRESHOLDS, STEP_NOISE = 1, 2, 4, 8
-STEP_SCAN, STEP_BIRTH, STEP_PRUNE = 16, 32, 64
+STEP_SCAN, STEP_BIRTH, STEP_PRUNE, STEP_LOG_JOINT = 16, 32, 64, 128
 # error codes of the kernel's entry points
 ERR_NOT_PD, ERR_EMPTY_SUPPORT, ERR_BOUNDS, ERR_STD, ERR_NOMEM, ERR_MEAN = -1, -2, -3, -4, -5, -6
 ERR_ROOM = -7
@@ -49,7 +49,8 @@ class State(ctypes.Structure):
     """Pointers to a LatentState's arrays; mirrors glfm_state in _sweep.c."""
 
     _fields_ = [
-        *((name, _i64) for name in ("N", "K", "S", "D", "nb", "cap", "K_max")),
+        *((name, _i64) for name in ("N", "K", "S", "D", "nb", "cap", "K_max",
+                                    "sample_variance")),
         *((name, _ptr) for name in ("Z", "Y", "B", "P", "P_inv", "lam", "col_sums", "sigma2")),
         *((name, _ptr) for name in ("kind", "offset", "levels", "missing", "cells")),
         *((name, _ptr) for name in ("obs_lo", "obs_hi", "theta")),
@@ -60,7 +61,7 @@ class State(ctypes.Structure):
 
 _SIGNATURES = {
     "glfm_sweep": (ctypes.c_int, [_ptr, ctypes.POINTER(State), ctypes.c_int, _i64, _i64, _i64,
-                                  _i64, _i64, _ptr]),
+                                  _i64, _i64, _i64, _ptr, _ptr]),
     "glfm_trunc_normal": (ctypes.c_int, [_ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr]),
     "glfm_inverse_gamma": (_f64, [_ptr, _f64, _f64]),
     "glfm_chol_inverse": (ctypes.c_int, [_i64, _ptr, _ptr]),

@@ -1,5 +1,5 @@
 /*
- * One Gibbs sweep of the glfm sampler, drawn from the chain's own PCG64.
+ * Gibbs sweeps of the glfm sampler, drawn from the chain's own PCG64.
  *
  * The Python side (glfm.engine) owns every array; this file reads and
  * writes them in place through the pointers of a glfm_state. Random draws
@@ -21,10 +21,11 @@
  * and the birth read one scalar statistic at every noise-variance layout.
  *
  * Entry points:
- *   glfm_sweep         a sweep's steps in one call: the Z-row scan and births
- *                      over a row range, the prune, Cholesky of P, the P^{-1}
- *                      rebuild and, per attribute, weights, pseudo-observations,
- *                      ordinal thresholds and noise variance
+ *   glfm_sweep         one or more sweeps' steps in one call: the Z-row scan
+ *                      and births over a row range, the prune, Cholesky of P,
+ *                      the P^{-1} rebuild, per attribute, weights,
+ *                      pseudo-observations, ordinal thresholds and noise
+ *                      variance, and the complete-data log joint
  *   glfm_trunc_normal  N(mean, std^2) truncated to (lo, hi], over an array
  *   glfm_inverse_gamma one inverse-gamma draw
  *   glfm_chol_inverse  P^{-1} through the Cholesky factor of P, as the
@@ -43,6 +44,9 @@
  * lanes are separate entries; without -fassociative-math it never splits or
  * reorders a sum, so every sum still adds its terms in order.
  */
+
+/* lgamma_r, which leaves the global signgam alone */
+#define _DEFAULT_SOURCE
 
 #include <float.h>
 #include <math.h>
@@ -67,6 +71,7 @@ enum {
     STEP_SCAN = 16,     /* the Z-row scan */
     STEP_BIRTH = 32,
     STEP_PRUNE = 64,    /* drop dead feature columns, then rebuild P^{-1} from P */
+    STEP_LOG_JOINT = 128,
 };
 
 /* Truncation of the per-row Poisson(alpha/N) birth count. The mass it cuts
@@ -90,9 +95,10 @@ enum {
  * K x S, P and P_inv are K x K, sigma2 holds one noise variance per
  * attribute. glfm_sweep may raise K on a birth, up to K_max, and lower it on
  * the prune, repacking the arrays in place: Z, B, P, P_inv, lam and col_sums
- * have room for cap >= K columns. */
+ * have room for cap >= K columns. sample_variance is nonzero when the chain
+ * draws sigma2, which then carries its inverse-gamma prior in the log joint. */
 typedef struct {
-    int64_t N, K, S, D, nb, cap, K_max;
+    int64_t N, K, S, D, nb, cap, K_max, sample_variance;
     double *Z, *Y, *B, *P, *P_inv, *lam, *col_sums, *sigma2;
     const int64_t *kind, *offset, *levels; /* D, D + 1, D */
     const uint8_t *missing;        /* N x D */
@@ -1086,28 +1092,274 @@ static int64_t *row_lists(const glfm_state *st)
     return ptr;
 }
 
-/* The steps of `steps`, a mask of STEP_*, in sweep order, on one workspace:
+/* ------------------------------------------------------------------------ */
+/* the complete-data log joint                                              */
+
+/* log Gamma(x): lgamma would write the global signgam, and chains run
+ * kernels on threads */
+static inline double log_gamma(double x)
+{
+    int sign;
+    return lgamma_r(x, &sign);
+}
+
+/* A feature column's history: its N entries as bits, in `words` words. Each
+ * carries the length, as qsort's comparator sees only the two entries */
+typedef struct {
+    const uint64_t *bits;
+    int64_t words;
+} history;
+
+static int history_order(const void *a, const void *b)
+{
+    const history *x = a, *y = b;
+    return memcmp(x->bits, y->bits, (size_t)x->words * sizeof(uint64_t));
+}
+
+/* Log prior mass of the live non-bias feature columns under the Indian
+ * buffet process, in left-ordered form,
+ *     -alpha H_N + K+ log alpha - sum_h log K_h! + sum_k log((N - m_k)! (m_k - 1)! / N!),
+ * with K_h the number of columns whose history is h, counted by sorting the
+ * histories. At alpha = 0, where the prior has all its mass at K+ = 0 but a
+ * chain keeps its K_init features, it is the prior given K+, which does not
+ * depend on alpha: log K+! - K+ log H_N in place of the first two terms. */
+static int ibp_log_prior(const glfm_state *st, double *out)
+{
+    const int64_t N = st->N, K = st->K, words = (N + 63) / 64;
+    double harmonic = 0.0;
+    for (int64_t j = 1; j <= N; j++)
+        harmonic += 1.0 / (double)j;
+    int64_t K_plus = 0;
+    for (int64_t k = st->nb; k < K; k++)
+        K_plus += live(st, k);
+    if (K_plus == 0) {
+        *out = -st->alpha * harmonic;
+        return 0;
+    }
+    const size_t n_bits = (size_t)(K_plus * words);
+    history *cols = malloc((size_t)K_plus * sizeof(history) + n_bits * sizeof(uint64_t));
+    if (cols == NULL)
+        return ERR_NOMEM;
+    uint64_t *bits = (uint64_t *)(cols + K_plus);
+    memset(bits, 0, n_bits * sizeof(uint64_t));
+    double total = st->alpha == 0.0
+                       ? log_gamma((double)K_plus + 1.0) - (double)K_plus * log(harmonic)
+                       : -st->alpha * harmonic + (double)K_plus * log(st->alpha);
+    for (int64_t k = st->nb, j = 0; k < K; k++) {
+        if (!live(st, k))
+            continue;
+        const double m = st->col_sums[k];
+        total += log_gamma((double)N - m + 1.0) + log_gamma(m) - log_gamma((double)N + 1.0);
+        uint64_t *b = bits + j * words;
+        for (int64_t n = 0; n < N; n++)
+            b[n / 64] |= (uint64_t)(st->Z[n * K + k] != 0.0) << (n % 64);
+        cols[j++] = (history){b, words};
+    }
+    qsort(cols, (size_t)K_plus, sizeof(history), history_order);
+    /* the sorted histories in runs of equal ones */
+    for (int64_t j = 0, run = 1; j < K_plus; j++, run++)
+        if (j + 1 == K_plus || history_order(&cols[j], &cols[j + 1]) != 0) {
+            total -= log_gamma((double)run + 1.0);
+            run = 0;
+        }
+    free(cols);
+    *out = total;
+    return 0;
+}
+
+/* The complete-data log joint of (Z, B, Y, theta, sigma^2) into *out: the
+ * IBP prior of Z; B_c ~ N(0, sigma_d^2 sigma_B^2 I) on the free columns;
+ * Y ~ N(Z B, sigma_d^2), its residuals in one pass over the rows' active
+ * columns in the row lists; the free ordinal cut points theta_2, ...
+ * ~ N(0, sigma_theta^2); and sigma_d^2 ~ InvGamma(beta1, beta2) when the
+ * chain draws it. The residuals' squares are summed per column in the
+ * workspace's r, each row's mean z_n B built in its v. */
+static int log_joint(const glfm_state *st, const sweep_ws *w, double *out)
+{
+    const int64_t N = st->N, K = st->K, S = st->S;
+    const double log_2pi = log(2.0 * PI);
+    double total, *ss = w->r, *mean = w->v;
+    int err = ibp_log_prior(st, &total);
+    if (err)
+        return err;
+    for (int64_t col = 0; col < S; col++)
+        ss[col] = 0.0;
+    for (int64_t n = 0; n < N; n++) {
+        const double *zn = st->Z + n * K, *y = st->Y + n * S;
+        const int64_t *act = w->row_act + w->row_ptr[n];
+        const int64_t na = w->row_ptr[n + 1] - w->row_ptr[n];
+        for (int64_t col = 0; col < S; col++)
+            mean[col] = 0.0;
+        for (int64_t t = 0; t < na; t++) {
+            const double *Bk = st->B + act[t] * S;
+            for (int64_t col = 0; col < S; col++)
+                mean[col] += zn[act[t]] * Bk[col];
+        }
+        for (int64_t col = 0; col < S; col++) {
+            const double r = y[col] - mean[col];
+            ss[col] += r * r;
+        }
+    }
+    for (int64_t d = 0; d < st->D; d++) {
+        const int64_t c0 = st->offset[d], Sd = st->offset[d + 1] - c0;
+        const int64_t n_free = st->kind[d] == KIND_CATEGORICAL ? Sd - 1 : Sd;
+        const double var = st->sigma2[d], var_B = st->sigma_B2 * var;
+        double bb = 0.0, rr = 0.0;
+        for (int64_t k = 0; k < K; k++)
+            for (int64_t j = 0; j < n_free; j++) {
+                const double b = st->B[k * S + c0 + j];
+                bb += b * b;
+            }
+        for (int64_t j = 0; j < Sd; j++)
+            rr += ss[c0 + j];
+        total -= 0.5 * ((double)(K * n_free) * (log_2pi + log(var_B)) + bb / var_B);
+        total -= 0.5 * ((double)(N * Sd) * (log_2pi + log(var)) + rr / var);
+        if (st->theta[d] != NULL && st->levels[d] > 2) {
+            const int64_t n_cuts = st->levels[d] - 2; /* theta_1 is pinned at 0 */
+            double tt = 0.0;
+            for (int64_t r = 1; r <= n_cuts; r++)
+                tt += st->theta[d][r] * st->theta[d][r];
+            total -= 0.5 * ((double)n_cuts * (log_2pi + log(st->sigma_theta2))
+                            + tt / st->sigma_theta2);
+        }
+        if (st->sample_variance)
+            total += st->beta1 * log(st->beta2) - log_gamma(st->beta1)
+                     - (st->beta1 + 1.0) * log(var) - st->beta2 / var;
+    }
+    *out = total;
+    return 0;
+}
+
+/* ------------------------------------------------------------------------ */
+/* the sweep                                                                */
+
+/* The residual weight of each column, 1/sigma_d^2 or 0 on a pinned one, and
+ * the count of free columns, from the current noise variances */
+static void residual_weights(const glfm_state *st, sweep_ws *w)
+{
+    w->n_free = 0.0;
+    for (int64_t d = 0; d < st->D; d++) {
+        int64_t c0 = st->offset[d], c1 = st->offset[d + 1];
+        if (st->kind[d] == KIND_CATEGORICAL)
+            c1--; /* the pinned column carries no dependence on z */
+        for (int64_t col = c0; col < st->offset[d + 1]; col++)
+            w->wt[col] = col < c1 ? 1.0 / st->sigma2[d] : 0.0;
+        w->n_free += (double)(c1 - c0);
+    }
+}
+
+/* One sweep of `steps`, a mask of STEP_*, in sweep order, on the workspace
+ * w; `ladder` and `log_rest` hold the birth prior when the sweep draws
+ * births, and *lj receives the log joint on STEP_LOG_JOINT. See glfm_sweep. */
+static int sweep(bitgen_t *bg, glfm_state *st, sweep_ws *w, int steps, int64_t r0, int64_t r1,
+                 int64_t d_lo, int64_t d_hi, int64_t pending, const double *ladder,
+                 const double *log_rest, double *out, double *lj)
+{
+    const int64_t N = st->N;
+    /* scan-pinned chains (alpha = 0) draw no birth */
+    const int birth = (steps & STEP_BIRTH) && st->alpha > 0.0;
+    residual_weights(st, w);
+
+    /* a call that resumes adds the births row out[2] drew */
+    int64_t n = pending > 0 ? (int64_t)out[2] + 1 : r0;
+    int err = pending > 0 ? add_features(st, w, n - 1, pending) : 0;
+    if (!err && (steps & (STEP_SCAN | STEP_BIRTH)) && n < r1)
+        times_lam(st, st->P_inv, w->W);
+
+    for (; n < r1 && !err && (steps & (STEP_SCAN | STEP_BIRTH)); n++) {
+        const int64_t K = st->K;
+        int64_t births = birth ? st->K_max - K : 0;
+        if (births > MAX_BIRTHS_PER_ROW)
+            births = MAX_BIRTHS_PER_ROW;
+        const int scan = (steps & STEP_SCAN) && K > st->nb;
+        double s;
+        memcpy(w->z0, st->Z + n * K, (size_t)K * sizeof(double));
+        memcpy(w->z, w->z0, (size_t)K * sizeof(double));
+        if (scan && (err = scan_row(bg, st, n, w, &s)))
+            break;
+        if (births > 0) {
+            double u = next_double(bg);
+            if (!scan && (err = collapse_row(st, n, w, &s)))
+                break;
+            if (!scan)
+                scan_stats(st, n, w);
+            int64_t k_new = birth_count(st, s, w, births, ladder, log_rest[births], u);
+            if (K + k_new > st->cap) {
+                out[0] = s, out[1] = w->Q, out[2] = (double)n, out[3] = (double)k_new;
+                err = ERR_ROOM;
+                break;
+            }
+            if (k_new > 0) {
+                if ((err = add_features(st, w, n, k_new)))
+                    break;
+                times_lam(st, st->P_inv, w->W);
+            }
+        }
+        if (scan || births > 0) {
+            out[0] = s;
+            out[1] = w->Q;
+        }
+    }
+    if (!err && (steps & STEP_PRUNE))
+        prune(st);
+    if (!err && (steps & (STEP_PRUNE | STEP_WEIGHTS)))
+        err = cholesky(st->K, st->P, w->L);
+    if (!err && (steps & STEP_PRUNE))
+        cholesky_inverse(st->K, w->L, w->E, st->P_inv);
+    int64_t *lists = NULL;
+    if (!err && (((steps & (STEP_PSEUDO | STEP_NOISE)) && d_lo < d_hi)
+                 || (steps & STEP_LOG_JOINT))) {
+        if ((lists = row_lists(st)) == NULL) {
+            err = ERR_NOMEM;
+        } else {
+            w->row_ptr = lists;
+            w->row_act = lists + N + 1;
+        }
+    }
+    for (int64_t d = d_lo; d < d_hi && !err; d++) {
+        if (steps & STEP_WEIGHTS)
+            sample_weights(bg, st, d, w);
+        if (steps & STEP_PSEUDO)
+            err = sample_pseudo_obs(bg, st, d, r0, r1, w);
+        if (!err && (steps & STEP_THRESHOLDS) && st->kind[d] == KIND_ORDINAL)
+            err = sample_thresholds(bg, st, d, out);
+        if (!err && (steps & STEP_NOISE))
+            sample_noise_variance(bg, st, d, w);
+    }
+    if (!err && (steps & STEP_LOG_JOINT))
+        err = log_joint(st, w, lj);
+    free(lists);
+    return err;
+}
+
+/* `sweeps` sweeps of the steps of `steps`, a mask of STEP_*, each in sweep
+ * order, on one workspace:
  * - the row loop over rows [r0, r1): on STEP_SCAN the Z-row scan (when a
  *   feature column exists to scan), then on STEP_BIRTH with alpha > 0 the
  *   birth decision, from the scan's statistics or fresh ones: at most
  *   min(MAX_BIRTHS_PER_ROW, K_max - K) births a row under the truncated
- *   Poisson(alpha/N) prior, grown in place. A count past cap columns
- *   returns ERR_ROOM before it writes anything, with the row's (s, Q, n, k)
- *   in out; a call with that out and pending = k adds them and goes on at
- *   row n + 1. The weight mean W = P^{-1} lam is built in O(K^2 S) before
- *   the first row and after each birth, and kept current by each changed
- *   row's commit;
+ *   Poisson(alpha/N) prior, grown in place. The weight mean W = P^{-1} lam
+ *   is built in O(K^2 S) before the first row and after each birth, and kept
+ *   current by each changed row's commit;
  * - the prune, which shrinks the state in place, and the P^{-1} rebuild;
  * - the Cholesky factor of P, taken once for the rebuild and every weight
  *   draw;
  * - per attribute in [d_lo, d_hi): the weights, the pseudo-observations of
  *   rows [r0, r1), the ordinal thresholds and the noise variance. Z holds
- *   still here, so every row's active columns are listed once for them.
- * out, 4 doubles, receives the last row's (s, Q), or the (attribute,
- * threshold) of an empty threshold support. bg may be NULL when no step
- * draws. Returns 0, or a negative error code. */
+ *   still here, so every row's active columns are listed once for them;
+ * - the complete-data log joint, over every row and attribute, from those
+ *   lists.
+ * A birth count past cap columns returns ERR_ROOM before it writes
+ * anything, with the row's (s, Q, n, k) in out[0..3] and in out[4] the
+ * sweeps this call finished; a call with that out and pending = k adds the
+ * births, goes on at row n + 1 and runs its `sweeps` from that sweep on.
+ * When record is not NULL, each finished sweep t writes
+ * (K+, log joint, sigma2[0..D)) at record + t (2 + D), the log joint NaN
+ * without STEP_LOG_JOINT. out, 5 doubles, also receives the last row's
+ * (s, Q), or the (attribute, threshold) of an empty threshold support. bg
+ * may be NULL when no step draws. Returns 0, or a negative error code. */
 int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, int64_t d_lo,
-               int64_t d_hi, int64_t pending, double *out)
+               int64_t d_hi, int64_t sweeps, int64_t pending, double *out, double *record)
 {
     const int64_t S = st->S, N = st->N, rows = r1 - r0 > 0 ? r1 - r0 : 1;
     /* room for every column count the row loop can reach */
@@ -1138,92 +1390,31 @@ int glfm_sweep(bitgen_t *bg, glfm_state *st, int steps, int64_t r0, int64_t r1, 
         p += blocks[i].len;
     }
     w.act = (int64_t *)p;
-    w.n_free = 0.0;
-    for (int64_t d = 0; d < st->D; d++) {
-        int64_t c0 = st->offset[d], c1 = st->offset[d + 1];
-        if (st->kind[d] == KIND_CATEGORICAL)
-            c1--; /* the pinned column carries no dependence on z */
-        for (int64_t col = c0; col < st->offset[d + 1]; col++)
-            w.wt[col] = col < c1 ? 1.0 / st->sigma2[d] : 0.0;
-        w.n_free += (double)(c1 - c0);
-    }
 
-    /* scan-pinned chains (alpha = 0) build no prior and draw no birth */
-    const int birth = (steps & STEP_BIRTH) && st->alpha > 0.0;
     double ladder[MAX_BIRTHS_PER_ROW + 1], log_rest[MAX_BIRTHS_PER_ROW + 1];
-    if (birth)
+    if ((steps & STEP_BIRTH) && st->alpha > 0.0)
         birth_prior(st->alpha / (double)st->N, ladder, log_rest);
-
     if (steps & STEP_SCAN)
         for (int64_t j = 0; j <= N; j++)
             w.log_j[j] = log((double)j);
 
-    /* a call that resumes adds the births row out[2] drew */
-    int64_t n = pending > 0 ? (int64_t)out[2] + 1 : r0;
-    int err = pending > 0 ? add_features(st, &w, n - 1, pending) : 0;
-    if (!err && (steps & (STEP_SCAN | STEP_BIRTH)) && n < r1)
-        times_lam(st, st->P_inv, w.W);
-
-    for (; n < r1 && !err && (steps & (STEP_SCAN | STEP_BIRTH)); n++) {
-        const int64_t K = st->K;
-        int64_t births = birth ? st->K_max - K : 0;
-        if (births > MAX_BIRTHS_PER_ROW)
-            births = MAX_BIRTHS_PER_ROW;
-        const int scan = (steps & STEP_SCAN) && K > st->nb;
-        double s;
-        memcpy(w.z0, st->Z + n * K, (size_t)K * sizeof(double));
-        memcpy(w.z, w.z0, (size_t)K * sizeof(double));
-        if (scan && (err = scan_row(bg, st, n, &w, &s)))
-            break;
-        if (births > 0) {
-            double u = next_double(bg);
-            if (!scan && (err = collapse_row(st, n, &w, &s)))
-                break;
-            if (!scan)
-                scan_stats(st, n, &w);
-            int64_t k_new = birth_count(st, s, &w, births, ladder, log_rest[births], u);
-            if (K + k_new > st->cap) {
-                out[0] = s, out[1] = w.Q, out[2] = (double)n, out[3] = (double)k_new;
-                err = ERR_ROOM;
-                break;
-            }
-            if (k_new > 0) {
-                if ((err = add_features(st, &w, n, k_new)))
-                    break;
-                times_lam(st, st->P_inv, w.W);
-            }
-        }
-        if (scan || births > 0) {
-            out[0] = s;
-            out[1] = w.Q;
+    int err = 0;
+    for (int64_t t = 0; t < sweeps && !err; t++) {
+        double lj = NAN;
+        err = sweep(bg, st, &w, steps, r0, r1, d_lo, d_hi, t == 0 ? pending : 0, ladder,
+                    log_rest, out, &lj);
+        if (err == ERR_ROOM) {
+            out[4] = (double)t;
+        } else if (!err && record != NULL) {
+            double *rec = record + t * (2 + st->D);
+            int64_t K_plus = 0;
+            for (int64_t k = st->nb; k < st->K; k++)
+                K_plus += live(st, k);
+            rec[0] = (double)K_plus;
+            rec[1] = lj;
+            memcpy(rec + 2, st->sigma2, (size_t)st->D * sizeof(double));
         }
     }
-    if (!err && (steps & STEP_PRUNE))
-        prune(st);
-    if (!err && (steps & (STEP_PRUNE | STEP_WEIGHTS)))
-        err = cholesky(st->K, st->P, w.L);
-    if (!err && (steps & STEP_PRUNE))
-        cholesky_inverse(st->K, w.L, w.E, st->P_inv);
-    int64_t *lists = NULL;
-    if (!err && (steps & (STEP_PSEUDO | STEP_NOISE)) && d_lo < d_hi) {
-        if ((lists = row_lists(st)) == NULL) {
-            err = ERR_NOMEM;
-        } else {
-            w.row_ptr = lists;
-            w.row_act = lists + N + 1;
-        }
-    }
-    for (int64_t d = d_lo; d < d_hi && !err; d++) {
-        if (steps & STEP_WEIGHTS)
-            sample_weights(bg, st, d, &w);
-        if (steps & STEP_PSEUDO)
-            err = sample_pseudo_obs(bg, st, d, r0, r1, &w);
-        if (!err && (steps & STEP_THRESHOLDS) && st->kind[d] == KIND_ORDINAL)
-            err = sample_thresholds(bg, st, d, out);
-        if (!err && (steps & STEP_NOISE))
-            sample_noise_variance(bg, st, d, &w);
-    }
-    free(lists);
     free(buf);
     return err;
 }

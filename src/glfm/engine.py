@@ -46,18 +46,20 @@ only when its uniform lies above a lower bound on the probability of no
 birth, which holds on nearly every row.
 
 The sweep runs as compiled C (_sweep.c, built and loaded by glfm._kernel) on
-the chain's own PCG64 stream, in one call per sweep: the row loop (collapse,
-scan, commit, and births under the kernel's truncated Poisson(alpha/N)
-prior), the prune and the P^{-1} rebuild from the Cholesky factor of P, then
-the per-attribute phase (per attribute the weights, the pseudo-observations,
-the ordinal thresholds and the noise variance). Births grow the state inside
-the row loop, in room the state keeps and grows only when a row's births do
-not fit, and the prune compacts it in place, so P and lam stay exact without
-a refit. Python keeps init and the log joint. The per-step functions below
-(a row's scan or births, the prune, an attribute's weights, a cell's
-pseudo-observations) run one step through the same entry point, so a step
-can be checked on its own; `_sweep` runs any other set of steps, such as one
-attribute's thresholds or noise variance.
+the chain's own PCG64 stream: the row loop (collapse, scan, commit, and
+births under the kernel's truncated Poisson(alpha/N) prior), the prune and
+the P^{-1} rebuild from the Cholesky factor of P, the per-attribute phase
+(per attribute the weights, the pseudo-observations, the ordinal thresholds
+and the noise variance), then the complete-data log joint. One kernel call
+runs any number of sweeps and writes each one's K+, log joint and noise
+variances to a record, from which `run_chain` builds the trace. Births grow
+the state inside the row loop, in room the state keeps and grows only when a
+row's births do not fit, and the prune compacts it in place, so P and lam
+stay exact without a refit. Python keeps init and the copies of kept states.
+The per-step functions below (a row's scan or births, the prune, an
+attribute's weights, a cell's pseudo-observations) run one step through the
+same entry point, so a step can be checked on its own; `_sweep` runs any
+other set of steps, such as one attribute's thresholds or noise variance.
 """
 
 from __future__ import annotations
@@ -88,8 +90,6 @@ __all__ = [
     "sample_weights",
     "sample_z_row",
 ]
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 # attribute kinds as the kernel numbers them
 _KIND_CODES = {
@@ -314,6 +314,13 @@ def init_state(data: DataMatrix, hp: Hyperparams, rng: RngState) -> LatentState:
         elif kind is AttributeKind.COUNT:
             obs_lo[obs, d] = map_inverse(x[obs], spec, kind)
             obs_hi[obs, d] = map_inverse(x[obs] + 1.0, spec, kind)
+            # near 2**53, x + 1 rounds to x, and the division by w can merge
+            # the two ends of the interval below that
+            empty = np.flatnonzero(obs & ~(obs_lo[:, d] < obs_hi[:, d]))
+            if empty.size:
+                n = int(empty[0])
+                raise ValueError(f"{spec.name} row {n + 2}: count {x[n]:.0f} is too large to "
+                                 "tell from the next count on the pseudo-observation scale")
             block[obs, 0] = _interval_seed(obs_lo[obs, d], obs_hi[obs, d])
         elif kind is AttributeKind.ORDINAL:
             pad = np.concatenate([[-np.inf], theta[d], [np.inf]])
@@ -385,6 +392,7 @@ def _bind(state: LatentState, data: DataMatrix | None) -> _kernel.State:
     hp = state.hp
     st = _kernel.State(
         N=N, K=K, S=S, D=D, nb=state.n_bias, cap=room["col_sums"].size, K_max=hp.K_max,
+        sample_variance=hp.sample_variance,
         Z=state.Z.ctypes.data, Y=state.Y.ctypes.data, B=state.B.ctypes.data,
         P=state.P.ctypes.data, P_inv=state.P_inv.ctypes.data, lam=state.lam.ctypes.data,
         col_sums=state.col_sums.ctypes.data, sigma2=state.sigma2.ctypes.data,
@@ -409,38 +417,55 @@ def _bind(state: LatentState, data: DataMatrix | None) -> _kernel.State:
 
 
 def _sweep(rng: RngState | None, state: LatentState, data: DataMatrix | None, steps: int,
-           row: int | None = None, dim: int | None = None) -> np.ndarray:
-    """One kernel call of the _kernel.STEP_* in `steps`, in sweep order: the
-    row loop (Z-row scan, then births when alpha > 0), the prune with its
-    P^{-1} rebuild, then per attribute the weights, pseudo-observations,
-    thresholds and noise variance; over row `row` and attribute `dim`, all by
-    default, each indexed as a Python sequence is (IndexError when out of
-    range). rng may be None when no step draws. Births grow Z, B, P, P^{-1},
-    lam and the counts in the state's room, the prune shrinks them in place,
-    and the state keeps views at the live K. A row's births that do not fit
-    come back as ERR_ROOM; the room grows to min(K_max, max(2 cap, K + k))
-    columns and the call resumes with them pending. Returns the last row's
-    statistics (s, Q)."""
+           row: int | None = None, dim: int | None = None, sweeps: int = 1,
+           record: np.ndarray | None = None, st: _kernel.State | None = None) -> np.ndarray:
+    """`sweeps` sweeps in one kernel call, each of the _kernel.STEP_* in
+    `steps`, in sweep order: the row loop (Z-row scan, then births when
+    alpha > 0), the prune with its P^{-1} rebuild, per attribute the weights,
+    pseudo-observations, thresholds and noise variance, then the log joint;
+    over row `row` and attribute `dim`, all by default, each indexed as a
+    Python sequence is (IndexError when out of range). rng may be None when no
+    step draws. Each sweep writes (K+, log joint, sigma2) to its row of
+    `record`, a sweeps x (2 + D) float array, when given. The call runs on
+    `st`, the state's binding by _bind, bound here when None. Births grow Z,
+    B, P, P^{-1}, lam and the counts in the state's room, the prune shrinks
+    them in place, and the state keeps views at the live K. A row's births
+    that do not fit come back as ERR_ROOM; the room grows to
+    min(K_max, max(2 cap, K + k)) columns, `st` moves to it, and the call
+    resumes in the same sweep with the births pending. Returns the last
+    row's statistics (s, Q)."""
     hp, N, S, D = state.hp, state.N, state.S, len(state.specs)
     r0, r1 = (0, N) if row is None else (range(N)[row], range(N)[row] + 1)
     d_lo, d_hi = (0, D) if dim is None else (range(D)[dim], range(D)[dim] + 1)
-    out, pending = np.zeros(4), 0
-    while True:
+    rec = None
+    if record is not None:
+        if record.dtype != np.float64 or not record.flags.c_contiguous \
+                or record.size != sweeps * (2 + D):
+            raise ValueError(f"record must be a C-contiguous {sweeps} x {2 + D} float array")
+        rec = record.ctypes.data
+    if st is None:
         st = _bind(state, data)
+    out, pending = np.zeros(5), 0
+    while True:
         code = _kernel.call(rng, "glfm_sweep", ctypes.byref(st), steps, r0, r1, d_lo, d_hi,
-                            pending, out.ctypes.data)
+                            sweeps, pending, out.ctypes.data, rec)
         if st.K != state.K:
             for name, shape in _k_shapes(N, st.K, S).items():
                 setattr(state, name, st.room[name][: math.prod(shape)].reshape(shape))
         if code != _kernel.ERR_ROOM:
             break
-        pending = int(out[3])
+        pending, done = int(out[3]), int(out[4])
+        sweeps -= done
+        if rec is not None:
+            rec += done * record.itemsize * (2 + D)
         cap = min(hp.K_max, max(2 * st.cap, st.K + pending))
         state.room = {name: np.empty(math.prod(sh)) for name, sh in _k_shapes(N, cap, S).items()}
         for name, buf in state.room.items():
             a = getattr(state, name)
             buf[: a.size] = a.ravel()
             setattr(state, name, buf[: a.size].reshape(a.shape))
+            setattr(st, name, buf.ctypes.data)
+        st.cap, st.room = cap, state.room
     if code == _kernel.ERR_EMPTY_SUPPORT:
         d, r = map(int, out[:2])
         raise RuntimeError(f"threshold {r} of attribute {state.specs[d].name} has empty support")
@@ -512,109 +537,70 @@ def sample_pseudo_obs(rng: RngState, state: LatentState, data: DataMatrix, n: in
     _sweep(rng, state, data, _kernel.STEP_PSEUDO, row=n, dim=d)
 
 
+# Python handles Ctrl-C only between kernel calls, so a chain's call runs at
+# most this many row steps, or one sweep where a sweep has more rows: about
+# 0.3 s at N = 4000 and K = 9, while a short chain on a small table still
+# runs every sweep it does not keep in one call
+_ROWS_PER_CALL = 2**17
+
+
+def _sweep_steps(hp: Hyperparams) -> int:
+    """The steps of a full Gibbs sweep under hp."""
+    steps = (_kernel.STEP_SCAN | _kernel.STEP_BIRTH | _kernel.STEP_PRUNE | _kernel.STEP_WEIGHTS
+             | _kernel.STEP_PSEUDO | _kernel.STEP_THRESHOLDS)
+    return steps | _kernel.STEP_NOISE if hp.sample_variance else steps
+
+
 def run_iteration(rng: RngState, state: LatentState, data: DataMatrix):
     """One full Gibbs sweep in one kernel call: the row loop (Z-row scan and
     births), prune, then the per-attribute phase. The prune rebuilds P^{-1}
     from one Cholesky factorization, which also serves every weight draw."""
-    steps = (_kernel.STEP_SCAN | _kernel.STEP_BIRTH | _kernel.STEP_PRUNE | _kernel.STEP_WEIGHTS
-             | _kernel.STEP_PSEUDO | _kernel.STEP_THRESHOLDS)
-    if state.hp.sample_variance:
-        steps |= _kernel.STEP_NOISE
-    _sweep(rng, state, data, steps)
+    _sweep(rng, state, data, _sweep_steps(state.hp))
 
 
 def run_chain(data: DataMatrix, hp: Hyperparams, keep_last: int = 1) -> ChainResult:
-    """Run a full chain on a PCG64 stream seeded from hp.seed: init,
-    hp.iterations sweeps, per-sweep trace.
+    """Run a full chain on a PCG64 stream seeded from hp.seed: init, then
+    hp.iterations sweeps, each traced with its K+, complete-data log joint
+    and noise variances.
 
-    keep_last controls how many trailing states are snapshotted for
-    posterior-averaged prediction; the final state is always available.
+    The state is bound to the kernel once. The sweeps before the last
+    keep_last run in as few kernel calls as _ROWS_PER_CALL allows; each of
+    the last keep_last runs in a call of its own and is then snapshotted for
+    posterior-averaged prediction. The final state is always available.
     """
     if keep_last < 1:
         raise ValueError("keep_last must be >= 1")
     rng = RngState(hp.seed)
     state = init_state(data, hp, rng)
-    trace: list[dict] = []
+    steps = _sweep_steps(hp) | _kernel.STEP_LOG_JOINT
+    records = np.empty((hp.iterations, 2 + len(state.specs)))
+    st = _bind(state, data)
+    head = max(hp.iterations - keep_last, 0)
+    per_call = max(1, _ROWS_PER_CALL // (state.N or 1))
+    for t in range(0, head, per_call):
+        end = min(t + per_call, head)
+        _sweep(rng, state, data, steps, sweeps=end - t, record=records[t:end], st=st)
     saved: list[LatentState] = []
-    for t in range(hp.iterations):
-        run_iteration(rng, state, data)
-        trace.append(
-            {
-                "iteration": t + 1,
-                "K_plus": state.K_plus,
-                "log_joint": complete_data_log_joint(state),
-                "sigma2": [float(v) for v in state.sigma2],
-            }
-        )
-        if hp.iterations - (t + 1) < keep_last:
-            saved.append(state.copy())
+    for t in range(head, hp.iterations):
+        _sweep(rng, state, data, steps, record=records[t], st=st)
+        saved.append(state.copy())
     if not saved:
         saved.append(state.copy())
+    trace = [{"iteration": t + 1, "K_plus": int(rec[0]), "log_joint": float(rec[1]),
+              "sigma2": rec[2:].tolist()} for t, rec in enumerate(records)]
     return ChainResult(state=state, trace=trace, saved=saved)
 
 
-def ibp_lof_log_prior(Z_active: np.ndarray, alpha: float, N: int) -> float:
-    """Log prior mass of the active feature columns under the Indian buffet
-    process, in left-ordered-form parameterization. At alpha = 0, where the
-    prior has all its mass at K+ = 0 but a chain keeps its K_init features,
-    it is the prior given K+, which does not depend on alpha: the full prior
-    minus log Poisson(K+; alpha H_N), that is log K+! - K+ log H_N
-    - sum_h log K_h! + sum_k log((N - m_k)! (m_k - 1)! / N!)."""
-    harmonic = float(np.sum(1.0 / np.arange(1, N + 1)))
-    K_plus = Z_active.shape[1]
-    if K_plus == 0:
-        return -alpha * harmonic
-    if alpha == 0.0:
-        total = math.lgamma(K_plus + 1) - K_plus * math.log(harmonic)
-    else:
-        total = -alpha * harmonic + K_plus * math.log(alpha)
-    # lgamma(K_h + 1) per distinct column history, in order of first appearance
-    packed = np.packbits(Z_active.T.astype(np.uint8, order="C"), axis=1)
-    histories = packed.view(f"V{packed.shape[1]}").ravel()
-    _, first, counts = np.unique(histories, return_index=True, return_counts=True)
-    total -= sum(math.lgamma(c + 1) for c in counts[np.argsort(first)].tolist())
-    mk = Z_active.sum(axis=0).tolist()
-    total += float(np.sum([math.lgamma(N - m + 1) + math.lgamma(m) - math.lgamma(N + 1)
-                           for m in mk]))
-    return total
-
-
 def complete_data_log_joint(state: LatentState) -> float:
-    """Joint log density of (Z, B, Y, theta, sigma^2) at the current state."""
-    hp = state.hp
-    N = state.N
-    nb = state.n_bias
-
-    active = state.col_sums[nb:] > 0
-    total = ibp_lof_log_prior(state.Z[:, nb:][:, active], hp.alpha, N)
-
-    Bf = state.B[:, state.free_cols]
-    var_B = hp.sigma_B2 * state.sigma2[state.col_dim[state.free_cols]]
-    total += -0.5 * float(np.sum(LOG_2PI + np.log(var_B) + Bf * Bf / var_B))
-
-    resid = state.Y - state.Z @ state.B
-    col_var = state.sigma2[state.col_dim]
-    total += -0.5 * float(
-        np.sum(LOG_2PI + np.log(col_var) + resid * resid / col_var)
-    )
-
-    for th in state.theta.values():
-        free = th[1:]
-        if free.size:
-            total += -0.5 * float(
-                free.size * (LOG_2PI + math.log(hp.sigma_theta2))
-                + np.sum(free * free) / hp.sigma_theta2
-            )
-
-    if hp.sample_variance:
-        for v in state.sigma2:
-            total += (
-                hp.beta1 * math.log(hp.beta2)
-                - math.lgamma(hp.beta1)
-                - (hp.beta1 + 1.0) * math.log(v)
-                - hp.beta2 / v
-            )
-    return total
+    """Joint log density of (Z, B, Y, theta, sigma^2) at the state, by the
+    kernel's log-joint step, which draws nothing: the IBP prior of Z's live
+    non-bias columns (at alpha = 0, the prior given K+), B ~ N(0, sigma_d^2
+    sigma_B^2) on free columns, Y ~ N(Z B, sigma_d^2), the free ordinal cut
+    points ~ N(0, sigma_theta^2) and, when hp.sample_variance,
+    sigma_d^2 ~ InvGamma(beta1, beta2)."""
+    record = np.empty(2 + len(state.specs))
+    _sweep(None, state, None, _kernel.STEP_LOG_JOINT, record=record)
+    return float(record[1])
 
 
 def collapsed_flip_logodds(state: LatentState, n: int, k: int) -> float:

@@ -383,6 +383,28 @@ def test_explore_of_huge_counts_writes_bounded_count_tables(tmp_path, capsys):
     assert np.all(np.isfinite(values)) and np.all(values >= 0)
 
 
+@pytest.mark.parametrize("top", [2**53, 10**15])
+def test_a_count_too_large_for_its_interval_exits_1_in_one_line(tmp_path, capsys, top):
+    # at 2**53, x + 1 rounds to x, so the count's interval (x, x + 1] on the
+    # pseudo-observation scale is empty. The error names the column, the CSV
+    # line and the value; a table of counts up to 10**15 still runs
+    gen = np.random.default_rng(19)
+    counts = gen.integers(0, 20 if top == 2**53 else top, 60).tolist()
+    counts[17] = top
+    (tmp_path / "data.csv").write_text(
+        "r1,n1\n" + "".join(f"{gen.normal():.4f},{c}\n" for c in counts))
+    (tmp_path / "cols.spec").write_text("r1,real\nn1,count\n")
+    code = run_cli(["infer", tmp_path / "data.csv", "--spec", tmp_path / "cols.spec",
+                    "-o", tmp_path / "out", "--iters", "3"])
+    err = capsys.readouterr().err
+    if top == 10**15:
+        assert code == 0, err
+        return
+    assert code == 1
+    assert err == ("error: n1 row 19: count 9007199254740992 is too large to tell from the next "
+                   "count on the pseudo-observation scale\n")
+
+
 def test_complete_warns_on_a_fully_observed_table(workdir, capsys):
     full = "".join(line + "\n" for line in CSV_TEXT.splitlines()
                    if ",," not in line and not line.startswith(",") and not line.endswith(","))

@@ -16,15 +16,16 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import invgamma, kstest, multivariate_normal, norm
 
-from glfm import _kernel
+from glfm import _kernel, engine
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix
 from glfm.engine import (
     Hyperparams,
@@ -37,7 +38,6 @@ from glfm.engine import (
     complete_data_log_joint,
     hyperparams_from_dict,
     hyperparams_to_dict,
-    ibp_lof_log_prior,
     init_state,
     prune_features,
     run_chain,
@@ -49,6 +49,8 @@ from glfm.engine import (
 from glfm.likelihoods import map_forward, map_inverse
 from glfm.randkit import RngState, inverse_gamma_sample, trunc_normal_sample
 from glfm.synthetic import generate
+from reference import ibp_lof_log_prior
+from reference import log_joint as reference_log_joint
 
 
 def small_mixed_data(n_rows=25, missing_rate=0.15, seed=5):
@@ -157,10 +159,12 @@ def test_kernel_compiles_without_warnings(tmp_path):
 def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_path, monkeypatch):
     # births and the prune repack Z, P, lam and B inside the kernel; a build
     # with ASan and UBSan, cached where the loader looks, runs a births-heavy
-    # chain, a chain whose K falls, a chain with no bias column, whole sweeps
-    # through the exact-inverse fallback, a two-chain CLI run, and held-out
-    # scoring, a three-state completion and explore, which run the categorical
-    # quadrature, in a child process, which a memory or UB fault aborts
+    # chain whose multi-sweep call meets ERR_ROOM, a chain whose K falls, a
+    # chain with no bias column, the log joint of a K = 0 and of an alpha = 0
+    # state, whole sweeps through the exact-inverse fallback, a two-chain CLI
+    # run, and held-out scoring, a three-state completion and explore, which
+    # run the categorical quadrature, in a child process, which a memory or
+    # UB fault aborts
     cc = shutil.which("cc")
     runtime = cc and subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
                                     text=True).stdout.strip()
@@ -177,15 +181,19 @@ def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_pa
         import sys
         import numpy as np
         from glfm.cli import main
-        from glfm.engine import Hyperparams, init_state, run_chain, run_iteration
+        from glfm.engine import (Hyperparams, complete_data_log_joint, init_state, run_chain,
+                                 run_iteration)
         from glfm.randkit import RngState
         from glfm.synthetic import generate, to_csv
         data, _ = generate(30, missing_rate=0.1, seed=3)
         hp = Hyperparams(alpha=20.0, K_max=6, K_init=1, bias=True, sample_variance=True,
                          iterations=30, burn_in=0, seed=4)
+        # sweeps 1..29 in one call, on a state with no room to spare
         result = run_chain(data, hp)
         assert max(t["K_plus"] for t in result.trace) >= 4
         assert result.state.room["col_sums"].size > 2  # births resumed in grown room
+        hp = Hyperparams(alpha=0.0, K_init=3, iterations=0, burn_in=0)
+        assert np.isfinite(complete_data_log_joint(init_state(data, hp, RngState(4))))
         hp = Hyperparams(alpha=0.5, K_max=10, K_init=8, bias=True, sample_variance=True,
                          iterations=30, burn_in=0, seed=4)
         assert min(t["K_plus"] for t in run_chain(data, hp).trace) < 8
@@ -199,6 +207,7 @@ def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_pa
         state = init_state(data, hp, rng)
         state.Z, state.B = state.Z[:, :0], state.B[:0]
         state.recompute_natural()
+        assert np.isfinite(complete_data_log_joint(state))
         empty = grew = False
         for _ in range(15):
             K = state.K
@@ -1361,6 +1370,143 @@ def test_log_joint_penalizes_reconstruction_error():
     broken.recompute_natural()
     # inflating every residual by 10 costs ~N * 100 / (2 sigma^2) nats
     assert fit - complete_data_log_joint(broken) > 100.0
+
+
+LOG_JOINT_SPECS = (
+    AttributeSpec("r", AttributeKind.REAL),
+    AttributeSpec("p", AttributeKind.POSITIVE_REAL),
+    AttributeSpec("n", AttributeKind.COUNT),
+    AttributeSpec("o", AttributeKind.ORDINAL, R_d=4),
+    AttributeSpec("o2", AttributeKind.ORDINAL, R_d=2),
+    AttributeSpec("c", AttributeKind.CATEGORICAL, R_d=3),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 12), K=st.integers(0, 9),
+       bias=st.booleans(), sample_variance=st.booleans(),
+       alpha=st.sampled_from([0.0, 0.4, 3.0]), repeats=st.integers(0, 3))
+@example(seed=1, N=5, K=0, bias=False, sample_variance=True, alpha=2.0, repeats=0)  # K = 0
+@example(seed=2, N=4, K=3, bias=True, sample_variance=False, alpha=0.0, repeats=3)
+def test_kernel_log_joint_matches_the_reference(seed, N, K, bias, sample_variance, alpha,
+                                                repeats):
+    # a hand-built state over a random subset of every kind, with dead
+    # columns, K+ = 0 (every non-bias column dead) and repeated histories
+    gen = np.random.default_rng(seed)
+    specs = tuple(s for s in LOG_JOINT_SPECS if gen.random() < 0.6) or LOG_JOINT_SPECS[-1:]
+    K += bias
+    Z = (gen.random((N, K)) < gen.random()).astype(float)
+    if bias:
+        Z[:, 0] = 1.0
+    for _ in range(repeats if K > bias + 1 else 0):
+        src, dst = gen.integers(bias, K, size=2)
+        Z[:, dst] = Z[:, src]
+    hp = Hyperparams(alpha=alpha, sigma_B2=gen.uniform(0.1, 5.0),
+                     sigma_theta2=gen.uniform(0.2, 3.0), beta1=gen.uniform(0.5, 4.0),
+                     beta2=gen.uniform(0.5, 4.0), K_init=1, bias=bias,
+                     sample_variance=sample_variance, iterations=0)
+    S = sum(spec.S_d for spec in specs)
+    theta = {d: np.concatenate([[0.0], np.sort(gen.uniform(0.0, 3.0, spec.R_d - 2))])
+             for d, spec in enumerate(specs) if spec.kind is AttributeKind.ORDINAL}
+    state = LatentState(specs=specs, hp=hp, Z=Z, Y=gen.normal(size=(N, S)) * 2.0,
+                        B=gen.normal(size=(K, S)), theta=theta,
+                        sigma2=gen.uniform(0.05, 5.0, len(specs)))
+    state.B[:, ~state.free_cols] = 0.0
+    state.recompute_natural()
+    expected = reference_log_joint(state)
+    assert complete_data_log_joint(state) == pytest.approx(expected, rel=1e-12)
+
+
+def chain_spy(monkeypatch):
+    """The RngState of every chain started after this call, and the
+    (sweeps, code) of every glfm_sweep call."""
+    rngs, calls, call = [], [], _kernel.call
+
+    class Recorded(RngState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rngs.append(self)
+
+    def spy(rng, name, *args):
+        code = call(rng, name, *args)
+        if name == "glfm_sweep":
+            calls.append((args[6], code))
+        return code
+
+    monkeypatch.setattr(engine, "RngState", Recorded)
+    monkeypatch.setattr(_kernel, "call", spy)
+    return rngs, calls
+
+
+@pytest.mark.parametrize("keep_last, rows_per_call", [(1, None), (3, None), (40, None), (1, 50)])
+def test_multi_sweep_calls_match_one_sweep_per_call(keep_last, rows_per_call, monkeypatch):
+    # run_chain runs the sweeps before the last keep_last in one kernel call,
+    # or in calls of 50 // 20 = 2 sweeps, whose state starts with no room to
+    # spare, so births return ERR_ROOM in the middle of a call and it resumes
+    # in the sweep it stopped in. A chain of one sweep per call, each on a
+    # state stripped of its room, must give the same states, stream and trace
+    data = small_mixed_data(20, seed=86)
+    hp = Hyperparams(alpha=10.0, K_max=60, K_init=1, bias=True, sample_variance=True,
+                     iterations=12, seed=88)
+    rngs, calls = chain_spy(monkeypatch)
+    if rows_per_call:
+        monkeypatch.setattr(engine, "_ROWS_PER_CALL", rows_per_call)
+    res = run_chain(data, hp, keep_last=keep_last)
+    head = hp.iterations - keep_last
+    if head > 1:
+        assert calls[0][0] == (2 if rows_per_call else head)
+        assert [c for s, c in calls if s > 1].count(_kernel.ERR_ROOM) >= 2
+    assert not any(c < 0 and c != _kernel.ERR_ROOM for _, c in calls)
+
+    rng = RngState(hp.seed)
+    state = init_state(data, hp, rng)
+    steps = engine._sweep_steps(hp) | _kernel.STEP_LOG_JOINT
+    trace, saved = [], []
+    for t in range(hp.iterations):
+        state.room = {}
+        record = np.empty(2 + len(state.specs))
+        _sweep(rng, state, data, steps, record=record)
+        trace.append({"iteration": t + 1, "K_plus": int(record[0]),
+                      "log_joint": float(record[1]), "sigma2": record[2:].tolist()})
+        if t >= head:
+            saved.append(state.copy())
+    assert res.trace == trace
+    assert rngs[0].get_state() == rng.get_state()
+    assert len(res.saved) == len(saved)
+    for got, want in zip([*res.saved, res.state], [*saved, state]):
+        for name in ("Z", "Y", "B", "sigma2", "P", "P_inv", "lam", "col_sums"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.theta.keys() == want.theta.keys()
+        for d in got.theta:
+            np.testing.assert_array_equal(got.theta[d], want.theta[d])
+
+
+def test_traced_log_joint_is_the_reference_at_every_kept_state():
+    # the log-joint step runs after the noise variances are redrawn, so each
+    # sweep's traced value is the log joint of the state the sweep left
+    data = small_mixed_data(25, seed=90)
+    hp = Hyperparams(alpha=3.0, K_max=20, K_init=2, bias=True, sample_variance=True,
+                     iterations=8, seed=91)
+    res = run_chain(data, hp, keep_last=hp.iterations)
+    assert len(res.saved) == len(res.trace) == hp.iterations
+    for kept, row in zip(res.saved, res.trace):
+        assert row["log_joint"] == pytest.approx(reference_log_joint(kept), rel=1e-12)
+        assert row["K_plus"] == kept.K_plus
+        assert row["sigma2"] == kept.sigma2.tolist()
+
+
+def test_chains_on_threads_trace_as_each_chain_alone():
+    # kernels on threads share no state: two chains run at once must trace
+    # as each does alone
+    data = small_mixed_data(30, seed=92)
+    hps = [Hyperparams(alpha=4.0, K_max=20, K_init=2, bias=True, sample_variance=True,
+                       iterations=150, seed=seed) for seed in (93, 94)]
+    alone = [run_chain(data, hp, keep_last=2) for hp in hps]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        together = list(pool.map(lambda hp: run_chain(data, hp, keep_last=2), hps))
+    for a, b in zip(alone, together):
+        assert a.trace == b.trace
+        np.testing.assert_array_equal(a.state.Z, b.state.Z)
 
 
 @settings(max_examples=12, deadline=None)
