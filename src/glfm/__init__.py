@@ -21,9 +21,7 @@ from glfm.engine import (
     LatentState,
     init_state,
     run_chain,
-    run_iteration,
 )
-from glfm.likelihoods import TransformParams
 from glfm.randkit import RngState
 from glfm.tasks import Pattern, compute_pdf, extract_patterns
 
@@ -37,7 +35,6 @@ __all__ = [
     "LatentState",
     "Pattern",
     "RngState",
-    "TransformParams",
     "compute_pdf",
     "extract_patterns",
     "fit_transform_params",
@@ -46,5 +43,4 @@ __all__ = [
     "load_dataset",
     "parse_attribute_spec",
     "run_chain",
-    "run_iteration",
 ]

@@ -72,6 +72,11 @@ HYPER_FLAGS = (
 )
 
 
+# the least value of each count flag, checked before any work is done
+FLAG_MINIMA = (("--chains", "chains", 1), ("--average-last", "average_last", 1),
+               ("--splits", "splits", 1), ("--grid-points", "grid_points", 2))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="glfm",
@@ -190,8 +195,6 @@ def _run_chains(data: DataMatrix, hp: Hyperparams, n_chains: int, keep_last: int
     Returns (best result, best index, per-chain summaries); the best chain is
     the one with the highest final log joint, first such on ties.
     """
-    if n_chains < 1:
-        raise ValueError("--chains must be >= 1")
     hps = [replace(hp, seed=int(s)) for s in spawn_seeds(hp.seed, n_chains)]
     with ThreadPoolExecutor(max_workers=min(n_chains, 8)) as pool:
         results = list(pool.map(lambda h: run_chain(data, h, keep_last=keep_last), hps))
@@ -414,6 +417,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"infer": cmd_infer, "complete": cmd_complete, "explore": cmd_explore}
     try:
+        for flag, dest, least in FLAG_MINIMA:
+            if getattr(args, dest, least) < least:
+                raise ValueError(f"{flag} must be >= {least}, got {getattr(args, dest)}")
         return handlers[args.command](args)
     except Exception as exc:  # surface a clean one-line failure, exit code 1
         print(f"error: {exc}", file=sys.stderr)

@@ -56,16 +56,15 @@ variances to a record, from which `run_chain` builds the trace. Births grow
 the state inside the row loop, in room the state keeps and grows only when a
 row's births do not fit, and the prune compacts it in place, so P and lam
 stay exact without a refit. Python keeps init and the copies of kept states.
-The per-step functions below (a row's scan or births, the prune, an
-attribute's weights, a cell's pseudo-observations) run one step through the
-same entry point, so a step can be checked on its own; `_sweep` runs any
-other set of steps, such as one attribute's thresholds or noise variance.
+Tests drive a single step, such as one row's scan or one attribute's weights,
+through `_sweep` and its `STEP_*` bits.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -79,16 +78,9 @@ __all__ = [
     "ChainResult",
     "Hyperparams",
     "LatentState",
-    "birth_features",
-    "collapsed_flip_logodds",
     "complete_data_log_joint",
     "init_state",
-    "prune_features",
     "run_chain",
-    "run_iteration",
-    "sample_pseudo_obs",
-    "sample_weights",
-    "sample_z_row",
 ]
 
 # attribute kinds as the kernel numbers them
@@ -99,6 +91,12 @@ _KIND_CODES = {
     AttributeKind.ORDINAL: 2,
     AttributeKind.CATEGORICAL: 3,
 }
+
+# each Hyperparams annotation: the values it admits, their name in errors and
+# the Python type they are stored as, which state.json can write
+_FIELD_TYPES = {"float": (numbers.Real, "a real number", float),
+                "int": (numbers.Integral, "an integer", int),
+                "bool": (bool, "true or false", bool)}
 
 
 @dataclass(frozen=True)
@@ -121,6 +119,17 @@ class Hyperparams:
     sample_variance: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            want, what, store = _FIELD_TYPES[f.type]
+            # a bool is an Integral and a Real to Python, but no number here
+            if not isinstance(v, want) or (want is not bool and isinstance(v, bool)):
+                raise ValueError(f"{f.name} must be {what}, got {v!r}")
+            try:
+                object.__setattr__(self, f.name, store(v))
+            except OverflowError:  # an int too large for a float
+                raise ValueError(f"{f.name} must be finite, got an integer of {v.bit_length()} "
+                                 "bits") from None
         for name in ("alpha", "sigma_B2", "sigma_y2", "sigma_u2", "sigma_theta2", "beta1",
                      "beta2"):
             if not math.isfinite(getattr(self, name)):
@@ -147,6 +156,8 @@ class Hyperparams:
             raise ValueError("burn_in must be < iterations")
         if self.iterations == 0 and self.burn_in != 0:
             raise ValueError("burn_in must be 0 when iterations is 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -475,68 +486,6 @@ def _sweep(rng: RngState | None, state: LatentState, data: DataMatrix | None, st
     return out[:2]
 
 
-def sample_z_row(rng: RngState, state: LatentState, data: DataMatrix, n: int):
-    """Resample every non-bias entry of row n of Z with weights collapsed out.
-
-    Feature columns used by no other row are forced off; fresh features enter
-    through birth_features. Commits updated natural parameters when the row
-    changed and returns its final statistics (s, Q), or None when there is no
-    feature column to scan: s = z A z and Q = sum_c w_c (y_c - u_c)^2 under
-    the predictive mean u = z M, with w_c = 1/sigma_d^2 on free columns and 0
-    on a categorical attribute's pinned column.
-
-    Flipping feature k moves u by +-M_k and s by 2 (+-h_k) + A_kk, with
-    h = A z, so Q moves by D_k = sum_c w_c (M_kc^2 - t_k r_c M_kc),
-    t_k = 2 - 4 z_k. z_k changes only when k is visited, so a candidate is
-    scored from its own D_k; only an accepted flip of k computes cross
-    products, those of M_k with the features still to be scanned.
-    """
-    stats = _sweep(rng, state, data, _kernel.STEP_SCAN, row=n)
-    return tuple(stats.tolist()) if state.K > state.n_bias else None
-
-
-def birth_features(rng: RngState, state: LatentState, data: DataMatrix, n: int):
-    """Draw how many fresh feature columns row n turns on.
-
-    The count follows a Poisson(alpha/N) truncated at the kernel's cap on
-    births per row and at K_max - K, reweighted by the row's marginal
-    likelihood, where each prospective feature adds sigma_B^2 to the collapsed
-    predictive variance 1 + s, in units of sigma_d^2. The kernel builds the
-    prior and reads the count off one uniform, walking the cumulative
-    unnormalized weights. When the uniform falls below a lower bound on the
-    mass of no birth, the count is 0 and the candidates are not scored.
-    """
-    _sweep(rng, state, data, _kernel.STEP_BIRTH, row=n)
-
-
-def prune_features(state: LatentState):
-    """Drop feature columns no row uses, in place, and rebuild P^{-1} from the
-    Cholesky factor of P, as every prune does. The bias column is never
-    dropped."""
-    _sweep(None, state, None, _kernel.STEP_PRUNE)
-
-
-def sample_weights(rng: RngState, state: LatentState, d: int):
-    """Draw the weight columns of attribute d from N(P^{-1} lam_r, sigma_d^2 P^{-1}),
-    the posterior under the prior N(0, sigma_d^2 sigma_B^2 I).
-
-    The last column of a categorical attribute is pinned at zero.
-    """
-    _sweep(rng, state, None, _kernel.STEP_WEIGHTS, dim=d)
-
-
-def sample_pseudo_obs(rng: RngState, state: LatentState, data: DataMatrix, n: int, d: int):
-    """Resample the pseudo-observations of cell (n, d), keeping lam in sync.
-
-    Missing cells draw from the unconstrained prior N(z b, sigma_d^2).
-    Continuous cells blend that prior with the encoded observation under the
-    observation noise sigma_u^2. Count and ordinal cells draw from the normal
-    truncated to the interval their value maps to. Categorical cells sweep the
-    R_d columns in order, keeping the observed category's column the maximum.
-    """
-    _sweep(rng, state, data, _kernel.STEP_PSEUDO, row=n, dim=d)
-
-
 # Python handles Ctrl-C only between kernel calls, so a chain's call runs at
 # most this many row steps, or one sweep where a sweep has more rows: about
 # 0.3 s at N = 4000 and K = 9, while a short chain on a small table still
@@ -549,13 +498,6 @@ def _sweep_steps(hp: Hyperparams) -> int:
     steps = (_kernel.STEP_SCAN | _kernel.STEP_BIRTH | _kernel.STEP_PRUNE | _kernel.STEP_WEIGHTS
              | _kernel.STEP_PSEUDO | _kernel.STEP_THRESHOLDS)
     return steps | _kernel.STEP_NOISE if hp.sample_variance else steps
-
-
-def run_iteration(rng: RngState, state: LatentState, data: DataMatrix):
-    """One full Gibbs sweep in one kernel call: the row loop (Z-row scan and
-    births), prune, then the per-attribute phase. The prune rebuilds P^{-1}
-    from one Cholesky factorization, which also serves every weight draw."""
-    _sweep(rng, state, data, _sweep_steps(state.hp))
 
 
 def run_chain(data: DataMatrix, hp: Hyperparams, keep_last: int = 1) -> ChainResult:
@@ -601,40 +543,6 @@ def complete_data_log_joint(state: LatentState) -> float:
     record = np.empty(2 + len(state.specs))
     _sweep(None, state, None, _kernel.STEP_LOG_JOINT, record=record)
     return float(record[1])
-
-
-def collapsed_flip_logodds(state: LatentState, n: int, k: int) -> float:
-    """log p(z_nk = 1 | rest) - log p(z_nk = 0 | rest), weights collapsed out,
-    computed from scratch with an exact inverse."""
-    if k < state.n_bias or k >= state.K:
-        raise ValueError(f"feature index {k} out of range")
-    z = state.Z[n].copy()
-    y = state.Y[n]
-    m = float(state.col_sums[k] - z[k])
-    N = state.N
-    if m == 0.0:
-        return -np.inf
-    prior = math.log(m) - math.log(N - m)
-
-    P_noN = state.P - np.outer(z, z)
-    lam_noN = state.lam - np.outer(z, y)
-    z0 = z.copy()
-    z0[k] = 0.0
-    z1 = z.copy()
-    z1[k] = 1.0
-
-    A = _chol_inverse(P_noN)
-    M = A @ lam_noN
-    # column c's predictive variance is sigma_d^2 (1 + s); pinned columns
-    # do not depend on z
-    w = np.where(state.free_cols, 1.0 / state.sigma2[state.col_dim], 0.0)
-    n_free = int(state.free_cols.sum())
-
-    def loglik(zz):
-        v = 1.0 + max(float(zz @ A @ zz), 0.0)
-        return -0.5 * (n_free * math.log(v) + float(w @ (y - zz @ M) ** 2) / v)
-
-    return prior + loglik(z1) - loglik(z0)
 
 
 def hyperparams_to_dict(hp: Hyperparams) -> dict:

@@ -7,8 +7,8 @@ threshold partition (ordinal), argmax over per-category pseudo-observations
 (categorical). This module evaluates the transforms, their inverses, and the
 induced probability of x given m.
 
-All operations are pure functions; `params` is any object carrying scale `w`
-and shift `mu` attributes (TransformParams or an attribute spec). The normal
+All operations are pure functions; `params` is the attribute's spec, whose
+scale `w` and shift `mu` set the affine step of the map. The normal
 CDF Phi and log Phi that score ordinal and count observations, and the
 categorical quadrature, run in the compiled kernel (glfm._kernel) over arrays.
 """
@@ -16,7 +16,6 @@ categorical quadrature, run in the compiled kernel (glfm._kernel) over arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -26,7 +25,6 @@ from glfm import _kernel
 from glfm.data import AttributeKind
 
 __all__ = [
-    "TransformParams",
     "log_ndtr",
     "log_phi_interval",
     "log_prob_count",
@@ -36,8 +34,6 @@ __all__ = [
     "map_inverse",
     "ndtr",
     "prob_categorical",
-    "prob_count",
-    "prob_ordinal",
     "softplus",
     "softplus_inv",
 ]
@@ -45,18 +41,6 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 # Gauss-Hermite nodes of prob_categorical's quadrature
 _GH_NODES = 32
-
-
-@dataclass(frozen=True)
-class TransformParams:
-    """Affine scale/shift applied to the pseudo-observation before mapping."""
-
-    w: float
-    mu: float
-
-    def __post_init__(self):
-        if not self.w > 0:
-            raise ValueError(f"transform scale w must be > 0, got {self.w}")
 
 
 def _elementwise(name: str, x):
@@ -236,13 +220,9 @@ def prob_categorical(r, z, B, sigma_y: float):
     return float(out[0, 0]) if scalar else out
 
 
-def prob_ordinal(r: int, m: float, theta, sigma_y: float) -> float:
-    """Phi((theta_r - m)/sigma) - Phi((theta_{r-1} - m)/sigma), theta_0 = -inf."""
-    return math.exp(log_prob_ordinal(r, m, theta, sigma_y))
-
-
 def log_prob_ordinal(r, m, theta, sigma_y: float):
-    """log of prob_ordinal; level r and linear predictor m broadcast."""
+    """log[Phi((theta_r - m)/sigma) - Phi((theta_{r-1} - m)/sigma)], theta_0 = -inf
+    and theta_R = +inf; level r and linear predictor m broadcast."""
     theta = np.asarray(theta, dtype=float)
     R = theta.size + 1
     r = np.asarray(r, dtype=np.intp)
@@ -252,13 +232,9 @@ def log_prob_ordinal(r, m, theta, sigma_y: float):
     return log_phi_interval((edges[r - 1] - m) / sigma_y, (edges[r] - m) / sigma_y)
 
 
-def prob_count(x: int, m: float, params, sigma_y: float) -> float:
-    """Phi((f^{-1}(x+1) - m)/sigma) - Phi((f^{-1}(x) - m)/sigma), x >= 0."""
-    return math.exp(log_prob_count(x, m, params, sigma_y))
-
-
 def log_prob_count(x, m, params, sigma_y: float):
-    """log of prob_count; count x and linear predictor m broadcast."""
+    """log[Phi((f^{-1}(x+1) - m)/sigma) - Phi((f^{-1}(x) - m)/sigma)], x >= 0;
+    count x and linear predictor m broadcast."""
     x = np.asarray(x)
     if np.any(x < 0):
         raise ValueError("count observations are >= 0")

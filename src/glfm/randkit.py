@@ -40,9 +40,6 @@ class RngState:
     def set_state(self, state: dict) -> None:
         self.gen.bit_generator.state = state
 
-    def __repr__(self):
-        return f"RngState(seed={self.seed})"
-
 
 def spawn_seeds(seed: int, n: int) -> list[int]:
     """Derive n independent 64-bit child seeds from one root seed."""

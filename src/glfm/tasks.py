@@ -194,6 +194,8 @@ def make_heldout_masks(
     if n_splits < 1:
         raise ValueError("n_splits must be >= 1")
     observed = ~data.missing
+    if not observed.any():
+        raise ValueError("the table has no observed cell to hold out")
     masks = []
     for child_seed in spawn_seeds(seed, n_splits):
         gen = RngState(int(child_seed)).gen

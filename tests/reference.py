@@ -2,11 +2,16 @@
 
 `log_joint` is the complete-data log joint that `glfm.engine` computes in
 the kernel's log-joint step, written term by term over whole arrays.
+`collapsed_flip_logodds` is the log-odds of one Z entry with the weights
+collapsed out, which the kernel's row scan draws each flip from, computed
+from scratch with an exact inverse.
 """
 
 import math
 
 import numpy as np
+
+from glfm.engine import _chol_inverse
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -73,3 +78,37 @@ def log_joint(state) -> float:
                 - hp.beta2 / v
             )
     return total
+
+
+def collapsed_flip_logodds(state, n: int, k: int) -> float:
+    """log p(z_nk = 1 | rest) - log p(z_nk = 0 | rest), weights collapsed out,
+    computed from scratch with an exact inverse."""
+    if k < state.n_bias or k >= state.K:
+        raise ValueError(f"feature index {k} out of range")
+    z = state.Z[n].copy()
+    y = state.Y[n]
+    m = float(state.col_sums[k] - z[k])
+    N = state.N
+    if m == 0.0:
+        return -np.inf
+    prior = math.log(m) - math.log(N - m)
+
+    P_noN = state.P - np.outer(z, z)
+    lam_noN = state.lam - np.outer(z, y)
+    z0 = z.copy()
+    z0[k] = 0.0
+    z1 = z.copy()
+    z1[k] = 1.0
+
+    A = _chol_inverse(P_noN)
+    M = A @ lam_noN
+    # column c's predictive variance is sigma_d^2 (1 + s); pinned columns
+    # do not depend on z
+    w = np.where(state.free_cols, 1.0 / state.sigma2[state.col_dim], 0.0)
+    n_free = int(state.free_cols.sum())
+
+    def loglik(zz):
+        v = 1.0 + max(float(zz @ A @ zz), 0.0)
+        return -0.5 * (n_free * math.log(v) + float(w @ (y - zz @ M) ** 2) / v)
+
+    return prior + loglik(z1) - loglik(z0)

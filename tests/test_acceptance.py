@@ -18,27 +18,18 @@ import pytest
 from scipy.special import log_ndtr, ndtr
 from scipy.stats import kstest, multivariate_normal, norm
 
+from glfm import _kernel
 from glfm.data import AttributeKind, AttributeSpec, DataMatrix, fit_transforms
 from glfm.engine import (
     Hyperparams,
     LatentState,
-    birth_features,
-    collapsed_flip_logodds,
+    _sweep,
+    _sweep_steps,
     complete_data_log_joint,
     init_state,
-    prune_features,
     run_chain,
-    run_iteration,
-    sample_pseudo_obs,
-    sample_weights,
-    sample_z_row,
 )
-from glfm.likelihoods import (
-    TransformParams,
-    prob_categorical,
-    prob_count,
-    prob_ordinal,
-)
+from glfm.likelihoods import log_prob_count, log_prob_ordinal, prob_categorical
 from glfm.randkit import RngState, trunc_normal_sample
 from glfm.synthetic import generate
 from glfm.tasks import (
@@ -47,6 +38,7 @@ from glfm.tasks import (
     make_heldout_masks,
     predictive_loglik_by_dim,
 )
+from reference import collapsed_flip_logodds
 
 HALF_NORMAL_MEAN = 0.7978845608028654
 
@@ -168,16 +160,16 @@ def test_natural_parameters_match_recomputation_after_1000_random_operations():
     ops = rng.gen.integers(0, 4, size=1000)
     for op in ops:
         if op == 0:
-            sample_z_row(rng, state, data, int(rng.gen.integers(0, state.N)))
+            _sweep(rng, state, data, _kernel.STEP_SCAN, row=int(rng.gen.integers(0, state.N)))
         elif op == 1:
-            birth_features(rng, state, data, int(rng.gen.integers(0, state.N)))
+            _sweep(rng, state, data, _kernel.STEP_BIRTH, row=int(rng.gen.integers(0, state.N)))
         elif op == 2:
-            prune_features(state)
+            _sweep(None, state, None, _kernel.STEP_PRUNE)
         else:
             n = int(rng.gen.integers(0, state.N))
             d = int(rng.gen.integers(0, len(state.specs)))
-            sample_pseudo_obs(rng, state, data, n, d)
-            sample_weights(rng, state, d)
+            _sweep(rng, state, data, _kernel.STEP_PSEUDO, row=n, dim=d)
+            _sweep(rng, state, None, _kernel.STEP_WEIGHTS, dim=d)
 
     P_ref = state.Z.T @ state.Z + np.eye(state.K) / hp.sigma_B2
     lam_ref = state.Z.T @ state.Y
@@ -194,7 +186,7 @@ def test_likelihood_normalization_against_analytic_and_monte_carlo_oracles():
     # ordinal: exact CDF differences must telescope to 1
     theta = [0.0, 0.8, 2.1]
     for m, sigma in [(0.0, 1.0), (1.3, 0.5), (-2.0, 2.0)]:
-        total = sum(prob_ordinal(r, m, theta, sigma) for r in range(1, 5))
+        total = sum(math.exp(log_prob_ordinal(r, m, theta, sigma)) for r in range(1, 5))
         assert abs(total - 1.0) <= 1e-12
 
     # categorical: normalization within 1e-6 and every mass within Monte Carlo
@@ -223,10 +215,10 @@ def test_likelihood_normalization_against_analytic_and_monte_carlo_oracles():
     ) <= 1e-8
 
     # count: the first 200 masses cover all but 1e-6 of the distribution
-    params = TransformParams(w=1.0, mu=0.0)
-    partial = sum(prob_count(x, 0.0, params, 1.0) for x in range(201))
+    params = AttributeSpec("n", AttributeKind.COUNT, w=1.0, mu=0.0)
+    partial = sum(math.exp(log_prob_count(x, 0.0, params, 1.0)) for x in range(201))
     assert partial >= 1.0 - 1e-6
-    assert abs(prob_count(0, 0.0, params, 1.0) - 0.7058581539951883) <= 1e-12
+    assert abs(math.exp(log_prob_count(0, 0.0, params, 1.0)) - 0.7058581539951883) <= 1e-12
 
 
 # --- 4. truncated-normal correctness -------------------------------------------
@@ -364,13 +356,13 @@ def test_per_sweep_cost_scales_linearly_when_rows_double():
         rng = RngState(7)
         state = init_state(data, hp, rng)
         for _ in range(3):
-            run_iteration(rng, state, data)
+            _sweep(rng, state, data, _sweep_steps(state.hp))
         chains[n_rows] = (rng, state, data)
     laps = {n_rows: [] for n_rows in chains}
     for _ in range(12):
         for n_rows, (rng, state, data) in chains.items():
             t0 = time.perf_counter()
-            run_iteration(rng, state, data)
+            _sweep(rng, state, data, _sweep_steps(state.hp))
             laps[n_rows].append(time.perf_counter() - t0)
     for _, state, _ in chains.values():
         assert state.K == 6

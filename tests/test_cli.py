@@ -20,8 +20,14 @@ from glfm.data import (
     load_dataset,
     parse_attribute_spec,
 )
-from glfm.engine import Hyperparams, LatentState, run_chain
-from glfm.randkit import spawn_seeds
+from glfm.engine import (
+    Hyperparams,
+    LatentState,
+    complete_data_log_joint,
+    init_state,
+    run_chain,
+)
+from glfm.randkit import RngState, spawn_seeds
 from glfm.synthetic import generate, to_csv
 
 CSV_TEXT = (
@@ -491,8 +497,6 @@ def test_explore_from_saved_state(workdir):
 
 @pytest.mark.parametrize("flags, message", [
     (["--top", "-1"], "error: top must be >= 0, got -1\n"),
-    (["--grid-points", "0"], "error: n_points must be >= 2, got 0\n"),
-    (["--grid-points", "1"], "error: n_points must be >= 2, got 1\n"),
 ])
 def test_explore_rejects_bad_top_and_grid_in_one_line(workdir, capsys, flags, message):
     fit = workdir / "fit"
@@ -503,6 +507,24 @@ def test_explore_rejects_bad_top_and_grid_in_one_line(workdir, capsys, flags, me
     code = run_cli(["explore", "--state", fit / "state.json", "-o", out] + flags)
     assert code == 1
     assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("complete", ["--average-last", "0"], "--average-last must be >= 1, got 0"),
+    ("complete", ["--heldout", "0.2", "--splits", "0"], "--splits must be >= 1, got 0"),
+    ("explore", ["--grid-points", "0"], "--grid-points must be >= 2, got 0"),
+    ("explore", ["--grid-points", "1"], "--grid-points must be >= 2, got 1"),
+    ("infer", ["--chains", "0"], "--chains must be >= 1, got 0"),
+], ids=["average-last", "splits", "grid-points-0", "grid-points-1", "chains"])
+def test_count_flag_below_its_least_value_exits_1_naming_the_flag(workdir, capsys, command,
+                                                                   flags, message):
+    # checked before any work, so no chain runs and no output is written
+    out = workdir / "out"
+    code = run_cli([command, workdir / "data.csv", "--spec", workdir / "cols.spec",
+                    "-o", out] + FAST + flags)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -537,6 +559,39 @@ def test_bad_config_exits_1(workdir, capsys):
                     "-o", workdir / "out", "--config", cfg] + FAST)
     assert code == 1
     assert "unknown hyperparameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"bias": "false"}, {"sample_variance": 1}, {"iterations": True}, {"alpha": "5"},
+    {"alpha": False}, {"K_max": 2.5}, {"seed": -1},
+], ids=json.dumps)
+def test_config_value_of_the_wrong_type_exits_1_naming_the_field(workdir, capsys, config):
+    [field] = config
+    cfg = workdir / "c.json"
+    cfg.write_text(json.dumps({"iterations": 2, "K_max": 6, **config}))
+    code = run_cli(["infer", workdir / "data.csv", "--spec", workdir / "cols.spec",
+                    "-o", workdir / "out", "--config", cfg])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1, err
+    assert not (workdir / "out").exists()
+
+
+def test_negative_seed_flag_and_state_json_types_are_checked(workdir, capsys):
+    args = ["infer", workdir / "data.csv", "--spec", workdir / "cols.spec", "-o", workdir / "fit"]
+    assert run_cli(args + FAST + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    # an int where a float is expected is a real number
+    (workdir / "c.json").write_text(json.dumps({"alpha": 5}))
+    assert run_cli(args + ["--iters", "2", "--kmax", "6", "--config", workdir / "c.json"]) == 0
+    state = json.loads((workdir / "fit" / "state.json").read_text())
+    assert repr(state["hyperparams"]["alpha"]) == "5.0"
+    state["hyperparams"]["bias"] = "false"
+    (workdir / "fit" / "state.json").write_text(json.dumps(state))
+    capsys.readouterr()
+    assert run_cli(["explore", "--state", workdir / "fit" / "state.json",
+                    "-o", workdir / "explored"]) == 1
+    assert capsys.readouterr().err == "error: bias must be true or false, got 'false'\n"
 
 
 def test_missing_token_flag(workdir):
@@ -604,6 +659,35 @@ def test_multichain_runs_are_deterministic_and_keep_a_lone_chain(workdir, capsys
     hp = Hyperparams(iterations=4, burn_in=1, K_max=6, K_init=1, alpha=1.5, bias=True,
                      seed=spawn_seeds(11, 3)[kept])
     assert state_to_json(run_chain(data, hp).state).encode() == outputs[0][0]
+
+
+def test_infer_without_sweeps_keeps_the_chain_whose_initial_state_scores_higher(workdir,
+                                                                                capsys):
+    # with --iters 0 each chain is its initial state, scored by
+    # complete_data_log_joint alone
+    out = workdir / "init"
+    code = run_cli(["infer", workdir / "data.csv", "--spec", workdir / "cols.spec", "-o", out,
+                    "--iters", "0", "--chains", "2", "--kmax", "6", "--bias", "--seed", "11"])
+    assert code == 0
+    assert (out / "trace.ndjson").read_text() == ""
+    chains, kept = chain_summaries(capsys.readouterr().out)
+    data = fit_transforms(load_dataset(CSV_TEXT, parse_attribute_spec(SPEC_TEXT)))
+    hps = [Hyperparams(iterations=0, K_max=6, bias=True, seed=s) for s in spawn_seeds(11, 2)]
+    states = [init_state(data, hp, RngState(hp.seed)) for hp in hps]
+    log_joints = [complete_data_log_joint(state) for state in states]
+    assert [lj for _, lj in chains] == [float(f"{lj:.6f}") for lj in log_joints]
+    assert log_joints[kept] > log_joints[1 - kept]
+    assert (out / "state.json").read_text() == state_to_json(states[kept])
+
+
+def test_heldout_on_a_table_with_no_observed_cell_exits_1_in_one_line(workdir, capsys):
+    (workdir / "empty.csv").write_text("a,b\n,\n,\n,\n")
+    (workdir / "empty.spec").write_text("a,categorical,2\nb,ordinal,3\n")
+    code = run_cli(["complete", workdir / "empty.csv", "--spec", workdir / "empty.spec",
+                    "-o", workdir / "held", "--heldout", "0.2"] + FAST)
+    assert code == 1
+    assert capsys.readouterr().err == "error: the table has no observed cell to hold out\n"
+    assert not (workdir / "held" / "scores.json").exists()
 
 
 def test_heldout_rejects_several_chains(workdir, capsys):

@@ -57,6 +57,8 @@ def test_attribute_spec_validation():
     with pytest.raises(ValueError):
         AttributeSpec("x", AttributeKind.REAL, w=0.0)
     with pytest.raises(ValueError):
+        AttributeSpec("x", AttributeKind.REAL, w=-2.0)
+    with pytest.raises(ValueError):
         AttributeSpec("x", AttributeKind.CATEGORICAL)  # R_d required
     with pytest.raises(ValueError):
         AttributeSpec("x", AttributeKind.ORDINAL, R_d=1)

@@ -33,23 +33,17 @@ from glfm.engine import (
     _chol_inverse,
     _k_shapes,
     _sweep,
-    birth_features,
-    collapsed_flip_logodds,
+    _sweep_steps,
     complete_data_log_joint,
     hyperparams_from_dict,
     hyperparams_to_dict,
     init_state,
-    prune_features,
     run_chain,
-    run_iteration,
-    sample_pseudo_obs,
-    sample_weights,
-    sample_z_row,
 )
 from glfm.likelihoods import map_forward, map_inverse
 from glfm.randkit import RngState, inverse_gamma_sample, trunc_normal_sample
 from glfm.synthetic import generate
-from reference import ibp_lof_log_prior
+from reference import collapsed_flip_logodds, ibp_lof_log_prior
 from reference import log_joint as reference_log_joint
 
 
@@ -181,8 +175,8 @@ def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_pa
         import sys
         import numpy as np
         from glfm.cli import main
-        from glfm.engine import (Hyperparams, complete_data_log_joint, init_state, run_chain,
-                                 run_iteration)
+        from glfm.engine import (Hyperparams, _sweep, _sweep_steps, complete_data_log_joint,
+                                 init_state, run_chain)
         from glfm.randkit import RngState
         from glfm.synthetic import generate, to_csv
         data, _ = generate(30, missing_rate=0.1, seed=3)
@@ -213,7 +207,7 @@ def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_pa
             K = state.K
             empty |= bool((state.Z.sum(axis=1) == 0).any())
             state.room = {}
-            run_iteration(rng, state, data)
+            _sweep(rng, state, data, _sweep_steps(state.hp))
             grew |= state.K > K
         assert empty and grew
         # the exact-inverse fallback: at sigma_B^2 = 1e13 a feature held by
@@ -230,7 +224,7 @@ def test_births_run_clean_under_address_and_undefined_behavior_sanitizers(tmp_pa
             state.recompute_natural()
             rng = RngState(seed)
             for _ in range(3):
-                run_iteration(rng, state, small)
+                _sweep(rng, state, small, _sweep_steps(state.hp))
         work = sys.argv[1]
         open(work + "/data.csv", "w").write(to_csv(data))
         open(work + "/cols.spec", "w").write(
@@ -304,6 +298,20 @@ def test_hyperparams_reject_non_finite_floats(name, value):
         Hyperparams(**{name: value})
 
 
+def test_hyperparams_check_types_and_store_python_numbers():
+    # numpy scalars pass the type checks and are stored as what
+    # hyperparams_to_dict can hand to json
+    hp = Hyperparams(alpha=np.float32(1.5), sigma_B2=2, K_max=np.int64(6), seed=np.uint32(3))
+    assert [type(v) for v in (hp.alpha, hp.sigma_B2, hp.K_max, hp.seed)] == [float, float,
+                                                                             int, int]
+    with pytest.raises(ValueError, match="^bias must be true or false, got 1$"):
+        Hyperparams(bias=1)
+    with pytest.raises(ValueError, match="^K_init must be an integer, got True$"):
+        Hyperparams(K_init=True)
+    with pytest.raises(ValueError, match="^alpha must be finite, got an integer of 1329 bits$"):
+        Hyperparams(alpha=10**400)
+
+
 def test_hyperparams_dict_roundtrip():
     hp = Hyperparams(alpha=2.5, K_max=7, bias=True, iterations=3, burn_in=1)
     d = hyperparams_to_dict(hp)
@@ -374,7 +382,7 @@ def test_natural_params_stay_exact_across_sweeps():
     rng = RngState(6)
     state = init_state(data, hp, rng)
     for _ in range(30):
-        run_iteration(rng, state, data)
+        _sweep(rng, state, data, _sweep_steps(state.hp))
     assert_natural_params_exact(state)
     # the maintained inverse tracks the maintained P
     ident = state.P_inv @ state.P
@@ -414,7 +422,7 @@ def test_z_row_replay_matches_from_scratch_logodds(sigma2, bias):
     state = init_state(data, hp, init_rng)
     warm = RngState(97)
     for _ in range(3):
-        run_iteration(warm, state, data)
+        _sweep(warm, state, data, _sweep_steps(state.hp))
     if sigma2 is not None:
         state.sigma2[:] = sigma2
     if not bias:
@@ -429,7 +437,7 @@ def test_z_row_replay_matches_from_scratch_logodds(sigma2, bias):
         seed_now = warm.get_state()
         reference = state.copy()
 
-        sample_z_row(warm, state, data, n)
+        _sweep(warm, state, data, _kernel.STEP_SCAN, row=n)
 
         replay = RngState(0)
         replay.set_state(seed_now)
@@ -468,13 +476,13 @@ def test_z_row_statistics_are_weighted_residuals(sigma2):
     rng = RngState(52)
     state = init_state(data, hp, rng)
     for _ in range(2):
-        run_iteration(rng, state, data)
+        _sweep(rng, state, data, _sweep_steps(state.hp))
     if sigma2 is not None:
         state.sigma2[:] = sigma2
     multi_flip_rows = 0
     for n in range(state.N):
         before = state.Z[n].copy()
-        s, Q = sample_z_row(rng, state, data, n)
+        s, Q = _sweep(rng, state, data, _kernel.STEP_SCAN, row=n)
         multi_flip_rows += int(np.sum(state.Z[n] != before)) >= 2
         z, y = state.Z[n], state.Y[n]
         A = np.linalg.inv(state.P - np.outer(z, z))
@@ -497,13 +505,13 @@ def test_z_row_commits_only_changed_rows():
     hp = Hyperparams(alpha=0.0, K_init=5, bias=True, iterations=0, burn_in=0)
     rng = RngState(54)
     state = init_state(data, hp, rng)
-    run_iteration(rng, state, data)
+    _sweep(rng, state, data, _sweep_steps(state.hp))
     kept = changed = 0
     for _ in range(2):
         for n in range(state.N):
             before = [a.copy() for a in (state.Z[n], state.P, state.P_inv, state.lam,
                                          state.col_sums)]
-            sample_z_row(rng, state, data, n)
+            _sweep(rng, state, data, _kernel.STEP_SCAN, row=n)
             if np.array_equal(state.Z[n], before[0]):
                 kept += 1
                 after = (state.P, state.P_inv, state.lam, state.col_sums)
@@ -545,7 +553,7 @@ def test_forced_zero_when_feature_unused_elsewhere():
     state.recompute_natural()
     assert collapsed_flip_logodds(state, 0, 1) == -np.inf
     rng = RngState(12)
-    sample_z_row(rng, state, data, 0)
+    _sweep(rng, state, data, _kernel.STEP_SCAN, row=0)
     assert state.Z[0, 1] == 0.0
     assert_natural_params_exact(state)
 
@@ -565,7 +573,7 @@ def test_z_row_exact_inverse_fallback():
     state.Z[0, 2] = 1.0
     state.recompute_natural()
 
-    s, Q = sample_z_row(RngState(48), state, data, 0)
+    s, Q = _sweep(RngState(48), state, data, _kernel.STEP_SCAN, row=0)
     assert state.Z[0, 2] == 0.0  # used by no other row: forced off
     assert_natural_params_exact(state)
     # the scan's final statistics are those of the committed row: the
@@ -591,7 +599,7 @@ def test_weight_posterior_moments():
     rng = RngState(14)
     draws = np.empty(6000)
     for i in range(draws.size):
-        sample_weights(rng, state, 0)
+        _sweep(rng, state, None, _kernel.STEP_WEIGHTS, dim=0)
         draws[i] = state.B[0, 0]
     assert draws.mean() == pytest.approx(1.0, abs=0.05)
     assert draws.var() == pytest.approx(0.5, abs=0.05)
@@ -605,7 +613,7 @@ def test_weight_sampling_keeps_categorical_identifiability():
     rng = RngState(15)
     state = init_state(data, hp, rng)
     for _ in range(5):
-        run_iteration(rng, state, data)
+        _sweep(rng, state, data, _sweep_steps(state.hp))
     np.testing.assert_array_equal(state.B[:, 2], 0.0)
     assert np.any(state.B[:, :2] != 0.0)
 
@@ -622,7 +630,7 @@ def test_pseudo_obs_posterior_blend():
     rng = RngState(17)
     draws = np.empty(6000)
     for i in range(draws.size):
-        sample_pseudo_obs(rng, state, data, 0, 0)
+        _sweep(rng, state, data, _kernel.STEP_PSEUDO, row=0, dim=0)
         draws[i] = state.Y[0, 0]
     assert draws.mean() == pytest.approx(1.0, abs=0.05)
     assert draws.var() == pytest.approx(0.5, abs=0.05)
@@ -635,7 +643,7 @@ def test_pseudo_obs_exact_when_noise_free():
     state = init_state(data, hp, RngState(20))
     rng = RngState(21)
     for n in range(5):
-        sample_pseudo_obs(rng, state, data, n, 0)
+        _sweep(rng, state, data, _kernel.STEP_PSEUDO, row=n, dim=0)
     np.testing.assert_allclose(state.Y[:, 0], data.cells[:, 0])
 
 
@@ -645,7 +653,7 @@ def test_pseudo_obs_respects_intervals():
     rng = RngState(23)
     state = init_state(data, hp, rng)
     for _ in range(4):
-        run_iteration(rng, state, data)
+        _sweep(rng, state, data, _sweep_steps(state.hp))
     for d, spec in enumerate(data.specs):
         cs = state.dim_cols(d)
         obs = ~data.missing[:, d]
@@ -725,7 +733,7 @@ def test_pseudo_obs_match_numpy_reference():
     rng = RngState(56)
     state = init_state(data, hp, rng)
     for _ in range(2):
-        run_iteration(rng, state, data)
+        _sweep(rng, state, data, _sweep_steps(state.hp))
     for d, spec in enumerate(data.specs):
         reference = state.copy()
         replay = RngState(0)
@@ -743,7 +751,7 @@ def test_pseudo_obs_match_numpy_reference():
                      sample_variance=True, iterations=0, burn_in=0)
     state = init_state(data, hp, rng)
     for _ in range(2):
-        run_iteration(rng, state, data)
+        _sweep(rng, state, data, _sweep_steps(state.hp))
     state.Z[::3] = 0.0
     state.recompute_natural()
     for d, spec in enumerate(data.specs):
@@ -773,7 +781,7 @@ def test_threshold_sampler_keeps_order_and_support():
     rng = RngState(24)
     state = init_state(data, hp, rng)
     for _ in range(6):
-        run_iteration(rng, state, data)
+        _sweep(rng, state, data, _sweep_steps(state.hp))
         th = state.theta[0]
         assert th[0] == 0.0
         assert np.all(np.diff(th) > 0)
@@ -838,7 +846,7 @@ def test_birth_respects_k_max():
     for _ in range(15):
         _sweep(rng, state, data, _kernel.STEP_SCAN | _kernel.STEP_BIRTH)
         assert state.K == hp.K_max
-        prune_features(state)
+        _sweep(None, state, None, _kernel.STEP_PRUNE)
         assert state.K <= hp.K_max
         _sweep(rng, state, data, steps)
 
@@ -894,9 +902,10 @@ def test_births_that_do_not_fit_resume_where_they_were_drawn(case, monkeypatch):
 
     def sweep(rng, state, strip):
         # one pass of kernel calls, each on a state without room when strip
-        steps = [functools.partial(run_iteration, rng, state, data)]
+        steps = [functools.partial(_sweep, rng, state, data, _sweep_steps(state.hp))]
         if case == "birth on the last row":
-            steps = [functools.partial(birth_features, rng, state, data, n) for n in range(state.N)]
+            steps = [functools.partial(_sweep, rng, state, data, _kernel.STEP_BIRTH, row=n)
+                     for n in range(state.N)]
             steps.append(functools.partial(_sweep, rng, state, data, _kernel.STEP_PRUNE
                                            | _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO))
         for step in steps:
@@ -954,7 +963,7 @@ def test_birth_adds_columns_for_row():
     K0 = state.K
     grew = False
     for _ in range(20):
-        birth_features(rng, state, data, 2)
+        _sweep(rng, state, data, _kernel.STEP_BIRTH, row=2)
         if state.K > K0:
             grew = True
             np.testing.assert_array_equal(state.Z[2, K0:], 1.0)
@@ -998,7 +1007,7 @@ def test_in_kernel_births_keep_natural_params_exact(sigma_B2):
         for name in ("Z", "B", "P", "P_inv", "lam", "col_sums"):
             np.testing.assert_array_equal(getattr(fused, name), getattr(state, name))
         assert fused_rng.get_state() == rng.get_state()
-        prune_features(state)
+        _sweep(None, state, None, _kernel.STEP_PRUNE)
         _sweep(rng, state, data, _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO)
     assert births >= 3 and at_cap >= 1
 
@@ -1007,26 +1016,26 @@ def test_in_kernel_births_keep_natural_params_exact(sigma_B2):
 @given(seed=st.integers(0, 10000))
 def test_birth_from_scan_statistics_matches_fresh_statistics(seed):
     # a sweep's fused row loop hands the scan's final statistics to the
-    # birth step; sample_z_row then birth_features, row by row, recomputes
+    # birth step; the scan then the birth, row by row, recomputes
     # them fresh. Both must draw the same Z from the same stream
     data, _ = generate(10, missing_rate=0.2, seed=seed)
     hp = Hyperparams(alpha=20.0, sigma_B2=0.2, K_max=30, K_init=2, bias=True,
                      sample_variance=True, iterations=0, burn_in=0)
     rng = RngState(seed + 1)
     state = init_state(data, hp, rng)
-    run_iteration(rng, state, data)
+    _sweep(rng, state, data, _sweep_steps(state.hp))
     fused = state.copy()
     fused_rng = RngState(0)
     fused_rng.set_state(rng.get_state())
     births = 0
     for n in range(state.N):
-        row = sample_z_row(rng, state, data, n)
-        if row is not None:
+        s, Q = _sweep(rng, state, data, _kernel.STEP_SCAN, row=n)
+        if state.K > state.n_bias:  # else nothing was scanned
             s_ref, Q_ref = reference_row_stats(state, n)
-            assert row[0] == pytest.approx(s_ref, rel=1e-9, abs=1e-12)
-            np.testing.assert_allclose(row[1], Q_ref, rtol=1e-9, atol=1e-12)
+            assert s == pytest.approx(s_ref, rel=1e-9, abs=1e-12)
+            np.testing.assert_allclose(Q, Q_ref, rtol=1e-9, atol=1e-12)
         K_before = state.K
-        birth_features(rng, state, data, n)
+        _sweep(rng, state, data, _kernel.STEP_BIRTH, row=n)
         births += state.K > K_before
     _sweep(fused_rng, fused, data, _kernel.STEP_SCAN | _kernel.STEP_BIRTH)
     np.testing.assert_array_equal(state.Z, fused.Z)
@@ -1084,15 +1093,16 @@ def test_birth_shortcut_matches_full_scoring(alpha):
     births = 0
     for _ in range(4):
         for n in range(state.N):
-            row = sample_z_row(rng, state, data, n)
-            s, Q = row if row is not None else reference_row_stats(state, n)
+            s, Q = _sweep(rng, state, data, _kernel.STEP_SCAN, row=n)
+            if state.K == state.n_bias:  # nothing was scanned
+                s, Q = reference_row_stats(state, n)
             replay.set_state(rng.get_state())
             expected = reference_birth_count(state, s, Q, replay.gen.random())
             K_before = state.K
-            birth_features(rng, state, data, n)
+            _sweep(rng, state, data, _kernel.STEP_BIRTH, row=n)
             assert state.K - K_before == expected
             births += expected > 0
-        prune_features(state)
+        _sweep(None, state, None, _kernel.STEP_PRUNE)
         _sweep(rng, state, data, _kernel.STEP_WEIGHTS | _kernel.STEP_PSEUDO
                | _kernel.STEP_THRESHOLDS | _kernel.STEP_NOISE)
     assert births >= 3
@@ -1104,7 +1114,7 @@ def test_birth_disabled_at_zero_alpha():
     rng = RngState(32)
     state = init_state(data, hp, rng)
     for _ in range(10):
-        run_iteration(rng, state, data)
+        _sweep(rng, state, data, _sweep_steps(state.hp))
     assert state.K <= 2  # prune may shrink but nothing is born
 
 
@@ -1115,7 +1125,7 @@ def test_prune_drops_dead_columns_keeps_bias():
     state.Z[:, 2] = 0.0
     state.recompute_natural()
     K0 = state.K
-    prune_features(state)
+    _sweep(None, state, None, _kernel.STEP_PRUNE)
     assert state.K == K0 - 1
     np.testing.assert_array_equal(state.Z[:, 0], 1.0)
     assert_natural_params_exact(state)
@@ -1139,7 +1149,7 @@ def test_in_kernel_prune_keeps_the_state_exact(sigma_B2, monkeypatch):
     pruned = 0
     for _ in range(300):
         K_before = state.K
-        run_iteration(rng, state, data)
+        _sweep(rng, state, data, _sweep_steps(state.hp))
         if state.K < K_before:  # only the prune lowers K
             pruned += 1
             assert_natural_params_exact(state)
@@ -1522,7 +1532,7 @@ def test_natural_params_exact_property(seed, n_rows, iters):
     rng = RngState(seed + 1)
     state = init_state(data, hp, rng)
     for _ in range(iters):
-        run_iteration(rng, state, data)
+        _sweep(rng, state, data, _sweep_steps(state.hp))
     assert_natural_params_exact(state)
 
 

@@ -17,7 +17,6 @@ from glfm.likelihoods import (
     loglik_continuous,
     map_forward,
     prob_categorical,
-    prob_ordinal,
     softplus,
     softplus_inv,
 )
@@ -469,7 +468,7 @@ def ref_impute_cell(states, n, d):
         for s in states:
             m = float((s.Z[n] @ s.B[:, s.dim_cols(d)])[0])
             sd = math.sqrt(float(s.sigma2[d]))
-            probs += [prob_ordinal(r, m, s.theta[d], sd) for r in range(1, R + 1)]
+            probs += [math.exp(log_prob_ordinal(r, m, s.theta[d], sd)) for r in range(1, R + 1)]
         return int(np.argmax(probs) + 1)
     candidates: set[int] = set()
     for s in states:
@@ -497,7 +496,8 @@ def ref_compute_pdf(state, d, z, n_points=101):
         return xs, np.array([prob_categorical(r, z, state.B[:, cs], sd) for r in xs])
     if kind is AttributeKind.ORDINAL:
         xs = np.arange(1, spec.R_d + 1)
-        return xs, np.array([prob_ordinal(r, float(m[0]), state.theta[d], sd) for r in xs])
+        return xs, np.array([math.exp(log_prob_ordinal(r, float(m[0]), state.theta[d], sd))
+                             for r in xs])
     if kind is AttributeKind.COUNT:
         # the counts met by m +- 8.3 sd, or n_points of them evenly spread
         lo = int(map_forward(float(m[0]) - 8.3 * sd, spec, kind))
