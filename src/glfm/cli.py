@@ -44,7 +44,7 @@ from glfm.engine import (
     hyperparams_to_dict,
     run_chain,
 )
-from glfm.randkit import RngState, spawn_seeds
+from glfm.randkit import spawn_seeds
 from glfm.tasks import (
     compute_pdf,
     extract_patterns,
@@ -74,7 +74,8 @@ HYPER_FLAGS = (
 
 # the least value of each count flag, checked before any work is done
 FLAG_MINIMA = (("--chains", "chains", 1), ("--average-last", "average_last", 1),
-               ("--splits", "splits", 1), ("--grid-points", "grid_points", 2))
+               ("--splits", "splits", 1), ("--grid-points", "grid_points", 2),
+               ("--top", "top", 0))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,8 +392,8 @@ def cmd_explore(args) -> int:
             shown = format_column(spec, xs if spec.kind.is_continuous else decode_column(spec, xs))
             rows.extend([spec.name, label, x, repr(v)] for x, v in zip(shown, vals.tolist()))
 
-    # every table is computed before the first is written, so a bad --top or
-    # --grid-points leaves no partial output
+    # every table is computed before the first is written, so a failure
+    # leaves no partial output
     args.out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         args.out / "patterns.csv",

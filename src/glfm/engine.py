@@ -126,14 +126,17 @@ class Hyperparams:
             if not isinstance(v, want) or (want is not bool and isinstance(v, bool)):
                 raise ValueError(f"{f.name} must be {what}, got {v!r}")
             try:
-                object.__setattr__(self, f.name, store(v))
+                v = store(v)
             except OverflowError:  # an int too large for a float
                 raise ValueError(f"{f.name} must be finite, got an integer of {v.bit_length()} "
                                  "bits") from None
-        for name in ("alpha", "sigma_B2", "sigma_y2", "sigma_u2", "sigma_theta2", "beta1",
-                     "beta2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            if store is float and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
+            # the kernel holds the int fields as int64; the seed goes to
+            # SeedSequence, which takes any size
+            if store is int and f.name != "seed" and v >= 2**63:
+                raise ValueError(f"{f.name} must be below 2**63, got {v}")
+            object.__setattr__(self, f.name, v)
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         for name in ("sigma_B2", "sigma_y2", "sigma_theta2", "beta1", "beta2"):
@@ -192,12 +195,6 @@ class LatentState:
     def __post_init__(self):
         widths = [s.S_d for s in self.specs]
         self.offsets = np.concatenate([[0], np.cumsum(widths)]).astype(np.int64)
-        self.col_dim = np.repeat(np.arange(len(self.specs)), widths)
-        free = np.ones(self.offsets[-1], dtype=bool)
-        for d, s in enumerate(self.specs):
-            if s.kind is AttributeKind.CATEGORICAL:
-                free[self.offsets[d + 1] - 1] = False
-        self.free_cols = free
         self.kind_codes = np.array([_KIND_CODES[s.kind] for s in self.specs], dtype=np.int64)
         self.levels = np.array([s.R_d or 0 for s in self.specs], dtype=np.int64)
         self.room: dict[str, np.ndarray] = {}

@@ -7,12 +7,15 @@ per split itself): completing a table is
 the CLI runs. All three prediction tasks read one batched predictive,
 `_log_predictive`: log p(x | z) of one attribute under one state, for a block
 of feature rows and encoded values at once. Each task makes one array pass
-per attribute. Imputation takes the mapped mean or the argmax of the
-predictive mass (of a count, within 2 of some state's mapped mean), held-out
-scoring evaluates every cell-state pair once (categorical ones once per
-distinct predictor and value) and aggregates the per-cell scores per
-attribute and per split, and a pdf evaluates its whole table at once, a
-count's spanning the predictive itself.
+per attribute. Imputation and held-out scoring share its mean over the
+states, `_log_mean_predictive`, by one rule at any number of states:
+imputation takes the mean of the states' mapped means for a continuous
+attribute and otherwise the value of highest mean predictive mass (among
+every level, or for a count among the values within 2 of some state's mapped
+mean); scoring evaluates it at each held-out cell, every cell-state pair
+once (categorical ones once per distinct predictor and value), and
+aggregates the per-cell scores per attribute and per split. A pdf evaluates
+its whole table at once, a count's spanning the predictive itself.
 """
 
 from __future__ import annotations
@@ -86,50 +89,40 @@ def _log_predictive(state: LatentState, d: int, Z: np.ndarray, x) -> np.ndarray:
     return log_prob_count(x, m, spec, math.sqrt(var_d))
 
 
-def _map_values(state: LatentState, d: int, Z: np.ndarray) -> np.ndarray:
-    """Most likely encoded value of attribute d for each feature row of Z
-    under one state: the mapped mean for continuous and ordinal kinds, the
-    argmax of the means for categorical, and for counts the highest-mass
-    value within 2 of the mapped mean. Discrete ties go to the lowest value.
-    """
-    spec = state.specs[d]
-    kind = spec.kind
-    m = Z @ state.B[:, state.dim_cols(d)]
-    if kind is AttributeKind.CATEGORICAL:
-        return np.argmax(m, axis=1) + 1
-    if kind is AttributeKind.ORDINAL:
-        return map_forward(m[:, 0], spec, kind, theta=state.theta[d])
-    center = map_forward(m[:, 0], spec, kind)
-    if kind.is_continuous:
-        return center
-    xs = _count_window(center)
-    return xs[np.arange(len(xs)), np.argmax(_log_predictive(state, d, Z, xs), axis=1)]
-
-
 def _count_window(center: np.ndarray) -> np.ndarray:
     """Count candidates center - 2 .. center + 2, ascending along a new last axis;
     values below 0 become 0, and an argmax over their equal scores takes the first."""
     return np.maximum(center[..., None] + np.arange(-2, 3), 0)
 
 
+def _log_mean_predictive(states: list[LatentState], d: int, rows: np.ndarray, x) -> np.ndarray:
+    """log of the states' mean predictive probability of attribute d at `rows`,
+    with x as in `_log_predictive`: (len(rows), J), -inf where every state
+    gives -inf."""
+    lls = np.stack([_log_predictive(s, d, s.Z[rows], x) for s in states])
+    top = lls.max(axis=0)
+    with np.errstate(invalid="ignore"):
+        avg = top + np.log(np.mean(np.exp(lls - top), axis=0))
+    return np.where(np.isneginf(top), -np.inf, avg)
+
+
 def _impute(states: list[LatentState], d: int, rows: np.ndarray) -> np.ndarray:
-    """Encoded completions of attribute d at `rows`, averaging over states:
-    one state gives its most likely values; several give the mean of their
-    continuous predictions, or the argmax of the state-summed pmf."""
-    if len(states) == 1:
-        return _map_values(states[0], d, states[0].Z[rows])
+    """Encoded completions of attribute d at `rows` under the states: the mean
+    of their mapped means for a continuous kind, else the candidate of highest
+    mean predictive mass, ties going to the lowest. The candidates are every
+    level, or for a count each row's union of the states' windows."""
     spec = states[0].specs[d]
     kind = spec.kind
-    if kind.is_continuous:
-        return np.mean([_map_values(s, d, s.Z[rows]) for s in states], axis=0)
-    if kind is AttributeKind.COUNT:
-        # each row's union of the states' windows, ascending so that ties go low
+    if kind is AttributeKind.CATEGORICAL or kind is AttributeKind.ORDINAL:
+        xs = np.broadcast_to(np.arange(1, spec.R_d + 1), (len(rows), spec.R_d))
+    else:
         centers = [map_forward((s.Z[rows] @ s.B[:, s.dim_cols(d)])[:, 0], spec, kind)
                    for s in states]
+        if kind.is_continuous:
+            return np.mean(centers, axis=0)
+        # ascending, so that ties go low
         xs = np.sort(_count_window(np.transpose(centers)).reshape(len(rows), -1), axis=1)
-    else:
-        xs = np.broadcast_to(np.arange(1, spec.R_d + 1), (len(rows), spec.R_d))
-    best = np.argmax(sum(np.exp(_log_predictive(s, d, s.Z[rows], xs)) for s in states), axis=1)
+    best = np.argmax(_log_mean_predictive(states, d, rows, xs), axis=1)
     return xs[np.arange(len(rows)), best]
 
 
@@ -154,14 +147,8 @@ def _cell_scores(
     scores = {}
     for d in range(data.n_cols):
         rows = np.flatnonzero(mask[:, d])
-        if rows.size == 0:
-            continue
-        x = data.cells[rows, d][:, None]
-        lls = np.stack([_log_predictive(s, d, s.Z[rows], x)[:, 0] for s in states])
-        top = lls.max(axis=0)
-        with np.errstate(invalid="ignore"):
-            avg = top + np.log(np.mean(np.exp(lls - top), axis=0))
-        scores[d] = np.where(np.isneginf(top), -np.inf, avg)
+        if rows.size:
+            scores[d] = _log_mean_predictive(states, d, rows, data.cells[rows, d][:, None])[:, 0]
     return scores
 
 

@@ -4,13 +4,15 @@
 the kernel's log-joint step, written term by term over whole arrays.
 `collapsed_flip_logodds` is the log-odds of one Z entry with the weights
 collapsed out, which the kernel's row scan draws each flip from, computed
-from scratch with an exact inverse.
+from scratch with an exact inverse. `column_layout` names each
+pseudo-observation column's attribute and whether its weights are free.
 """
 
 import math
 
 import numpy as np
 
+from glfm.data import AttributeKind
 from glfm.engine import _chol_inverse
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -42,6 +44,17 @@ def ibp_lof_log_prior(Z_active: np.ndarray, alpha: float, N: int) -> float:
     return total
 
 
+def column_layout(specs) -> tuple[np.ndarray, np.ndarray]:
+    """(col_dim, free) over the pseudo-observation columns of `specs`: each
+    column's attribute index, and False at each categorical's last, pinned
+    column."""
+    widths = [s.S_d for s in specs]
+    free = np.ones(sum(widths), dtype=bool)
+    free[[end - 1 for end, s in zip(np.cumsum(widths), specs)
+          if s.kind is AttributeKind.CATEGORICAL]] = False
+    return np.repeat(np.arange(len(widths)), widths), free
+
+
 def log_joint(state) -> float:
     """Joint log density of (Z, B, Y, theta, sigma^2) at a LatentState."""
     hp = state.hp
@@ -51,12 +64,13 @@ def log_joint(state) -> float:
     active = state.col_sums[nb:] > 0
     total = ibp_lof_log_prior(state.Z[:, nb:][:, active], hp.alpha, N)
 
-    Bf = state.B[:, state.free_cols]
-    var_B = hp.sigma_B2 * state.sigma2[state.col_dim[state.free_cols]]
+    col_dim, free = column_layout(state.specs)
+    Bf = state.B[:, free]
+    var_B = hp.sigma_B2 * state.sigma2[col_dim[free]]
     total += -0.5 * float(np.sum(LOG_2PI + np.log(var_B) + Bf * Bf / var_B))
 
     resid = state.Y - state.Z @ state.B
-    col_var = state.sigma2[state.col_dim]
+    col_var = state.sigma2[col_dim]
     total += -0.5 * float(
         np.sum(LOG_2PI + np.log(col_var) + resid * resid / col_var)
     )
@@ -104,8 +118,9 @@ def collapsed_flip_logodds(state, n: int, k: int) -> float:
     M = A @ lam_noN
     # column c's predictive variance is sigma_d^2 (1 + s); pinned columns
     # do not depend on z
-    w = np.where(state.free_cols, 1.0 / state.sigma2[state.col_dim], 0.0)
-    n_free = int(state.free_cols.sum())
+    col_dim, free = column_layout(state.specs)
+    w = np.where(free, 1.0 / state.sigma2[col_dim], 0.0)
+    n_free = int(free.sum())
 
     def loglik(zz):
         v = 1.0 + max(float(zz @ A @ zz), 0.0)

@@ -496,8 +496,8 @@ def test_explore_from_saved_state(workdir):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--top", "-1"], "error: top must be >= 0, got -1\n"),
-])
+    (["--top", "-1"], "error: --top must be >= 0, got -1\n"),
+], ids=["top"])
 def test_explore_rejects_bad_top_and_grid_in_one_line(workdir, capsys, flags, message):
     fit = workdir / "fit"
     assert run_cli(["infer", workdir / "data.csv", "--spec", workdir / "cols.spec",
@@ -516,7 +516,8 @@ def test_explore_rejects_bad_top_and_grid_in_one_line(workdir, capsys, flags, me
     ("explore", ["--grid-points", "0"], "--grid-points must be >= 2, got 0"),
     ("explore", ["--grid-points", "1"], "--grid-points must be >= 2, got 1"),
     ("infer", ["--chains", "0"], "--chains must be >= 1, got 0"),
-], ids=["average-last", "splits", "grid-points-0", "grid-points-1", "chains"])
+    ("explore", ["--top", "-1"], "--top must be >= 0, got -1"),
+], ids=["average-last", "splits", "grid-points-0", "grid-points-1", "chains", "top"])
 def test_count_flag_below_its_least_value_exits_1_naming_the_flag(workdir, capsys, command,
                                                                    flags, message):
     # checked before any work, so no chain runs and no output is written
@@ -592,6 +593,21 @@ def test_negative_seed_flag_and_state_json_types_are_checked(workdir, capsys):
     assert run_cli(["explore", "--state", workdir / "fit" / "state.json",
                     "-o", workdir / "explored"]) == 1
     assert capsys.readouterr().err == "error: bias must be true or false, got 'false'\n"
+
+
+@pytest.mark.parametrize("command", ["infer", "complete", "explore"])
+def test_int_hyperparameter_at_2_to_the_63_exits_1_naming_the_field(workdir, capsys, command):
+    # the kernel holds K_max, K_init, iterations and burn_in as int64, where
+    # 2**63 would wrap; the seed goes to SeedSequence, which takes any size
+    args = [command, workdir / "data.csv", "--spec", workdir / "cols.spec",
+            "-o", workdir / "out"] + FAST
+    for flag, field, value in (("--kmax", "K_max", 2**63), ("--kmax", "K_max", 2**64 + 1),
+                               ("--kinit", "K_init", 2**63), ("--iters", "iterations", 2**63),
+                               ("--burn-in", "burn_in", 2**63)):
+        assert run_cli(args + [flag, str(value)]) == 1
+        assert capsys.readouterr().err == f"error: {field} must be below 2**63, got {value}\n"
+        assert not (workdir / "out").exists()
+    assert run_cli(args + ["--seed", str(2**64 + 1)]) == 0
 
 
 def test_missing_token_flag(workdir):

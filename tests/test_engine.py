@@ -43,7 +43,7 @@ from glfm.engine import (
 from glfm.likelihoods import map_forward, map_inverse
 from glfm.randkit import RngState, inverse_gamma_sample, trunc_normal_sample
 from glfm.synthetic import generate
-from reference import collapsed_flip_logodds, ibp_lof_log_prior
+from reference import collapsed_flip_logodds, column_layout, ibp_lof_log_prior
 from reference import log_joint as reference_log_joint
 
 
@@ -80,8 +80,8 @@ def reference_row_stats(state, n):
     z, y = state.Z[n], state.Y[n]
     A = np.linalg.inv(state.P - np.outer(z, z))
     r = y - z @ (A @ (state.lam - np.outer(z, y)))
-    free = state.free_cols
-    Q = float(np.sum(r[free] ** 2 / state.sigma2[state.col_dim[free]]))
+    col_dim, free = column_layout(state.specs)
+    Q = float(np.sum(r[free] ** 2 / state.sigma2[col_dim[free]]))
     return float(z @ A @ z), Q
 
 
@@ -1068,7 +1068,7 @@ def reference_birth_count(state, s, Q, u):
     kmax = min(kernel_enums()["MAX_BIRTHS_PER_ROW"], hp.K_max - state.K)
     if hp.alpha == 0.0 or kmax <= 0:
         return 0
-    n_free = int(state.free_cols.sum())
+    n_free = int(column_layout(state.specs)[1].sum())
     lw = []
     for k in range(kmax + 1):
         v = 1.0 + max(s, 0.0) + k * hp.sigma_B2
@@ -1299,7 +1299,7 @@ def fixed_z_state(specs, sigma2, seed=0):
     state = LatentState(specs=specs, hp=hp, Z=Z, Y=gen.normal(size=(6, S)),
                         B=gen.normal(size=(3, S)), theta=theta,
                         sigma2=np.array(sigma2, dtype=float))
-    state.B[:, ~state.free_cols] = 0.0
+    state.B[:, ~column_layout(state.specs)[1]] = 0.0
     state.recompute_natural()
     return state
 
@@ -1312,12 +1312,14 @@ def test_collapsed_flip_logodds_matches_exact_gaussian_marginal(sigma2):
     state = fixed_z_state(PINNED_TABLE, sigma2)
     hp, N = state.hp, state.N
 
+    col_dim, free = column_layout(state.specs)
+
     def log_marginal(Z):
         cov = hp.sigma_B2 * Z @ Z.T + np.eye(N)
         return sum(
-            multivariate_normal(np.zeros(N), state.sigma2[state.col_dim[c]] * cov).logpdf(
+            multivariate_normal(np.zeros(N), state.sigma2[col_dim[c]] * cov).logpdf(
                 state.Y[:, c])
-            for c in np.flatnonzero(state.free_cols)
+            for c in np.flatnonzero(free)
         )
 
     for n in range(N):
@@ -1344,8 +1346,8 @@ def test_log_joint_matches_independent_scipy_computation(sigma2):
     expected -= sum(math.lgamma(cols.count(c) + 1) for c in set(cols))
     for m in Z.sum(axis=0):
         expected += math.lgamma(N - m + 1) + math.lgamma(m) - math.lgamma(N + 1)
-    sd = np.sqrt(state.sigma2[state.col_dim])
-    free = state.free_cols
+    col_dim, free = column_layout(state.specs)
+    sd = np.sqrt(state.sigma2[col_dim])
     expected += norm.logpdf(state.B[:, free], scale=sd[free] * math.sqrt(hp.sigma_B2)).sum()
     expected += norm.logpdf(state.Y, loc=Z @ state.B, scale=sd).sum()
     expected += norm.logpdf(state.theta[2][1:], scale=math.sqrt(hp.sigma_theta2)).sum()
@@ -1421,7 +1423,7 @@ def test_kernel_log_joint_matches_the_reference(seed, N, K, bias, sample_varianc
     state = LatentState(specs=specs, hp=hp, Z=Z, Y=gen.normal(size=(N, S)) * 2.0,
                         B=gen.normal(size=(K, S)), theta=theta,
                         sigma2=gen.uniform(0.05, 5.0, len(specs)))
-    state.B[:, ~state.free_cols] = 0.0
+    state.B[:, ~column_layout(specs)[1]] = 0.0
     state.recompute_natural()
     expected = reference_log_joint(state)
     assert complete_data_log_joint(state) == pytest.approx(expected, rel=1e-12)
@@ -1544,6 +1546,7 @@ GEWEKE_SPECS = (
     AttributeSpec("c", AttributeKind.CATEGORICAL, R_d=3),
 )
 GEWEKE_ORDINAL = 3
+GEWEKE_COL_DIM, GEWEKE_FREE = column_layout(GEWEKE_SPECS)
 
 
 def geweke_prior_draw(gen, state):
@@ -1553,8 +1556,8 @@ def geweke_prior_draw(gen, state):
     N(0, sigma_theta^2) conditioned on their order, Y ~ N(Z B, sigma_d^2)."""
     hp = state.hp
     state.sigma2 = 1.0 / gen.gamma(hp.beta1, 1.0 / hp.beta2, size=len(state.specs))
-    sd = np.sqrt(state.sigma2[state.col_dim])
-    free = state.free_cols
+    sd = np.sqrt(state.sigma2[GEWEKE_COL_DIM])
+    free = GEWEKE_FREE
     state.B = np.zeros((state.K, state.S))
     state.B[:, free] = gen.normal(size=(state.K, free.sum())) * sd[free] * math.sqrt(hp.sigma_B2)
     R = state.specs[GEWEKE_ORDINAL].R_d
@@ -1588,11 +1591,11 @@ def geweke_moments(state):
     """The test functions: free weights, log sigma^2, the free ordinal cut
     points and Y, plus B^2 / sigma_d^2 on the free weights, whose mean
     (sigma_B^2 under the prior) ties the weights' scale to sigma^2."""
-    free = state.free_cols
+    free = GEWEKE_FREE
     Bf = state.B[:, free]
     return np.concatenate([
         Bf.ravel(), np.log(state.sigma2), state.theta[GEWEKE_ORDINAL][1:], state.Y.ravel(),
-        (Bf * Bf / state.sigma2[state.col_dim[free]]).ravel(),
+        (Bf * Bf / state.sigma2[GEWEKE_COL_DIM[free]]).ravel(),
     ])
 
 
@@ -1631,7 +1634,7 @@ def test_geweke_joint_distribution_with_z_held_fixed():
     geweke_prior_draw(gen, state)
     chain = np.empty_like(marginal)
     for t in range(n_draws):
-        sd = np.sqrt(state.sigma2[state.col_dim])
+        sd = np.sqrt(state.sigma2[GEWEKE_COL_DIM])
         state.Y = Z @ state.B + gen.normal(size=(N, S)) * sd
         state.recompute_natural()
         geweke_observe(gen, state, data)

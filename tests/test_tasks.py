@@ -25,7 +25,6 @@ from glfm.tasks import (
     TINY_PROB,
     Pattern,
     _cell_scores,
-    _map_values,
     as_all_real,
     compute_pdf,
     extract_patterns,
@@ -55,38 +54,40 @@ def manual_state(specs, Z, B, theta=None, sigma2=1.0, hp=HP0):
     return state
 
 
-def map_value(z, state, d):
-    """Most likely encoded value of attribute d for the one feature row z."""
-    return _map_values(state, d, np.asarray(z, dtype=float)[None])[0]
+def impute_one(state):
+    """Completion of a one-row, one-attribute state's missing cell by
+    `impute_from_states` from that state alone."""
+    data = DataMatrix(cells=np.array([[np.nan]]), missing=np.array([[True]]), specs=state.specs)
+    return impute_from_states([state], data)[0, 0]
 
 
 def test_compute_map_continuous():
     spec = AttributeSpec("r", AttributeKind.REAL, w=2.0, mu=-1.0)
     state = manual_state([spec], [[1.0]], [[0.7]])
-    assert map_value(np.array([1.0]), state, 0) == pytest.approx(2.0 * 0.7 - 1.0)
+    assert impute_one(state) == pytest.approx(2.0 * 0.7 - 1.0)
 
     pos = AttributeSpec("p", AttributeKind.POSITIVE_REAL)
     state2 = manual_state([pos], [[1.0]], [[0.4]])
-    assert map_value(np.array([1.0]), state2, 0) == pytest.approx(float(softplus(0.4)))
+    assert impute_one(state2) == pytest.approx(float(softplus(0.4)))
 
 
 def test_compute_map_categorical_ties_to_lowest():
     spec = AttributeSpec("c", AttributeKind.CATEGORICAL, R_d=3)
     state = manual_state([spec], [[1.0]], [[0.2, 0.9, 0.0]])
-    assert map_value(np.array([1.0]), state, 0) == 2
+    assert impute_one(state) == 2
     tied = manual_state([spec], [[1.0]], [[0.5, 0.5, 0.0]])
-    assert map_value(np.array([1.0]), tied, 0) == 1
+    assert impute_one(tied) == 1
 
 
 def test_compute_map_ordinal():
     spec = AttributeSpec("o", AttributeKind.ORDINAL, R_d=3)
     theta = {0: [0.0, 1.5]}
     low = manual_state([spec], [[1.0]], [[-0.2]], theta=theta)
-    assert map_value(np.array([1.0]), low, 0) == 1
+    assert impute_one(low) == 1
     mid = manual_state([spec], [[1.0]], [[0.7]], theta=theta)
-    assert map_value(np.array([1.0]), mid, 0) == 2
+    assert impute_one(mid) == 2
     high = manual_state([spec], [[1.0]], [[2.5]], theta=theta)
-    assert map_value(np.array([1.0]), high, 0) == 3
+    assert impute_one(high) == 3
 
 
 def test_compute_map_count_matches_full_search():
@@ -94,7 +95,7 @@ def test_compute_map_count_matches_full_search():
     for m in (-3.0, -0.4, 0.0, 0.55, 1.3, 2.0, 4.7):
         for sigma2 in (1.0, 0.25):
             state = manual_state([spec], [[1.0]], [[m]], sigma2=sigma2)
-            got = map_value(np.array([1.0]), state, 0)
+            got = impute_one(state)
             sd = math.sqrt(sigma2)
             lls = [
                 log_prob_count(x, m, spec, sd)
@@ -135,7 +136,7 @@ def test_impute_from_states_averages_continuous():
     )
     filled = impute_from_states([s1, s2], data)
     assert filled[0, 0] == pytest.approx(2.0)
-    # single state falls back to that state's mode
+    # one state gives its own mapped mean
     assert impute_from_states([s1], data)[0, 0] == pytest.approx(1.0)
 
 
@@ -150,6 +151,22 @@ def test_impute_from_states_averages_discrete_probs():
     )
     assert impute_from_states([sA, sB], data)[0, 0] == 3.0
     assert impute_from_states([sA], data)[0, 0] == 1.0
+
+
+def test_one_state_imputes_as_that_state_passed_twice():
+    # one rule at any number of states: a state averaged with itself is that
+    # state, so every kind fills the same bits
+    for seed in range(6):
+        states, data, _, _ = random_states(seed, 1, n_rows=40)
+        assert data.missing.any(axis=0).all()
+        filled = impute_from_states(states, data)
+        assert filled.tobytes() == impute_from_states(states * 2, data).tobytes()
+    # the mean 0.05 lies in level 2's interval (0, 0.1], but levels 1 and 3
+    # each have mass Phi(-0.05), and the lower of them wins
+    spec = AttributeSpec("o", AttributeKind.ORDINAL, R_d=3)
+    state = manual_state([spec], [[1.0]], [[0.05]], theta={0: [0.0, 0.1]})
+    data = DataMatrix(cells=np.array([[np.nan]]), missing=np.array([[True]]), specs=[spec])
+    assert impute_one(state) == impute_from_states([state, state], data)[0, 0] == 1.0
 
 
 def test_predictive_loglik_matches_direct_computation():
@@ -394,27 +411,6 @@ def test_compute_pdf_preprocess_units():
 RTOL = ATOL = 1e-12
 
 
-def ref_compute_map(z, state, d):
-    spec = state.specs[d]
-    cs = state.dim_cols(d)
-    m = np.asarray(z, dtype=float) @ state.B[:, cs]
-    kind = spec.kind
-    if kind.is_continuous:
-        return float(map_forward(float(m[0]), spec, kind))
-    if kind is AttributeKind.CATEGORICAL:
-        return int(np.argmax(m) + 1)
-    if kind is AttributeKind.ORDINAL:
-        return int(map_forward(float(m[0]), spec, kind, theta=state.theta[d]))
-    sd = math.sqrt(float(state.sigma2[d]))
-    center = int(map_forward(float(m[0]), spec, kind))
-    best_x, best_ll = None, -np.inf
-    for x in range(max(0, center - 2), center + 3):
-        ll = log_prob_count(x, float(m[0]), spec, sd)
-        if ll > best_ll:
-            best_x, best_ll = x, ll
-    return int(best_x)
-
-
 def ref_cell_loglik(state, n, d, x):
     spec = state.specs[d]
     cs = state.dim_cols(d)
@@ -443,9 +439,6 @@ def ref_cell_score(states, n, d, x):
 
 
 def ref_impute_cell(states, n, d):
-    if len(states) == 1:
-        state = states[0]
-        return ref_compute_map(state.Z[n], state, d)
     spec = states[0].specs[d]
     kind = spec.kind
     if kind.is_continuous:
@@ -589,9 +582,6 @@ def test_batched_tasks_match_per_cell_reference(seed, n_states):
     state = states[0]
     for z in (state.Z[0], np.ones(state.K)):
         for d in range(len(state.specs)):
-            assert map_value(z, state, d) == pytest.approx(
-                ref_compute_map(z, state, d), rel=RTOL, abs=ATOL
-            )
             xs, p = compute_pdf(state, d, z)
             xs_ref, p_ref = ref_compute_pdf(state, d, z)
             np.testing.assert_allclose(xs, xs_ref, rtol=RTOL, atol=ATOL)
